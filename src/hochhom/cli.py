@@ -35,7 +35,7 @@ from .homology import (
 )
 from .koszul import (
     ChainElement,
-    ChainGenerator,
+    apply_diff,
     braiding_f_prime,
     chain_generator_str,
     diff_full,
@@ -43,10 +43,10 @@ from .koszul import (
     diff_small,
     diff_symmetric,
     diff_weyl,
+    generators_up_to,
     is_in_C,
     weyl_compare_maps,
     weyl_g_map,
-    _bit_vectors,
     _compositions,
 )
 from .scalar import AlgebraSpec, CyclotomicModel, RationalModel
@@ -184,42 +184,26 @@ def emit_report(report: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _all_generators(spec: AlgebraSpec, max_degree: int):
-    m = spec.num_generators
-    for p in range(max_degree + 1):
-        for mono in _compositions(p, m):
-            for size in range(m + 1):
-                for wedge in _bit_vectors(size, m):
-                    yield ChainGenerator(mono, wedge)
-
-
-def _apply(spec, diff, elem: ChainElement) -> ChainElement:
-    out = ChainElement.zero(spec)
-    for g, c in elem.terms.items():
-        out = out + diff(spec, g).scale(c)
-    return out
-
-
 def verify_complex(spec: AlgebraSpec, bound: int) -> list[str]:
     """d.d = 0 for every differential; closed form agrees with generic."""
     failures = []
     semiclassical = spec.r == spec.n
-    for g in _all_generators(spec, bound):
+    for g in generators_up_to(spec, bound):
         full = diff_full(spec, g)
-        if not _apply(spec, diff_full, full).is_zero():
+        if not apply_diff(spec, diff_full, full).is_zero():
             failures.append(f"diff_full squared nonzero on {chain_generator_str(spec, g)}")
         if diff_full_closed(spec, g) != full:
             failures.append(f"closed form disagrees on {chain_generator_str(spec, g)}")
         if is_in_C(spec, g.rho):
             small = diff_small(spec, g)
-            if not _apply(spec, diff_small, small).is_zero():
+            if not apply_diff(spec, diff_small, small).is_zero():
                 failures.append(f"diff_small squared nonzero on {chain_generator_str(spec, g)}")
         sym = diff_symmetric(spec, g)
-        if not _apply(spec, diff_symmetric, sym).is_zero():
+        if not apply_diff(spec, diff_symmetric, sym).is_zero():
             failures.append(f"diff_symmetric squared nonzero on {chain_generator_str(spec, g)}")
         if semiclassical:
             weyl = diff_weyl(spec, g)
-            if not _apply(spec, diff_weyl, weyl).is_zero():
+            if not apply_diff(spec, diff_weyl, weyl).is_zero():
                 failures.append(f"diff_weyl squared nonzero on {chain_generator_str(spec, g)}")
     return failures
 
@@ -243,13 +227,13 @@ def verify_chainmaps(spec: AlgebraSpec, bound: int) -> list[str]:
             out = out + weyl_g_map(spec, g).scale(c)
         return out
 
-    for g in _all_generators(spec, bound):
+    for g in generators_up_to(spec, bound):
         if not is_in_C(spec, g.rho):
             continue
         one = ChainElement.single(spec, g)
-        if f_map(diff_weyl(spec, g)) != _apply(spec, diff_small, f_map(one)):
+        if f_map(diff_small(spec, g)) != apply_diff(spec, diff_weyl, f_map(one)):
             failures.append(f"f not a chain map at {chain_generator_str(spec, g)}")
-        if g_map(diff_weyl(spec, g)) != _apply(spec, diff_small, g_map(one)):
+        if g_map(diff_weyl(spec, g)) != apply_diff(spec, diff_small, g_map(one)):
             failures.append(f"g not a chain map at {chain_generator_str(spec, g)}")
         if g_map(f_map(one)) != one:
             failures.append(f"g.f != id at {chain_generator_str(spec, g)}")
@@ -263,7 +247,7 @@ def verify_braiding(spec: AlgebraSpec, bound: int) -> list[str]:
     m = spec.num_generators
     for length in range(2, min(bound, 4) + 1):
         for word in product(range(1, m + 1), repeat=length):
-            if not braiding_f_prime(spec, word).is_zero():
+            if braiding_f_prime(spec, word):
                 failures.append(f"f' nonzero on word {word}")
     return failures
 

@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 from .algebra import Monomial, PbwElement
 from .errors import IndexOutOfRange, UnsupportedDegree
 from .homology import strand_homology
-from .koszul import ChainElement, ChainGenerator, diff_full
-from .linalg import SparseMatrix, Vector, rank_kernel, subquotient_dim
+from .koszul import ChainElement, ChainGenerator, diff_full, monomials_up_to
+from .linalg import complex_homology, matrix_of, rank_kernel
 from .scalar import AlgebraSpec, Scalar
 
 WedgeIndex = tuple[int, ...]
@@ -342,32 +342,26 @@ def duality_identity_check(spec: AlgebraSpec, degree: int, bound: int) -> Dualit
     product of the extended matrix at that index — the exact factor by which
     the two sides differ.
     """
-    from .koszul import _compositions
-
-    m = spec.num_generators
     for I in all_wedges(spec, degree):
-        for p in range(bound + 1):
-            for mono in _compositions(p, m):
-                c = DualChain(spec, degree, {(mono, I): spec.one()})
-                lhs = D_apply(spec, phi3(spec, c))
-                rhs = phi3(spec, Delta_apply(spec, c)).scale(
-                    spec.scalar((-1) ** (degree + 1))
+        for mono in monomials_up_to(spec, bound):
+            c = DualChain(spec, degree, {(mono, I): spec.one()})
+            lhs = D_apply(spec, phi3(spec, c))
+            rhs = phi3(spec, Delta_apply(spec, c)).scale(spec.scalar((-1) ** (degree + 1)))
+            if lhs != rhs:
+                J = complement(spec, I)
+                bad_k = None
+                for k, jk in enumerate(J, start=1):
+                    new_I = tuple(sorted(I + (jk,)))
+                    if lhs.value(new_I) != rhs.value(new_I):
+                        bad_k = jk
+                        break
+                return DualityCheckResult(
+                    False,
+                    degree,
+                    I,
+                    bad_k,
+                    row_product(spec, bad_k) if bad_k else None,
                 )
-                if lhs != rhs:
-                    J = complement(spec, I)
-                    bad_k = None
-                    for k, jk in enumerate(J, start=1):
-                        new_I = tuple(sorted(I + (jk,)))
-                        if lhs.value(new_I) != rhs.value(new_I):
-                            bad_k = jk
-                            break
-                    return DualityCheckResult(
-                        False,
-                        degree,
-                        I,
-                        bad_k,
-                        row_product(spec, bad_k) if bad_k else None,
-                    )
     return DualityCheckResult(True, degree)
 
 
@@ -376,42 +370,27 @@ def duality_identity_check(spec: AlgebraSpec, degree: int, bound: int) -> Dualit
 # ---------------------------------------------------------------------------
 
 
-def _monomials_up_to(spec: AlgebraSpec, bound: int) -> list[Monomial]:
-    from .koszul import _compositions
-
-    m = spec.num_generators
-    out = []
-    for p in range(bound + 1):
-        out.extend(_compositions(p, m))
-    return out
+def _commutators(spec: AlgebraSpec, mono: Monomial) -> list[tuple[tuple[int, Monomial], Scalar]]:
+    """The terms ((i, monomial), coefficient) of [v_i, mono] for every generator v_i."""
+    elem = PbwElement.monomial(spec, mono)
+    terms = []
+    for i in range(1, spec.num_generators + 1):
+        v = PbwElement.generator(spec, i)
+        terms.extend(((i, out_mono), c) for out_mono, c in (v * elem - elem * v).terms.items())
+    return terms
 
 
 def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
     """Basis of the degree-<=bound part of the center ([g, v_i] = 0 for all i).
 
     The commutator system is closed (no window correction needed): every
-    output monomial of every commutator is a row of the linear system.
+    output monomial of every commutator is a row of the linear system.  The
+    center is H_0 of the complex monomials -> commutators.
     """
-    basis = _monomials_up_to(spec, bound)
-    col_of = {mono: j for j, mono in enumerate(basis)}
-    row_of: dict[tuple[int, Monomial], int] = {}
-    entries: dict[tuple[int, int], Scalar] = {}
-    for j, mono in enumerate(basis):
-        elem = PbwElement.monomial(spec, mono)
-        for i in range(1, spec.num_generators + 1):
-            v = PbwElement.generator(spec, i)
-            comm = v * elem - elem * v
-            for out_mono, coeff in comm.terms.items():
-                key = (i, out_mono)
-                if key not in row_of:
-                    row_of[key] = len(row_of)
-                entries[(row_of[key], j)] = coeff
-    matrix = SparseMatrix(max(len(row_of), 1), len(basis), entries)
-    _, kernel = rank_kernel(matrix, one=spec.one())
-    out = []
-    for vec in kernel:
-        out.append(PbwElement(spec, {basis[j]: c for j, c in vec.items()}))
-    return out
+    basis = list(monomials_up_to(spec, bound))
+    commutators = matrix_of(basis, lambda mono: _commutators(spec, mono))
+    _, reps = complex_homology({0: commutators}, spec.one(), representatives=[0])
+    return [PbwElement(spec, {basis[j]: c for j, c in vec.items()}) for vec in reps[0]]
 
 
 @dataclass(frozen=True)
@@ -427,63 +406,42 @@ def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
     Cocycles: 1-cochains with values of degree <= bound killed by D (the
     cocycle equations are evaluated exactly).  Coboundaries: D of degree-0
     cochains with value degree <= bound + 1, restricted to those whose
-    coboundary stays inside the value window.
+    coboundary stays inside the value window.  This is degree 1 of the
+    complex (windowed 0-cochains) -> (1-cochains) -> (2-wedge values).
     """
     m = spec.num_generators
-    value_basis = _monomials_up_to(spec, bound)
-    columns = [(i, mono) for i in range(1, m + 1) for mono in value_basis]
-    col_of = {key: j for j, key in enumerate(columns)}
+    columns = [(i, mono) for i in range(1, m + 1) for mono in monomials_up_to(spec, bound)]
 
-    # Cocycle system: D(phi) = 0 on every 2-wedge.
-    row_of: dict[tuple[WedgeIndex, Monomial], int] = {}
-    entries: dict[tuple[int, int], Scalar] = {}
-    for j, (i, mono) in enumerate(columns):
-        phi = Cochain(spec, 1, {(i,): PbwElement.monomial(spec, mono)})
-        image = D_apply(spec, phi)
-        for I, elem in image.values.items():
-            for out_mono, coeff in elem.terms.items():
-                key = (I, out_mono)
-                if key not in row_of:
-                    row_of[key] = len(row_of)
-                entries[(row_of[key], j)] = coeff
-    cocycle_matrix = SparseMatrix(max(len(row_of), 1), len(columns), entries)
-    _, cocycles = rank_kernel(cocycle_matrix, one=spec.one())
+    def coboundary(column):
+        i, mono = column
+        image = D_apply(spec, Cochain(spec, 1, {(i,): PbwElement.monomial(spec, mono)}))
+        return [((I, out), c) for I, elem in image.values.items() for out, c in elem.terms.items()]
 
-    # Coboundary system: D of X over monomials of degree <= bound + 1, split
-    # into rows inside the window (low) and outside (high).
-    x_basis = _monomials_up_to(spec, bound + 1)
-    low: dict[tuple[int, int], Scalar] = {}
-    high: dict[tuple[int, int], Scalar] = {}
-    high_rows: dict[tuple[int, Monomial], int] = {}
-    for jx, mono in enumerate(x_basis):
-        elem = PbwElement.monomial(spec, mono)
-        for i in range(1, m + 1):
-            v = PbwElement.generator(spec, i)
-            comm = v * elem - elem * v
-            for out_mono, coeff in comm.terms.items():
-                if sum(out_mono) <= bound:
-                    low[(col_of[(i, out_mono)], jx)] = coeff
-                else:
-                    key = (i, out_mono)
-                    if key not in high_rows:
-                        high_rows[key] = len(high_rows)
-                    high[(high_rows[key], jx)] = coeff
-    low_matrix = SparseMatrix(len(columns), len(x_basis), low)
-    high_matrix = SparseMatrix(max(len(high_rows), 1), len(x_basis), high)
-    _, windowed = rank_kernel(high_matrix, one=spec.one())
-    boundaries = [low_matrix.apply(u) for u in windowed]
-    boundaries = [b for b in boundaries if b]
+    cocycle_matrix = matrix_of(columns, coboundary)
 
-    dim, reps = subquotient_dim(cocycles, boundaries)
-    rep_cochains = []
-    for vec in reps:
-        values: dict[WedgeIndex, PbwElement] = {}
-        for j, coeff in vec.items():
-            i, mono = columns[j]
-            elem = PbwElement.monomial(spec, mono, coeff)
-            values[(i,)] = values[(i,)] + elem if (i,) in values else elem
-        rep_cochains.append(Cochain(spec, 1, values))
-    return Hh1Window(bound, dim, rep_cochains)
+    # D of X over monomials of degree <= bound + 1, split into the values
+    # inside the window (low) and outside it (high); the windowed X are the
+    # kernel of high.
+    x_basis = list(monomials_up_to(spec, bound + 1))
+    commutators = {mono: _commutators(spec, mono) for mono in x_basis}
+    low = matrix_of(
+        x_basis,
+        lambda mono: [(key, c) for key, c in commutators[mono] if sum(key[1]) <= bound],
+        columns,
+    )
+    high = matrix_of(
+        x_basis, lambda mono: [(key, c) for key, c in commutators[mono] if sum(key[1]) > bound]
+    )
+    _, windowed = rank_kernel(high, one=spec.one())
+    inclusion = matrix_of(windowed, dict.items, range(len(x_basis)))
+    dims, reps = complex_homology(
+        {1: cocycle_matrix, 2: low.compose(inclusion)}, spec.one(), representatives=[1]
+    )
+    rep_cochains = [
+        phi3(spec, DualChain(spec, 1, {(columns[j][1], (columns[j][0],)): c for j, c in vec.items()}))
+        for vec in reps[1]
+    ]
+    return Hh1Window(bound, dims[1], rep_cochains)
 
 
 # ---------------------------------------------------------------------------

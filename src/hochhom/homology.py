@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ComplexBroken, NotASubspace, RhoInC
+from .errors import RhoInC
 from .koszul import (
     ChainElement,
     ChainGenerator,
@@ -19,8 +19,8 @@ from .koszul import (
     enumerate_strand,
     is_in_C,
 )
-from .linalg import SparseMatrix, Vector, rank_kernel, subquotient_dim
-from .scalar import AlgebraSpec, CyclotomicModel, RationalModel, Scalar
+from .linalg import Vector, complex_homology, matrix_of
+from .scalar import AlgebraSpec
 
 
 @dataclass(frozen=True)
@@ -69,37 +69,14 @@ def homology_of_strand(
     spec: AlgebraSpec, strand: StrandComplex, representatives: bool = True
 ) -> StrandHomology:
     m = spec.num_generators
-    dims: dict[int, int] = {}
-    reps: dict[int, list[ChainElement]] = {}
     chain_dims = {k: len(strand.generators[k]) for k in range(m + 1)}
-    kernels: dict[int, list[Vector]] = {}
-    for k in range(m + 1):
-        ncols = chain_dims[k]
-        if k == 0:
-            kernels[0] = [{j: spec.one()} for j in range(ncols)]
-        else:
-            _, kernels[k] = rank_kernel(strand.matrices[k], one=spec.one())
-    for k in range(m + 1):
-        boundaries: list[Vector] = []
-        if k + 1 <= m:
-            mat = strand.matrices[k + 1]
-            cols: dict[int, Vector] = {}
-            for (i, j), v in mat.entries.items():
-                cols.setdefault(j, {})[i] = v
-            boundaries = list(cols.values())
-        try:
-            dim, rep_vectors = subquotient_dim(kernels[k], boundaries)
-        except NotASubspace as exc:
-            raise ComplexBroken(
-                f"boundaries escape the cycles at w={strand.weight}, k={k}"
-            ) from exc
-        dims[k] = dim
-        if representatives:
-            reps[k] = [
-                _vector_to_chain(spec, v, strand.generators[k]) for v in rep_vectors
-            ]
-        else:
-            reps[k] = []
+    dims, rep_vectors = complex_homology(
+        strand.matrices, spec.one(), representatives=range(m + 1) if representatives else ()
+    )
+    reps = {
+        k: [_vector_to_chain(spec, v, strand.generators[k]) for v in rep_vectors.get(k, [])]
+        for k in range(m + 1)
+    }
     return StrandHomology(strand.weight, dims, reps, chain_dims)
 
 
@@ -222,27 +199,13 @@ def quotient_strand_acyclicity(spec: AlgebraSpec, rho) -> AcyclicityResult:
         generators[sum(wedge)].append(ChainGenerator(mono, wedge))
     for k in generators:
         generators[k].sort(key=lambda g: (g.mono, g.wedge))
-    matrices: dict[int, SparseMatrix] = {}
-    for k in range(1, m + 1):
-        index = {g: i for i, g in enumerate(generators[k - 1])}
-        entries: dict[tuple[int, int], Scalar] = {}
-        for col, g in enumerate(generators[k]):
-            for tgt, coeff in diff_symmetric(spec, g).terms.items():
-                entries[(index[tgt], col)] = coeff
-        matrices[k] = SparseMatrix(len(generators[k - 1]), len(generators[k]), entries)
+    matrices = {
+        k: matrix_of(generators[k], lambda g: diff_symmetric(spec, g).terms.items(), generators[k - 1])
+        for k in range(1, m + 1)
+    }
+    dims, _ = complex_homology(matrices, spec.one())
     for k in range(m + 1):
-        if k == 0:
-            cycles: list[Vector] = [{j: spec.one()} for j in range(len(generators[0]))]
-        else:
-            _, cycles = rank_kernel(matrices[k], one=spec.one())
-        boundaries: list[Vector] = []
-        if k + 1 <= m:
-            cols: dict[int, Vector] = {}
-            for (i, j), v in matrices[k + 1].entries.items():
-                cols.setdefault(j, {})[i] = v
-            boundaries = list(cols.values())
-        dim, reps = subquotient_dim(cycles, boundaries)
-        if dim != 0:
-            witness = _vector_to_chain(spec, reps[0], generators[k]) if reps else None
-            return AcyclicityResult(rho, False, k, witness)
+        if dims[k]:
+            _, reps = complex_homology(matrices, spec.one(), representatives=[k])
+            return AcyclicityResult(rho, False, k, _vector_to_chain(spec, reps[k][0], generators[k]))
     return AcyclicityResult(rho, True)

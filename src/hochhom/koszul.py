@@ -20,7 +20,7 @@ antisymmetry check (the alternating contraction f' that must vanish).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .algebra import PbwElement, generator_name, monomial_str
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     NotSemiClassical,
     WordTooLong,
 )
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, matrix_of
 from .scalar import AlgebraSpec, Scalar
 
 Exponents = tuple[int, ...]
@@ -160,8 +160,8 @@ def is_in_C(spec: AlgebraSpec, rho: Iterable[int]) -> bool:
     """Whether a total multidegree lies in the set C.
 
     Definition: for every column i, rho_i = 0 or the column product
-    prod_k lambda~_{k,i}^{rho_k} equals 1.  An equivalent characterization
-    (pair each Weyl column with its partner) is evaluated as a cross-check.
+    prod_k lambda~_{k,i}^{rho_k} equals 1.  The tests check it against an
+    equivalent characterization that pairs each Weyl column with its partner.
     """
     rho = tuple(rho)
     m = spec.num_generators
@@ -171,15 +171,7 @@ def is_in_C(spec: AlgebraSpec, rho: Iterable[int]) -> bool:
     def column_is_one(i: int) -> bool:
         return spec.monomial_is_one((k, i, rho[k - 1]) for k in range(1, m + 1) if rho[k - 1])
 
-    primary = all(rho[i - 1] == 0 or column_is_one(i) for i in range(1, m + 1))
-    paired = all(
-        column_is_one(i) or (rho[i - 1] == 0 and rho[i - 1 + spec.r] == 0)
-        for i in range(1, spec.r + 1)
-    ) and all(
-        column_is_one(i) or rho[i - 1] == 0 for i in range(2 * spec.r + 1, m + 1)
-    )
-    assert primary == paired, f"membership characterizations disagree at rho={rho}"
-    return primary
+    return all(rho[i - 1] == 0 or column_is_one(i) for i in range(1, m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +424,43 @@ def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
                         gens.append(g)
             gens.sort(key=lambda g: (g.mono, g.wedge))
         generators[k] = gens
-    matrices: dict[int, SparseMatrix] = {}
-    for k in range(1, m + 1):
-        index = {g: i for i, g in enumerate(generators[k - 1])}
-        entries: dict[tuple[int, int], Scalar] = {}
-        for col, g in enumerate(generators[k]):
-            for tgt, coeff in diff_small(spec, g).terms.items():
-                entries[(index[tgt], col)] = coeff
-        matrices[k] = SparseMatrix(len(generators[k - 1]), len(generators[k]), entries)
+    matrices = {
+        k: matrix_of(generators[k], lambda g: diff_small(spec, g).terms.items(), generators[k - 1])
+        for k in range(1, m + 1)
+    }
     return StrandComplex(w, generators, matrices)
+
+
+# ---------------------------------------------------------------------------
+# Verification helpers shared by the CLI and the tests.
+# ---------------------------------------------------------------------------
+
+
+def monomials_up_to(spec: AlgebraSpec, bound: int) -> Iterator[Exponents]:
+    """Every exponent vector of total degree <= bound, by degree then lexicographically."""
+    for p in range(bound + 1):
+        yield from _compositions(p, spec.num_generators)
+
+
+def generators_up_to(spec: AlgebraSpec, bound: int) -> Iterator[ChainGenerator]:
+    """Every chain generator whose polynomial part has degree <= bound."""
+    m = spec.num_generators
+    for mono in monomials_up_to(spec, bound):
+        for size in range(m + 1):
+            for wedge in _bit_vectors(size, m):
+                yield ChainGenerator(mono, wedge)
+
+
+def apply_diff(
+    spec: AlgebraSpec,
+    diff: Callable[[AlgebraSpec, ChainGenerator], ChainElement],
+    elem: ChainElement,
+) -> ChainElement:
+    """Extend a differential given on generators linearly to a chain."""
+    out = ChainElement.zero(spec)
+    for g, c in elem.terms.items():
+        out = out + diff(spec, g).scale(c)
+    return out
 
 
 # ---------------------------------------------------------------------------

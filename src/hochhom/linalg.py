@@ -3,14 +3,15 @@
 All matrices and vectors hold exact scalars (rationals or cyclotomics); rank,
 kernel and subquotient computations are ordinary Gaussian elimination with a
 fill-minimizing pivot heuristic.  Exactness makes the pivot order a pure
-performance choice.
+performance choice, except that it fixes which coset representatives are
+reported.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
 
-from .errors import NotASubspace
+from .errors import ComplexBroken, NotASubspace
 from .scalar import RationalScalar, Scalar
 
 Vector = dict[int, Scalar]
@@ -49,14 +50,40 @@ class SparseMatrix:
         """The product self * other (apply other first)."""
         assert self.cols == other.rows
         out: dict[tuple[int, int], Scalar] = {}
-        by_row: dict[int, list[tuple[int, Scalar]]] = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
+        by_row = _rows(other)
         for (i, k), v in self.entries.items():
-            for j, w in by_row.get(k, ()):
+            for j, w in by_row.get(k, {}).items():
                 c = v * w
                 out[(i, j)] = out[(i, j)] + c if (i, j) in out else c
         return SparseMatrix(self.rows, other.cols, {k: v for k, v in out.items() if not v.is_zero()})
+
+
+def _rows(matrix: SparseMatrix) -> dict[int, Vector]:
+    """Nonzero rows by index, in order of first appearance among the entries."""
+    rows: dict[int, Vector] = {}
+    for (i, j), v in matrix.entries.items():
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def matrix_of(
+    basis: Sequence,
+    image: Callable[[object], Iterable[tuple[Hashable, Scalar]]],
+    rows: Optional[Sequence[Hashable]] = None,
+) -> SparseMatrix:
+    """Matrix whose column j is image(basis[j]), given as (row key, coefficient) pairs.
+
+    ``rows`` lists the row keys in order; without it, keys are numbered as they
+    first appear.  Entries are stored column by column in image order, which
+    fixes the pivot order of later eliminations and so the representatives.
+    """
+    row_of = {key: i for i, key in enumerate(rows or ())}
+    entries: dict[tuple[int, int], Scalar] = {}
+    for j, b in enumerate(basis):
+        for key, coeff in image(b):
+            at = (row_of[key] if rows is not None else row_of.setdefault(key, len(row_of)), j)
+            entries[at] = entries[at] + coeff if at in entries else coeff
+    return SparseMatrix(len(row_of), len(basis), entries)
 
 
 def _subtract_multiple(row: Vector, factor: Scalar, pivot_row: Vector) -> Vector:
@@ -116,10 +143,7 @@ def rank_kernel(matrix: SparseMatrix, one: Optional[Scalar] = None) -> tuple[int
     and the pivot coordinates are read off the reduced echelon form.  ``one``
     supplies the unit scalar when the matrix has no entries to borrow it from.
     """
-    rows_by_index: dict[int, Vector] = {}
-    for (i, j), v in matrix.entries.items():
-        rows_by_index.setdefault(i, {})[j] = v
-    reduced = _eliminate(list(rows_by_index.values()))
+    reduced = _eliminate(list(_rows(matrix).values()))
     if one is None:
         if reduced:
             some = next(iter(reduced[0][1].values()))
@@ -143,40 +167,74 @@ def span_rank(vectors: Sequence[Vector]) -> int:
     return len(_eliminate(vectors))
 
 
+def _reduce_against(vec: Vector, reduced: Sequence[tuple[int, Vector]]) -> Vector:
+    """Reduce vec against (pivot, row) pairs, each row free of the earlier pivots."""
+    out = dict(vec)
+    for pj, r in reduced:
+        if pj in out:
+            out = _subtract_multiple(out, out[pj], r)
+    return out
+
+
 def subquotient_dim(
     cycles: Sequence[Vector], boundaries: Sequence[Vector]
 ) -> tuple[int, list[Vector]]:
     """dim span(cycles)/span(boundaries), with representative cycle vectors.
 
     Raises NotASubspace unless span(boundaries) is contained in span(cycles).
-    Representatives are chosen greedily among the given cycle vectors, reduced
-    against the boundary span so they are honest coset representatives.
+    Representatives are the first cycle vectors independent of the boundaries
+    and of the earlier picks, each reduced against the boundary span so they
+    are honest coset representatives.
     """
     reduced_b = _eliminate(boundaries)
-    rank_b = len(reduced_b)
     rank_c = span_rank(cycles)
-    rank_cb = len(_eliminate(list(cycles) + list(boundaries)))
-    if rank_cb != rank_c:
-        raise NotASubspace("boundaries are not contained in the cycle space")
-    target = rank_c - rank_b
+    # The boundary RREF followed by one row per pick is one echelon basis:
+    # each row is free of the pivots of the rows before it, so sweeping the
+    # rows in order reduces a vector against the whole span.
+    picks: list[tuple[int, Vector]] = []
     reps: list[Vector] = []
-    basis: list[Vector] = [r for _, r in reduced_b]
-    current = rank_b
     for v in cycles:
-        if len(reps) == target:
-            break
-        trial = _eliminate(basis + [v])
-        if len(trial) > current:
-            reps.append(_reduce_against(v, reduced_b))
-            basis = [r for _, r in trial]
-            current = len(trial)
-    return target, reps
+        rep = _reduce_against(v, reduced_b)
+        residual = _reduce_against(rep, picks)
+        if residual:
+            reps.append(rep)
+            pj, pv = next(iter(residual.items()))
+            inv = pv.inv()
+            picks.append((pj, {j: c * inv for j, c in residual.items()}))
+    if len(reduced_b) + len(picks) != rank_c:
+        raise NotASubspace("boundaries are not contained in the cycle space")
+    return len(reps), reps
 
 
-def _reduce_against(vec: Vector, reduced: list[tuple[int, Vector]]) -> Vector:
-    """Subtract the projection of vec onto a reduced echelon row set."""
-    out = dict(vec)
-    for pj, r in reduced:
-        if pj in out:
-            out = _subtract_multiple(out, out[pj], r)
-    return out
+def complex_homology(
+    differentials: dict[int, SparseMatrix],
+    one: Scalar,
+    representatives: Collection[int] = (),
+) -> tuple[dict[int, int], dict[int, list[Vector]]]:
+    """Homology of the finite chain complex with d_k = differentials[k]: C_k -> C_{k-1}.
+
+    The degrees k are consecutive, and the complex occupies degrees
+    min(differentials) - 1 through max(differentials).  Returns dim H_k =
+    dim C_k - rank d_k - rank d_{k+1} for every degree, and coset
+    representatives of H_k (coordinate vectors over C_k) for the degrees in
+    ``representatives``; kernels are computed for those degrees only.
+    Raises ComplexBroken when some d_{k-1} d_k is nonzero.
+    """
+    for k in differentials:
+        if k - 1 in differentials and not differentials[k - 1].compose(differentials[k]).is_zero():
+            raise ComplexBroken(f"d_{k - 1} d_{k} is not zero")
+    low = min(differentials) - 1
+    d = {low: SparseMatrix(0, differentials[low + 1].rows), **differentials}
+    ranks: dict[int, int] = {}
+    kernels: dict[int, list[Vector]] = {}
+    for k, matrix in d.items():
+        if k in representatives:
+            ranks[k], kernels[k] = rank_kernel(matrix, one=one)
+        else:
+            ranks[k] = span_rank(list(_rows(matrix).values()))
+    dims = {k: d[k].cols - ranks[k] - ranks.get(k + 1, 0) for k in sorted(d)}
+    reps = {}
+    for k in kernels:
+        columns = sorted(_rows(d[k + 1].transpose()).items()) if k + 1 in d else []
+        reps[k] = subquotient_dim(kernels[k], [col for _, col in columns])[1]
+    return dims, reps

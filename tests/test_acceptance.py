@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochhom.cohomology import (
     all_wedges,
@@ -28,7 +30,7 @@ from hochhom.cohomology import (
 from hochhom.homology import expected_hh_oracle, hh_report, quotient_strand_acyclicity
 from hochhom.koszul import (
     ChainElement,
-    ChainGenerator,
+    apply_diff,
     braiding_f_prime,
     chain_generator_str,
     diff_full,
@@ -36,10 +38,10 @@ from hochhom.koszul import (
     diff_small,
     diff_symmetric,
     diff_weyl,
+    generators_up_to,
     is_in_C,
     weyl_compare_maps,
     weyl_g_map,
-    _bit_vectors,
     _compositions,
 )
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
@@ -92,20 +94,52 @@ ALL_PRESETS = [
 ]
 
 
-def generators_up_to(spec, max_poly_degree):
-    m = spec.num_generators
-    for p in range(max_poly_degree + 1):
-        for mono in _compositions(p, m):
-            for size in range(m + 1):
-                for wedge in _bit_vectors(size, m):
-                    yield ChainGenerator(mono, wedge)
+def paired_membership(spec, rho):
+    """C-membership with each Weyl column paired with its partner column."""
+    m, r = spec.num_generators, spec.r
+
+    def column_is_one(i):
+        return spec.monomial_is_one((k, i, rho[k - 1]) for k in range(1, m + 1) if rho[k - 1])
+
+    return all(
+        column_is_one(i) or (rho[i - 1] == 0 and rho[i - 1 + r] == 0) for i in range(1, r + 1)
+    ) and all(column_is_one(i) or rho[i - 1] == 0 for i in range(2 * r + 1, m + 1))
 
 
-def apply_diff(spec, diff, elem):
-    out = ChainElement.zero(spec)
-    for g, c in elem.terms.items():
-        out = out + diff(spec, g).scale(c)
-    return out
+def assert_membership_characterizations_agree(spec, max_total=6):
+    for total in range(max_total + 1):
+        for rho in _compositions(total, spec.num_generators):
+            assert is_in_C(spec, rho) == paired_membership(spec, rho), rho
+
+
+@pytest.mark.parametrize("name,spec", ALL_PRESETS, ids=[n for n, _ in ALL_PRESETS])
+def test_membership_characterizations_agree_on_presets(name, spec):
+    assert_membership_characterizations_agree(spec)
+
+
+@st.composite
+def random_specs(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=0, max_value=n))
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if draw(st.booleans()):
+        values = [[Fraction(1)] * n for _ in range(n)]
+        for i, j in upper:
+            v = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3)]))
+            values[i][j], values[j][i] = v, 1 / v
+        return AlgebraSpec(n, r, RationalModel(values))
+    order = draw(st.integers(min_value=1, max_value=12))
+    exponents = [[0] * n for _ in range(n)]
+    for i, j in upper:
+        e = draw(st.integers(min_value=0, max_value=order - 1))
+        exponents[i][j], exponents[j][i] = e, -e
+    return AlgebraSpec(n, r, CyclotomicModel(order, exponents))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=random_specs())
+def test_membership_characterizations_agree_on_random_parameters(spec):
+    assert_membership_characterizations_agree(spec)
 
 
 def test_criterion_01_weyl_baseline_single_class():

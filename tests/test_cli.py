@@ -115,6 +115,21 @@ def test_verify_complex_suite_passes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--config", "weyl(1)"], ["--config", "semiclassical(2,4,1)", "--bound", "2"]],
+    ids=["weyl-1", "semiclassical-2-4-1"],
+)
+def test_verify_default_suite_passes_every_suite(capsys, extra):
+    code = run(["verify", *extra, "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [r["suite"] for r in doc["results"]] == [
+        "complex", "chainmaps", "braiding", "quotient", "duality"
+    ]
+    assert all(r["status"] == "pass" for r in doc["results"])
+
+
 def test_verify_quotient_suite_passes(capsys):
     code = run(["verify", "--config", "mixed-minimal(2)", "--suite", "quotient", "--bound", "3"])
     assert code == 0

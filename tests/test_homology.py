@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from hochhom import homology
+from hochhom.cli import load_config
 from hochhom.errors import RhoInC
 from hochhom.homology import (
     detect_regime,
@@ -14,7 +16,8 @@ from hochhom.homology import (
     quotient_strand_acyclicity,
     strand_homology,
 )
-from hochhom.koszul import _compositions, is_in_C
+from hochhom.koszul import ChainElement, ChainGenerator, _compositions, enumerate_strand, is_in_C
+from hochhom.linalg import SparseMatrix, rank_kernel, subquotient_dim
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
 
 
@@ -120,3 +123,45 @@ def test_quotient_acyclicity_rejects_C_strand():
     assert is_in_C(spec, (0, 0, 2))
     with pytest.raises(RhoInC):
         quotient_strand_acyclicity(spec, (0, 0, 2))
+
+
+def _reference_dimensions(spec, strand):
+    """dim H_k as span(kernel of d_k) / span(columns of d_{k+1})."""
+    m = spec.num_generators
+    dims = {}
+    for k in range(m + 1):
+        d_k = strand.matrices.get(k, SparseMatrix(0, len(strand.generators[k])))
+        _, cycles = rank_kernel(d_k, one=spec.one())
+        boundaries = []
+        if k + 1 <= m:
+            columns = {}
+            for (i, j), v in strand.matrices[k + 1].entries.items():
+                columns.setdefault(j, {})[i] = v
+            boundaries = list(columns.values())
+        dims[k] = subquotient_dim(cycles, boundaries)[0]
+    return dims
+
+
+@pytest.mark.parametrize(
+    "config,w_min,w_max",
+    [("weyl(2)", -4, 4), ("mixed-minimal(3)", -3, 8), ("semiclassical(2,4,1)", -4, 4)],
+)
+def test_rank_dimensions_match_kernel_reference(config, w_min, w_max):
+    spec = load_config(config)
+    for w in range(w_min, w_max + 1):
+        strand = enumerate_strand(spec, w)
+        got = strand_homology(spec, w, representatives=False).dimensions
+        assert got == _reference_dimensions(spec, strand), w
+
+
+def test_quotient_acyclicity_reports_failing_degree_and_witness(monkeypatch):
+    # With a zero differential the degree-0 generator x^rho (x) 1 is a cycle
+    # that bounds nothing.
+    spec = mixed_root_spec(2)
+    rho = (1, 0, 1)
+    assert not is_in_C(spec, rho)
+    monkeypatch.setattr(homology, "diff_symmetric", lambda spec, g: ChainElement.zero(spec))
+    result = quotient_strand_acyclicity(spec, rho)
+    assert not result.passed
+    assert result.failing_degree == 0
+    assert result.witness == ChainElement.single(spec, ChainGenerator(rho, (0, 0, 0)))

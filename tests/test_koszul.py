@@ -17,6 +17,7 @@ from hochhom.errors import (
 from hochhom.koszul import (
     ChainElement,
     ChainGenerator,
+    apply_diff,
     braiding_f_prime,
     chain_generator_str,
     diff_full,
@@ -25,12 +26,11 @@ from hochhom.koszul import (
     diff_symmetric,
     diff_weyl,
     enumerate_strand,
+    generators_up_to,
     is_in_C,
     weyl_compare_maps,
     weyl_g_map,
-    _bit_vectors,
     _closed_form_terms,
-    _compositions,
 )
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
 
@@ -62,22 +62,6 @@ def quantum_plane_spec():
 
 
 ALL_SPECS = [weyl_spec, mixed_rational_spec, mixed_root_spec, semiclassical_spec, quantum_plane_spec]
-
-
-def generators_up_to(spec, max_degree):
-    m = spec.num_generators
-    for p in range(max_degree + 1):
-        for mono in _compositions(p, m):
-            for size in range(m + 1):
-                for wedge in _bit_vectors(size, m):
-                    yield ChainGenerator(mono, wedge)
-
-
-def apply_diff(spec, diff, elem):
-    out = ChainElement.zero(spec)
-    for g, c in elem.terms.items():
-        out = out + diff(spec, g).scale(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

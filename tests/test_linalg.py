@@ -10,8 +10,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochhom.errors import NotASubspace
-from hochhom.linalg import SparseMatrix, rank_kernel, span_rank, subquotient_dim
+from hochhom.errors import ComplexBroken, NotASubspace
+from hochhom.linalg import (
+    SparseMatrix,
+    _eliminate,
+    _reduce_against,
+    complex_homology,
+    rank_kernel,
+    span_rank,
+    subquotient_dim,
+)
 from hochhom.scalar import RationalScalar
 
 
@@ -141,3 +149,61 @@ def test_rank_property_random(data):
     ours, kernel = rank_kernel(_sparse_from_lists(data))
     assert ours == sympy.Matrix(data).rank()
     assert ours + len(kernel) == 4
+
+
+def _greedy_subquotient(cycles, boundaries):
+    """Representative selection by a full re-elimination per candidate cycle."""
+    reduced_b = _eliminate(boundaries)
+    basis = [r for _, r in reduced_b]
+    reps = []
+    for v in cycles:
+        trial = _eliminate(basis + [v])
+        if len(trial) > len(basis):
+            reps.append(_reduce_against(v, reduced_b))
+            basis = [r for _, r in trial]
+    return reps
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_subquotient_representatives_match_greedy_reference(seed):
+    rng = random.Random(300 + seed)
+    ncols = rng.randint(2, 7)
+    cycle_rows = _random_rows(rng, rng.randint(1, 6), ncols)
+    combo = _random_rows(rng, rng.randint(0, 4), len(cycle_rows))
+    boundary_rows = [
+        [sum(c * cycle_rows[k][j] for k, c in enumerate(row)) for j in range(ncols)]
+        for row in combo
+    ]
+
+    def vectors(rows):
+        out = [{j: RationalScalar(Fraction(v)) for j, v in enumerate(r) if v} for r in rows]
+        return [v for v in out if v]
+
+    cycles, boundaries = vectors(cycle_rows), vectors(boundary_rows)
+    dim, reps = subquotient_dim(cycles, boundaries)
+    assert reps == _greedy_subquotient(cycles, boundaries)
+    assert dim == len(reps) == span_rank(cycles) - span_rank(boundaries)
+
+
+def test_complex_with_nonzero_square_is_broken():
+    d1 = _sparse_from_lists([[1, 0]])
+    d2 = _sparse_from_lists([[1], [1]])
+    with pytest.raises(ComplexBroken):
+        complex_homology({1: d1, 2: d2}, RationalScalar(1))
+
+
+def test_non_exact_complex_reports_degree_and_witness():
+    # C_2 = Q --(e0)--> C_1 = Q^3 --(third coordinate)--> C_0 = Q: H_1 is
+    # spanned by the class of e1.
+    d1 = _sparse_from_lists([[0, 0, 1]])
+    d2 = _sparse_from_lists([[1], [0], [0]])
+    one = RationalScalar(1)
+    dims, reps = complex_homology({1: d1, 2: d2}, one)
+    assert dims == {0: 0, 1: 1, 2: 0}
+    assert reps == {}
+    failing = min(k for k, dim in dims.items() if dim)
+    _, reps = complex_homology({1: d1, 2: d2}, one, representatives=[failing])
+    (witness,) = reps[failing]
+    assert not d1.apply(witness)
+    boundaries = [{0: one}]
+    assert span_rank(boundaries + [witness]) == span_rank(boundaries) + 1
