@@ -6,7 +6,13 @@ Subcommands:
 * ``cohh``   — windowed cohomology degrees.
 * ``oracle`` — compare computed homology against the closed-answer oracle.
 * ``verify`` — machine checks (differential soundness, comparison chain
-  maps, braiding vanishing, quotient acyclicity, duality identity).
+  maps, braiding vanishing, quotient acyclicity, duality identity).  Each
+  suite reports how many cases it checked; a suite that checked none is
+  ``vacuous``, not ``pass``.
+
+Exit codes: 0 success, 1 a verification or oracle failure, 2 a config error,
+3 an internal failure of the computation (a ``HochhomError`` such as a broken
+complex), reported on one stderr line.
 
 Configs are JSON documents (``{"n": .., "r": .., "scalar": {..}}``) or one of
 the built-in presets ``weyl(n)``, ``semiclassical(n,order,e)``, ``free(n,r)``,
@@ -184,11 +190,16 @@ def emit_report(report: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def verify_complex(spec: AlgebraSpec, bound: int) -> list[str]:
+# Each suite returns (cases checked, failure messages).
+
+
+def verify_complex(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
     """d.d = 0 for every differential; closed form agrees with generic."""
     failures = []
+    checked = 0
     semiclassical = spec.r == spec.n
     for g in generators_up_to(spec, bound):
+        checked += 1
         full = diff_full(spec, g)
         if not apply_diff(spec, diff_full, full).is_zero():
             failures.append(f"diff_full squared nonzero on {chain_generator_str(spec, g)}")
@@ -205,14 +216,15 @@ def verify_complex(spec: AlgebraSpec, bound: int) -> list[str]:
             weyl = diff_weyl(spec, g)
             if not apply_diff(spec, diff_weyl, weyl).is_zero():
                 failures.append(f"diff_weyl squared nonzero on {chain_generator_str(spec, g)}")
-    return failures
+    return checked, failures
 
 
-def verify_chainmaps(spec: AlgebraSpec, bound: int) -> list[str]:
+def verify_chainmaps(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
     """f and g intertwine the Weyl and small differentials; g.f = id on K_C."""
     if spec.r != spec.n:
-        return ["chain-map suite needs a semi-classical spec (r = n)"]
+        return 0, ["chain-map suite needs a semi-classical spec (r = n)"]
     failures = []
+    checked = 0
 
     def f_map(elem: ChainElement) -> ChainElement:
         out = ChainElement.zero(spec)
@@ -230,6 +242,7 @@ def verify_chainmaps(spec: AlgebraSpec, bound: int) -> list[str]:
     for g in generators_up_to(spec, bound):
         if not is_in_C(spec, g.rho):
             continue
+        checked += 1
         one = ChainElement.single(spec, g)
         if f_map(diff_small(spec, g)) != apply_diff(spec, diff_weyl, f_map(one)):
             failures.append(f"f not a chain map at {chain_generator_str(spec, g)}")
@@ -237,39 +250,45 @@ def verify_chainmaps(spec: AlgebraSpec, bound: int) -> list[str]:
             failures.append(f"g not a chain map at {chain_generator_str(spec, g)}")
         if g_map(f_map(one)) != one:
             failures.append(f"g.f != id at {chain_generator_str(spec, g)}")
-    return failures
+    return checked, failures
 
 
-def verify_braiding(spec: AlgebraSpec, bound: int) -> list[str]:
+def verify_braiding(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
     from itertools import product
 
     failures = []
+    checked = 0
     m = spec.num_generators
     for length in range(2, min(bound, 4) + 1):
         for word in product(range(1, m + 1), repeat=length):
+            checked += 1
             if braiding_f_prime(spec, word):
                 failures.append(f"f' nonzero on word {word}")
-    return failures
+    return checked, failures
 
 
-def verify_quotient(spec: AlgebraSpec, bound: int) -> list[str]:
+def verify_quotient(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
     failures = []
+    checked = 0
     m = spec.num_generators
     for total in range(1, bound + 1):
         for rho in _compositions(total, m):
             if is_in_C(spec, rho):
                 continue
+            checked += 1
             result = quotient_strand_acyclicity(spec, rho)
             if not result.passed:
                 failures.append(
                     f"quotient strand rho={rho} not exact in degree {result.failing_degree}"
                 )
-    return failures
+    return checked, failures
 
 
-def verify_duality(spec: AlgebraSpec, bound: int) -> list[str]:
+def verify_duality(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
     failures = []
+    checked = 0
     for degree in range(spec.num_generators):
+        checked += 1
         result = duality_identity_check(spec, degree, bound)
         if not result.passed:
             failures.append(
@@ -277,7 +296,7 @@ def verify_duality(spec: AlgebraSpec, bound: int) -> list[str]:
                 f"row {result.inserted} product = {result.discrepancy}"
             )
             break
-    return failures
+    return checked, failures
 
 
 SUITES = {
@@ -363,13 +382,13 @@ def _cmd_verify(spec: AlgebraSpec, args) -> tuple[int, dict]:
     failed = False
     for name in names:
         if name == "chainmaps" and args.suite == "all" and spec.r != spec.n:
-            results.append({"suite": name, "status": "skipped", "failures": []})
+            results.append({"suite": name, "status": "skipped", "checked": 0, "failures": []})
             continue
-        failures = SUITES[name](spec, args.bound)
-        ok = not failures
-        failed = failed or not ok
+        checked, failures = SUITES[name](spec, args.bound)
+        failed = failed or bool(failures)
+        status = "fail" if failures else "pass" if checked else "vacuous"
         results.append(
-            {"suite": name, "status": "pass" if ok else "fail", "failures": failures[:10]}
+            {"suite": name, "status": status, "checked": checked, "failures": failures[:10]}
         )
     doc = {
         "schema": SCHEMA,
@@ -429,6 +448,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except HochhomError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(emit_report(doc, args.format))
     return code
 

@@ -482,6 +482,17 @@ def cohomology_report(
             raise UnsupportedDegree(f"degree {k} outside [0, {m}]")
     entries = []
     duality_ok = None
+    strand_dims: list[dict[int, int]] = []
+
+    def homology_total(j: int) -> int:
+        """dim HH_j over the weights -m..bound; each strand is computed once per report."""
+        if not strand_dims:
+            strand_dims.extend(
+                strand_homology(spec, w, representatives=False).dimensions
+                for w in range(-m, bound + 1)
+            )
+        return sum(dims.get(j, 0) for dims in strand_dims)
+
     for k in sorted(degrees):
         if k == 0:
             entries.append(
@@ -500,22 +511,12 @@ def cohomology_report(
                     for d in range(0, m)
                 )
             if duality_ok:
-                total = sum(
-                    strand_homology(spec, w, representatives=False).dimensions.get(
-                        2 * spec.n - k, 0
-                    )
-                    for w in range(-m, bound + 1)
-                )
-                entries.append(CohomologyEntry(k, total, "duality"))
+                entries.append(CohomologyEntry(k, homology_total(2 * spec.n - k), "duality"))
                 continue
-        total = sum(
-            strand_homology(spec, w, representatives=False).dimensions.get(m - k, 0)
-            for w in range(-m, bound + 1)
-        )
         entries.append(
             CohomologyEntry(
                 k,
-                total,
+                homology_total(m - k),
                 "dual-side",
                 "dimension of HH_{n+r-k}; the direct cochain-side value is not computed",
             )

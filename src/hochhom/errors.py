@@ -34,7 +34,8 @@ class NotASubspace(HochhomError):
 
 
 class ComplexBroken(HochhomError):
-    """A differential failed d∘d = 0 or produced boundaries outside the cycles."""
+    """A differential failed d∘d = 0, produced boundaries outside the cycles,
+    or mapped a basis element outside the given target basis (its block)."""
 
 
 class RhoInC(HochhomError):

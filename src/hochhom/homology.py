@@ -2,9 +2,13 @@
 
 Homology is computed only on the small complex K_C, whose differential is
 weight-homogeneous, so each weight strand is an independent finite complex.
-The module also carries the theorem-based expected-dimension oracles for the
-regimes with known closed answers, and the acyclicity witness for the
-quotient strands that justifies computing on K_C in the first place.
+A strand is in turn the direct sum of its fine blocks (see ``koszul``), and
+its homology is computed one block at a time: dimensions add up, and the
+representatives are merged back into the order one elimination of the whole
+strand would give.  The module also carries the theorem-based
+expected-dimension oracles for the regimes with known closed answers, and
+the acyclicity witness for the quotient strands that justifies computing on
+K_C in the first place.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from .koszul import (
     enumerate_strand,
     is_in_C,
 )
-from .linalg import Vector, complex_homology, matrix_of
+from .linalg import Vector, complex_homology, homology_picks, matrix_of
 from .scalar import AlgebraSpec
 
 
@@ -68,15 +72,29 @@ def strand_homology(
 def homology_of_strand(
     spec: AlgebraSpec, strand: StrandComplex, representatives: bool = True
 ) -> StrandHomology:
-    m = spec.num_generators
-    chain_dims = {k: len(strand.generators[k]) for k in range(m + 1)}
-    dims, rep_vectors = complex_homology(
-        strand.matrices, spec.one(), representatives=range(m + 1) if representatives else ()
-    )
+    """Homology of a weight strand, one block at a time.
+
+    Pivoting never mixes blocks, so each block picks the representatives one
+    elimination of the whole strand would pick; sorting the picks by the
+    generator of their kernel vector's free column restores that order.
+    """
+    degrees = range(spec.num_generators + 1)
+    dims = dict.fromkeys(degrees, 0)
+    picks: dict[int, list[tuple[ChainGenerator, ChainElement]]] = {k: [] for k in degrees}
+    for block in strand.blocks:
+        block_dims, block_picks = homology_picks(
+            block.matrices, spec.one(), representatives=degrees if representatives else ()
+        )
+        for k, dim in block_dims.items():
+            dims[k] += dim
+        for k, found in block_picks.items():
+            basis = block.generators[k]
+            picks[k] += [(basis[j], _vector_to_chain(spec, v, basis)) for j, v in found]
     reps = {
-        k: [_vector_to_chain(spec, v, strand.generators[k]) for v in rep_vectors.get(k, [])]
-        for k in range(m + 1)
+        k: [rep for _, rep in sorted(found, key=lambda pick: (pick[0].mono, pick[0].wedge))]
+        for k, found in picks.items()
     }
+    chain_dims = {k: len(strand.generators[k]) for k in degrees}
     return StrandHomology(strand.weight, dims, reps, chain_dims)
 
 

@@ -16,10 +16,19 @@ Four differentials live here:
 The module also provides the membership test for C, weight-strand
 enumeration, the comparison scalar R with the maps f/g, and the braided
 antisymmetry check (the alternating contraction f' that must vanish).
+
+A weight strand of K_C is a direct sum of fine blocks.  The small
+differential lowers rho_{x_i} and rho_{y_i} together and never changes
+rho_{y_j} for j > r, so it preserves the block key (rho_{x_i} - rho_{y_i})_{i<=r}
++ (rho_{y_j})_{j>r}.  Row x_i of the extended parameter matrix is the
+entrywise inverse of row y_i, so every column character, and with it
+membership in C, is decided once per block key rather than once per
+generator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
 
 from .algebra import PbwElement, generator_name, monomial_str
@@ -160,18 +169,42 @@ def is_in_C(spec: AlgebraSpec, rho: Iterable[int]) -> bool:
     """Whether a total multidegree lies in the set C.
 
     Definition: for every column i, rho_i = 0 or the column product
-    prod_k lambda~_{k,i}^{rho_k} equals 1.  The tests check it against an
-    equivalent characterization that pairs each Weyl column with its partner.
+    prod_k lambda~_{k,i}^{rho_k} equals 1.  Strand enumeration uses the
+    once-per-block rule of ``bad_columns`` instead; the tests check both that
+    rule and a characterization pairing each Weyl column with its partner
+    against this definition.
     """
     rho = tuple(rho)
     m = spec.num_generators
     if len(rho) != m or any(e < 0 for e in rho):
         raise IndexOutOfRange(f"bad multidegree {rho}")
+    return all(rho[i - 1] == 0 or _column_is_one(spec, rho, i) for i in range(1, m + 1))
 
-    def column_is_one(i: int) -> bool:
-        return spec.monomial_is_one((k, i, rho[k - 1]) for k in range(1, m + 1) if rho[k - 1])
 
-    return all(rho[i - 1] == 0 or column_is_one(i) for i in range(1, m + 1))
+def _column_is_one(spec: AlgebraSpec, rho: Exponents, i: int) -> bool:
+    """Whether the character prod_k lambda~_{k,i}^{rho_k} of column i (1-based) is 1."""
+    m = spec.num_generators
+    return spec.monomial_is_one((k, i, rho[k - 1]) for k in range(1, m + 1) if rho[k - 1])
+
+
+def block_key(spec: AlgebraSpec, rho: Exponents) -> Exponents:
+    """The fine-block key (rho_{x_i} - rho_{y_i})_{i<=r} + (rho_{y_j})_{j>r}."""
+    r = spec.r
+    return tuple(rho[i] - rho[r + i] for i in range(r)) + tuple(rho[2 * r :])
+
+
+def bad_columns(spec: AlgebraSpec, key: Exponents) -> tuple[int, ...]:
+    """The 0-based columns whose character is not 1 on the block with this key.
+
+    The characters are constant on a block, so they are evaluated once, at
+    the base point rho_{x_i} = max(delta_i, 0), rho_{y_i} = max(-delta_i, 0).
+    A rho with this key lies in C exactly when rho_c = 0 for every column c
+    returned.
+    """
+    r = spec.r
+    deltas = key[:r]
+    base = tuple(max(d, 0) for d in deltas) + tuple(max(-d, 0) for d in deltas) + key[r:]
+    return tuple(c for c in range(spec.num_generators) if not _column_is_one(spec, base, c + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -398,37 +431,90 @@ def _bit_vectors(total: int, parts: int):
 
 
 @dataclass(frozen=True)
-class StrandComplex:
-    """The weight-w strand of the small complex, with differential matrices.
+class StrandBlock:
+    """One fine block of a weight strand: the generators with one block key.
 
-    generators[k] lists the degree-k basis in lexicographic (mono, wedge)
-    order; matrices[k] maps degree-k coordinates to degree-(k-1) coordinates.
+    generators[k] lists the block's degree-k basis in strand order;
+    matrices[k] maps the block's degree-k coordinates to its degree-(k-1)
+    coordinates, for every k in 1..n+r.
     """
 
-    weight: int
+    key: Exponents
     generators: dict[int, list[ChainGenerator]]
     matrices: dict[int, SparseMatrix]
 
 
+@dataclass(frozen=True)
+class StrandComplex:
+    """The weight-w strand of the small complex, as the direct sum of its blocks.
+
+    generators[k] lists the degree-k basis in lexicographic (mono, wedge)
+    order.  matrices[k], the whole-strand map from degree-k to degree-(k-1)
+    coordinates, is assembled from the blocks when first read.
+    """
+
+    weight: int
+    generators: dict[int, list[ChainGenerator]]
+    blocks: list[StrandBlock]
+
+    @cached_property
+    def matrices(self) -> dict[int, SparseMatrix]:
+        columns: dict[ChainGenerator, list[tuple[ChainGenerator, Scalar]]] = {}
+        for block in self.blocks:
+            for k, matrix in block.matrices.items():
+                for (i, j), v in matrix.entries.items():
+                    columns.setdefault(block.generators[k][j], []).append(
+                        (block.generators[k - 1][i], v)
+                    )
+        return {
+            k: matrix_of(self.generators[k], lambda g: columns.get(g, ()), self.generators[k - 1])
+            for k in range(1, len(self.generators))
+        }
+
+
 def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
+    """The weight-w strand of K_C, split into its fine blocks.
+
+    Membership in C is decided once per block key (``bad_columns``); the
+    block matrices take the exponent-lowering terms directly, and an image
+    outside its block raises ComplexBroken.
+    """
     m = spec.num_generators
+    bad: dict[Exponents, tuple[int, ...]] = {}
     generators: dict[int, list[ChainGenerator]] = {}
+    blocks: dict[Exponents, dict[int, list[ChainGenerator]]] = {}
     for k in range(0, m + 1):
         p = w + k
-        gens: list[ChainGenerator] = []
+        found: list[tuple[Exponents, Exponents, Exponents]] = []
         if p >= 0:
             for wedge in _bit_vectors(k, m):
                 for mono in _compositions(p, m):
-                    g = ChainGenerator(mono, wedge)
-                    if is_in_C(spec, g.rho):
-                        gens.append(g)
-            gens.sort(key=lambda g: (g.mono, g.wedge))
-        generators[k] = gens
-    matrices = {
-        k: matrix_of(generators[k], lambda g: diff_small(spec, g).terms.items(), generators[k - 1])
-        for k in range(1, m + 1)
-    }
-    return StrandComplex(w, generators, matrices)
+                    rho = tuple(a + b for a, b in zip(mono, wedge))
+                    key = block_key(spec, rho)
+                    if key not in bad:
+                        bad[key] = bad_columns(spec, key)
+                    if not any(rho[c] for c in bad[key]):
+                        found.append((mono, wedge, key))
+            found.sort()
+        generators[k] = [ChainGenerator(mono, wedge) for mono, wedge, _ in found]
+        for g, (_, _, key) in zip(generators[k], found):
+            blocks.setdefault(key, {d: [] for d in range(m + 1)})[k].append(g)
+
+    def lowering(g: ChainGenerator):
+        return _closed_form_terms(spec, g, lowering_only=True)
+
+    return StrandComplex(
+        w,
+        generators,
+        [
+            StrandBlock(
+                key,
+                gens,
+                {k: matrix_of(gens[k], lowering, gens[k - 1]) for k in range(1, m + 1)},
+            )
+            for key, gens in blocks.items()
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -73,15 +73,20 @@ def matrix_of(
 ) -> SparseMatrix:
     """Matrix whose column j is image(basis[j]), given as (row key, coefficient) pairs.
 
-    ``rows`` lists the row keys in order; without it, keys are numbered as they
-    first appear.  Entries are stored column by column in image order, which
-    fixes the pivot order of later eliminations and so the representatives.
+    ``rows`` lists the row keys in order, and an image outside them raises
+    ComplexBroken; without it, keys are numbered as they first appear.  Entries
+    are stored column by column in image order, which fixes the pivot order of
+    later eliminations and so the representatives.
     """
     row_of = {key: i for i, key in enumerate(rows or ())}
     entries: dict[tuple[int, int], Scalar] = {}
     for j, b in enumerate(basis):
         for key, coeff in image(b):
-            at = (row_of[key] if rows is not None else row_of.setdefault(key, len(row_of)), j)
+            if rows is None:
+                row_of.setdefault(key, len(row_of))
+            elif key not in row_of:
+                raise ComplexBroken(f"the image of {b} leaves the given rows at {key}")
+            at = (row_of[key], j)
             entries[at] = entries[at] + coeff if at in entries else coeff
     return SparseMatrix(len(row_of), len(basis), entries)
 
@@ -139,9 +144,10 @@ def _eliminate(rows: Sequence[Vector]) -> list[tuple[int, Vector]]:
 def rank_kernel(matrix: SparseMatrix, one: Optional[Scalar] = None) -> tuple[int, list[Vector]]:
     """Exact rank and a basis of the right kernel.
 
-    The kernel basis has one vector per free column: the free coordinate is 1
-    and the pivot coordinates are read off the reduced echelon form.  ``one``
-    supplies the unit scalar when the matrix has no entries to borrow it from.
+    The kernel basis has one vector per free column, in column order: the free
+    coordinate is 1 and comes first in the vector, and the pivot coordinates
+    are read off the reduced echelon form.  ``one`` supplies the unit scalar
+    when the matrix has no entries to borrow it from.
     """
     reduced = _eliminate(list(_rows(matrix).values()))
     if one is None:
@@ -186,24 +192,32 @@ def subquotient_dim(
     and of the earlier picks, each reduced against the boundary span so they
     are honest coset representatives.
     """
+    picks = _pick_cosets(cycles, boundaries)
+    return len(picks), [rep for _, rep in picks]
+
+
+def _pick_cosets(
+    cycles: Sequence[Vector], boundaries: Sequence[Vector]
+) -> list[tuple[int, Vector]]:
+    """The representatives of ``subquotient_dim``, each with the index of its cycle."""
     reduced_b = _eliminate(boundaries)
     rank_c = span_rank(cycles)
     # The boundary RREF followed by one row per pick is one echelon basis:
     # each row is free of the pivots of the rows before it, so sweeping the
     # rows in order reduces a vector against the whole span.
     picks: list[tuple[int, Vector]] = []
-    reps: list[Vector] = []
-    for v in cycles:
+    reps: list[tuple[int, Vector]] = []
+    for index, v in enumerate(cycles):
         rep = _reduce_against(v, reduced_b)
         residual = _reduce_against(rep, picks)
         if residual:
-            reps.append(rep)
+            reps.append((index, rep))
             pj, pv = next(iter(residual.items()))
             inv = pv.inv()
             picks.append((pj, {j: c * inv for j, c in residual.items()}))
     if len(reduced_b) + len(picks) != rank_c:
         raise NotASubspace("boundaries are not contained in the cycle space")
-    return len(reps), reps
+    return reps
 
 
 def complex_homology(
@@ -220,6 +234,23 @@ def complex_homology(
     ``representatives``; kernels are computed for those degrees only.
     Raises ComplexBroken when some d_{k-1} d_k is nonzero.
     """
+    dims, picks = homology_picks(differentials, one, representatives)
+    return dims, {k: [rep for _, rep in found] for k, found in picks.items()}
+
+
+def homology_picks(
+    differentials: dict[int, SparseMatrix],
+    one: Scalar,
+    representatives: Collection[int] = (),
+) -> tuple[dict[int, int], dict[int, list[tuple[int, Vector]]]]:
+    """``complex_homology`` with each representative paired with a column of C_k.
+
+    The column is the free coordinate of the kernel vector the representative
+    was picked from; the representatives of a degree come in increasing order
+    of it.  A direct sum of complexes is eliminated summand by summand, and
+    these columns say where each summand's picks fall in the order of the
+    whole complex.
+    """
     for k in differentials:
         if k - 1 in differentials and not differentials[k - 1].compose(differentials[k]).is_zero():
             raise ComplexBroken(f"d_{k - 1} d_{k} is not zero")
@@ -233,8 +264,11 @@ def complex_homology(
         else:
             ranks[k] = span_rank(list(_rows(matrix).values()))
     dims = {k: d[k].cols - ranks[k] - ranks.get(k + 1, 0) for k in sorted(d)}
-    reps = {}
-    for k in kernels:
+    picks = {}
+    for k, kernel in kernels.items():
         columns = sorted(_rows(d[k + 1].transpose()).items()) if k + 1 in d else []
-        reps[k] = subquotient_dim(kernels[k], [col for _, col in columns])[1]
-    return dims, reps
+        picks[k] = [
+            (next(iter(kernel[index])), rep)
+            for index, rep in _pick_cosets(kernel, [col for _, col in columns])
+        ]
+    return dims, picks

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hochhom import koszul
 from hochhom.cli import (
     emit_config,
     load_config,
@@ -127,7 +128,23 @@ def test_verify_default_suite_passes_every_suite(capsys, extra):
     assert [r["suite"] for r in doc["results"]] == [
         "complex", "chainmaps", "braiding", "quotient", "duality"
     ]
-    assert all(r["status"] == "pass" for r in doc["results"])
+    assert all(r["status"] == ("pass" if r["checked"] else "vacuous") for r in doc["results"])
+    if extra == ["--config", "weyl(1)"]:
+        # Every rho lies in C for an all-ones Lambda: no quotient strand exists.
+        assert doc["results"][3]["status"] == "vacuous"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--config", "weyl(1)", "--suite", "quotient"],
+     ["--config", "weyl(2)", "--suite", "braiding", "--bound", "1"]],
+    ids=["quotient-all-in-C", "braiding-no-words"],
+)
+def test_verify_suite_that_checks_nothing_is_vacuous(capsys, argv):
+    code = run(["verify", *argv, "--format", "json"])
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert (result["status"], result["checked"], result["failures"]) == ("vacuous", 0, [])
 
 
 def test_verify_quotient_suite_passes(capsys):
@@ -138,6 +155,23 @@ def test_verify_quotient_suite_passes(capsys):
 def test_bad_config_exit_code(capsys):
     code = run(["hh", "--config", "/nonexistent.json"])
     assert code == 2
+
+
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    # Swapping the wedge of each image moves it to another block of the strand.
+    terms = koszul._closed_form_terms
+
+    def leaky(spec, g, lowering_only):
+        for gen, coeff in terms(spec, g, lowering_only):
+            yield koszul.ChainGenerator(gen.mono, gen.wedge[::-1]), coeff
+
+    monkeypatch.setattr(koszul, "_closed_form_terms", leaky)
+    code = run(["hh", "--config", "weyl(1)", "--wmin", "-1", "--wmax", "-1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ComplexBroken")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_cohh_command(capsys):

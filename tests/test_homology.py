@@ -17,7 +17,7 @@ from hochhom.homology import (
     strand_homology,
 )
 from hochhom.koszul import ChainElement, ChainGenerator, _compositions, enumerate_strand, is_in_C
-from hochhom.linalg import SparseMatrix, rank_kernel, subquotient_dim
+from hochhom.linalg import SparseMatrix, complex_homology, rank_kernel, subquotient_dim
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
 
 
@@ -152,6 +152,53 @@ def test_rank_dimensions_match_kernel_reference(config, w_min, w_max):
         strand = enumerate_strand(spec, w)
         got = strand_homology(spec, w, representatives=False).dimensions
         assert got == _reference_dimensions(spec, strand), w
+
+
+def _euler(dims):
+    return sum((-1) ** k * d for k, d in dims.items())
+
+
+@pytest.mark.parametrize(
+    "config,w_min,w_max",
+    [("weyl(2)", -4, 4), ("mixed-minimal(3)", -3, 8), ("semiclassical(2,4,1)", -4, 4)],
+)
+def test_euler_characteristic_per_block_and_per_strand(config, w_min, w_max):
+    spec = load_config(config)
+    m = spec.num_generators
+    for w in range(w_min, w_max + 1):
+        strand = enumerate_strand(spec, w)
+        total = dict.fromkeys(range(m + 1), 0)
+        for block in strand.blocks:
+            dims, _ = complex_homology(block.matrices, spec.one())
+            chain = {k: len(gens) for k, gens in block.generators.items()}
+            assert _euler(dims) == _euler(chain), (w, block.key)
+            for k, d in dims.items():
+                total[k] += d
+        got = homology.homology_of_strand(spec, strand, representatives=False)
+        assert got.dimensions == total, w
+        assert _euler(got.dimensions) == _euler(got.chain_dimensions), w
+
+
+# On free(3,0) the classes of one (w, k) come from up to three blocks, so the
+# merge order is exercised.
+@pytest.mark.parametrize(
+    "config,w_min,w_max",
+    [("mixed-minimal(3)", -3, 8), ("semiclassical(2,4,1)", -4, 4), ("free(3,0)", -1, 3)],
+)
+def test_block_representatives_match_whole_strand_elimination(config, w_min, w_max):
+    spec = load_config(config)
+    m = spec.num_generators
+    for w in range(w_min, w_max + 1):
+        strand = enumerate_strand(spec, w)
+        dims, reps = complex_homology(strand.matrices, spec.one(), representatives=range(m + 1))
+        got = homology.homology_of_strand(spec, strand)
+        assert got.dimensions == dims, w
+        for k in range(m + 1):
+            whole = [
+                ChainElement(spec, {strand.generators[k][j]: c for j, c in vec.items()})
+                for vec in reps[k]
+            ]
+            assert got.representatives[k] == whole, (w, k)
 
 
 def test_quotient_acyclicity_reports_failing_degree_and_witness(monkeypatch):

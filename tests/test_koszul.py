@@ -7,7 +7,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from test_acceptance import ALL_PRESETS, random_specs
 
+from hochhom.cli import load_config
 from hochhom.errors import (
     IndexOutOfRange,
     NotInSmallComplex,
@@ -17,7 +20,10 @@ from hochhom.errors import (
 from hochhom.koszul import (
     ChainElement,
     ChainGenerator,
+    _compositions,
     apply_diff,
+    bad_columns,
+    block_key,
     braiding_f_prime,
     chain_generator_str,
     diff_full,
@@ -32,6 +38,7 @@ from hochhom.koszul import (
     weyl_g_map,
     _closed_form_terms,
 )
+from hochhom.linalg import matrix_of
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
 
 
@@ -82,6 +89,25 @@ def test_membership_weyl_pairs():
     assert is_in_C(spec, (1, 0, 1, 0))
     assert is_in_C(spec, (2, 1, 2, 1))
     assert not is_in_C(spec, (1, 1, 0, 0))
+
+
+def assert_block_rule_agrees(spec, max_total=6):
+    """The once-per-block C decision agrees with is_in_C for every |rho| <= max_total."""
+    for total in range(max_total + 1):
+        for rho in _compositions(total, spec.num_generators):
+            by_block = not any(rho[c] for c in bad_columns(spec, block_key(spec, rho)))
+            assert by_block == is_in_C(spec, rho), rho
+
+
+@pytest.mark.parametrize("name,spec", ALL_PRESETS, ids=[n for n, _ in ALL_PRESETS])
+def test_block_rule_matches_membership_on_presets(name, spec):
+    assert_block_rule_agrees(spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=random_specs())
+def test_block_rule_matches_membership_on_random_parameters(spec):
+    assert_block_rule_agrees(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +227,43 @@ def test_strand_weight_and_composition():
         lower = strand.matrices.get(k - 1)
         if lower is not None:
             assert lower.compose(matrix).is_zero()
+
+
+def _whole_strand(spec, w):
+    """The strand as one complex: every generator tested with is_in_C, diff_small matrices."""
+    m = spec.num_generators
+    generators = {k: [] for k in range(m + 1)}
+    for g in generators_up_to(spec, max(w + m, 0)):
+        if g.weight == w and is_in_C(spec, g.rho):
+            generators[g.degree].append(g)
+    for gens in generators.values():
+        gens.sort(key=lambda g: (g.mono, g.wedge))
+    matrices = {
+        k: matrix_of(generators[k], lambda g: diff_small(spec, g).terms.items(), generators[k - 1])
+        for k in range(1, m + 1)
+    }
+    return generators, matrices
+
+
+@pytest.mark.parametrize(
+    "config,w_min,w_max",
+    [("weyl(2)", -4, 2), ("mixed-minimal(3)", -3, 5), ("semiclassical(2,4,1)", -4, 2),
+     ("free(2,1)", -3, 4), ("free(3,0)", -3, 3)],
+)
+def test_blocks_partition_the_whole_strand(config, w_min, w_max):
+    spec = load_config(config)
+    for w in range(w_min, w_max + 1):
+        strand = enumerate_strand(spec, w)
+        generators, matrices = _whole_strand(spec, w)
+        assert strand.generators == generators, w
+        for k, gens in generators.items():
+            merged = [g for block in strand.blocks for g in block.generators[k]]
+            assert sorted(merged, key=lambda g: (g.mono, g.wedge)) == gens, (w, k)
+        for block in strand.blocks:
+            for k, gens in block.generators.items():
+                assert gens == sorted(gens, key=lambda g: (g.mono, g.wedge))
+                assert all(block_key(spec, g.rho) == block.key for g in gens)
+        assert strand.matrices == matrices, w
 
 
 def test_strand_top_degree_generator():
