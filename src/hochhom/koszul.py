@@ -4,8 +4,10 @@ Four differentials live here:
 
 * ``diff_full`` — the full complex K on generators x^alpha y^beta (x) wedge,
   computed by the generic coefficient formula driven through PBW
-  multiplication (the authoritative route), with an optimized closed-form
-  expansion as a second path that must agree term by term.
+  multiplication (the authoritative route).  Its closed form
+  ``diff_full_closed`` is ``diff_symmetric`` (the exponent-raising part)
+  plus the exponent-lowering Weyl contraction terms, a second path that must
+  agree term by term.
 * ``diff_small`` — the small complex K_C: only the exponent-lowering terms,
   defined on generators whose total degree rho lies in the set C.
 * ``diff_symmetric`` — the quantum symmetric algebra complex, used for the
@@ -14,8 +16,9 @@ Four differentials live here:
   of the semi-classical comparison maps f and g.
 
 The module also provides the membership test for C, weight-strand
-enumeration, the comparison scalar R with the maps f/g, and the braided
-antisymmetry check (the alternating contraction f' that must vanish).
+enumeration, the comparison scalar R with the maps ``weyl_f_map`` and
+``weyl_g_map``, and the braided antisymmetry check (the alternating
+contraction f' that must vanish).
 
 A weight strand of K_C is a direct sum of fine blocks.  The small
 differential lowers rho_{x_i} and rho_{y_i} together and never changes
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Union
 
 from .algebra import PbwElement, generator_name, monomial_str
@@ -259,12 +263,12 @@ def _epsilon_2(gamma: Exponents, delta: Exponents, j: int) -> int:
     return (-1) ** (sum(gamma) + sum(delta[: j - 1]))
 
 
-def _closed_form_terms(spec: AlgebraSpec, g: ChainGenerator, lowering_only: bool):
-    """Terms of the differential by the closed coefficient formulas.
+def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
+    """The exponent-lowering (Weyl contraction) terms of the differential.
 
-    Yields (generator, scalar) pairs.  With lowering_only=True only the
-    exponent-lowering (Weyl contraction) terms are produced — that is the
-    small-complex differential.
+    Yields (generator, scalar) pairs by the closed coefficient formulas: the
+    x_i terms for i <= r, then the y_j terms for j <= r.  They make up the
+    small-complex differential, and with ``diff_symmetric`` the full one.
     """
     r, n = spec.r, spec.n
     lam = spec.model.lambda_power_product
@@ -272,67 +276,38 @@ def _closed_form_terms(spec: AlgebraSpec, g: ChainGenerator, lowering_only: bool
     gamma, delta = g.wedge[:r], g.wedge[r:]
 
     for i in range(1, r + 1):
-        if not gamma[i - 1]:
-            continue
-        eps = _epsilon_1(gamma, i)
-        if not lowering_only:
-            base = lam(
-                [(k, i, gamma[k - 1]) for k in range(1, i)]
-                + [(k, i, -beta[k - 1]) for k in range(1, n + 1)]
-                + [(k, i, alpha[k - 1]) for k in range(i + 1, r + 1)]
-            )
-            bracket = spec.one() - lam(
-                [(i, k, alpha[k - 1] + gamma[k - 1]) for k in range(1, r + 1)]
-                + [(i, k, -(beta[k - 1] + delta[k - 1])) for k in range(1, n + 1)]
-            )
-            coeff = base * bracket * eps
-            if not coeff.is_zero():
-                mono = tuple(a + (1 if t == i - 1 else 0) for t, a in enumerate(alpha)) + beta
-                yield ChainGenerator(mono, _without(g.wedge, i - 1)), coeff
-        if beta[i - 1]:
+        if gamma[i - 1] and beta[i - 1]:
             coeff = lam(
                 [(k, i, gamma[k - 1]) for k in range(1, i)]
                 + [(k, i, -beta[k - 1]) for k in range(i + 1, n + 1)]
-            ) * (-eps * beta[i - 1])
+            ) * (-_epsilon_1(gamma, i) * beta[i - 1])
             mono = alpha + _lower(beta, i - 1)
             yield ChainGenerator(mono, _without(g.wedge, i - 1)), coeff
 
-    for j in range(1, n + 1):
-        if not delta[j - 1]:
-            continue
-        eps = _epsilon_2(gamma, delta, j)
-        if not lowering_only:
-            base = lam(
-                [(k, j, delta[k - 1]) for k in range(1, j)]
-                + [(k, j, -gamma[k - 1]) for k in range(1, r + 1)]
-                + [(k, j, beta[k - 1]) for k in range(j + 1, n + 1)]
-            )
-            bracket = spec.one() - lam(
-                [(j, k, -(alpha[k - 1] + gamma[k - 1])) for k in range(1, r + 1)]
-                + [(j, k, beta[k - 1] + delta[k - 1]) for k in range(1, n + 1)]
-            )
-            coeff = base * bracket * eps
-            if not coeff.is_zero():
-                mono = alpha + tuple(b + (1 if t == j - 1 else 0) for t, b in enumerate(beta))
-                yield ChainGenerator(mono, _without(g.wedge, r + j - 1)), coeff
-        if j <= r and alpha[j - 1]:
+    for j in range(1, r + 1):
+        if delta[j - 1] and alpha[j - 1]:
             coeff = lam(
                 [(j, k, delta[k - 1]) for k in range(j + 1, n + 1)]
                 + [(j, k, -alpha[k - 1]) for k in range(1, j)]
-            ) * (eps * alpha[j - 1])
+            ) * (_epsilon_2(gamma, delta, j) * alpha[j - 1])
             mono = _lower(alpha, j - 1) + beta
             yield ChainGenerator(mono, _without(g.wedge, r + j - 1)), coeff
 
 
+def _sum_terms(spec: AlgebraSpec, terms: Iterable[tuple[ChainGenerator, Scalar]]) -> ChainElement:
+    """The chain with the given (generator, scalar) terms, repeated generators added."""
+    out: dict[ChainGenerator, Scalar] = {}
+    for gen, coeff in terms:
+        out[gen] = out[gen] + coeff if gen in out else coeff
+    return ChainElement(spec, out)
+
+
 def diff_full_closed(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
-    """The full differential via the closed coefficient formulas.
+    """The full differential by the closed formulas: diff_symmetric plus the lowering terms.
 
     Optimized second path; must agree with diff_full on every generator.
     """
-    out: dict[ChainGenerator, Scalar] = {}
-    for gen, coeff in _closed_form_terms(spec, g, lowering_only=False):
-        out[gen] = out[gen] + coeff if gen in out else coeff
-    return ChainElement(spec, out)
+    return _sum_terms(spec, chain(diff_symmetric(spec, g).terms.items(), _lowering_terms(spec, g)))
 
 
 def diff_small(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
@@ -343,10 +318,7 @@ def diff_small(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     """
     if not is_in_C(spec, g.rho):
         raise NotInSmallComplex(f"rho={g.rho} is not in C")
-    out: dict[ChainGenerator, Scalar] = {}
-    for gen, coeff in _closed_form_terms(spec, g, lowering_only=True):
-        out[gen] = out[gen] + coeff if gen in out else coeff
-    return ChainElement(spec, out)
+    return _sum_terms(spec, _lowering_terms(spec, g))
 
 
 def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
@@ -500,9 +472,6 @@ def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
         for g, (_, _, key) in zip(generators[k], found):
             blocks.setdefault(key, {d: [] for d in range(m + 1)})[k].append(g)
 
-    def lowering(g: ChainGenerator):
-        return _closed_form_terms(spec, g, lowering_only=True)
-
     return StrandComplex(
         w,
         generators,
@@ -510,7 +479,10 @@ def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
             StrandBlock(
                 key,
                 gens,
-                {k: matrix_of(gens[k], lowering, gens[k - 1]) for k in range(1, m + 1)},
+                {
+                    k: matrix_of(gens[k], lambda g: _lowering_terms(spec, g), gens[k - 1])
+                    for k in range(1, m + 1)
+                },
             )
             for key, gens in blocks.items()
         ],
@@ -582,22 +554,15 @@ def weyl_compare_R(spec: AlgebraSpec, g: ChainGenerator) -> Scalar:
     return spec.model.lambda_power_product(factors)
 
 
-def weyl_compare_maps(
-    spec: AlgebraSpec, g: ChainGenerator
-) -> tuple[Scalar, ChainElement, ChainElement]:
-    """(R, f(g), g(g)): the mutually inverse maps between K_C and the Weyl complex.
+def weyl_f_map(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
+    """The map f: K_C -> Weyl complex, R times the same exponent data.
 
-    f carries a small-complex generator to R times the same exponent data in
-    the Weyl complex; g carries a Weyl generator back with R^{-1} when its
-    rho lies in C and to zero otherwise.
+    f and ``weyl_g_map`` are mutually inverse on K_C; f is only defined there.
     """
     R = weyl_compare_R(spec, g)
-    in_c = is_in_C(spec, g.rho)
-    if not in_c:
+    if not is_in_C(spec, g.rho):
         raise NotInSmallComplex(f"f is only defined on K_C; rho={g.rho} not in C")
-    f_image = ChainElement.single(spec, g, R)
-    g_image = ChainElement.single(spec, g, R.inv())
-    return R, f_image, g_image
+    return ChainElement.single(spec, g, R)
 
 
 def weyl_g_map(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:

@@ -397,26 +397,24 @@ class RationalModel:
     def is_free_of_maximal_rank(self) -> bool:
         """Whether the lambda_{i,j} (i<j) generate a free group of rank n(n-1)/2.
 
-        Decided by prime-factorising every off-diagonal parameter and checking
-        Z-linear independence of the exponent vectors; a deterministic exact
-        test thanks to unique factorisation.
+        Writes every numerator and denominator over one coprime base (built
+        by gcd factor refinement, no factoring) and checks that the exponent
+        vectors are linearly independent.  Signs are ignored: a relation up
+        to sign becomes a relation after squaring.
         """
+        from .linalg import span_rank
+
+        params = [self.values[i][j] for i in range(self.n) for j in range(i + 1, self.n)]
+        base = _coprime_base([abs(v.numerator) for v in params] + [v.denominator for v in params])
         vectors = []
-        primes: list[int] = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                exps: dict[int, int] = {}
-                for base, sign in ((self.values[i][j].numerator, 1), (self.values[i][j].denominator, -1)):
-                    for p, e in _factorize(abs(base)).items():
-                        exps[p] = exps.get(p, 0) + sign * e
-                for p in exps:
-                    if p not in primes:
-                        primes.append(p)
-                vectors.append(exps)
-        if not vectors:
-            return True
-        matrix = [[Fraction(v.get(p, 0)) for p in primes] for v in vectors]
-        return _rational_rank(matrix) == len(vectors)
+        for v in params:
+            vec = {}
+            for c, b in enumerate(base):
+                e = _valuation(abs(v.numerator), b) - _valuation(v.denominator, b)
+                if e:
+                    vec[c] = RationalScalar(e)
+            vectors.append(vec)
+        return span_rank(vectors) == len(vectors)
 
     def to_config(self) -> dict:
         return {
@@ -498,35 +496,36 @@ class CyclotomicModel:
 ScalarModel = Union[RationalModel, CyclotomicModel]
 
 
-def _factorize(value: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= value:
-        while value % d == 0:
-            out[d] = out.get(d, 0) + 1
-            value //= d
-        d += 1
-    if value > 1:
-        out[value] = out.get(value, 0) + 1
-    return out
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product of powers.
+
+    Gcd factor refinement (Bach, Driscoll and Shallit, J. Algorithms 1993):
+    a value sharing a factor g > 1 with a base element b is split, together
+    with b, into g, b/g and value/g.  Each split divides the product of all
+    numbers held by g, so the loop ends after polynomially many gcds.
+    """
+    base: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for idx, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[idx]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / pr[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], pr)]
-        rank += 1
-    return rank
+def _valuation(value: int, b: int) -> int:
+    """The largest e with b^e dividing value (b > 1, value > 0)."""
+    e = 0
+    while value % b == 0:
+        value //= b
+        e += 1
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +569,6 @@ class AlgebraSpec:
     def scalar(self, value: _RatLike) -> Scalar:
         return self.model.scalar(value)
 
-    def lambda_(self, i: int, j: int) -> Scalar:
-        """Entry lambda_{i,j} of the base n x n parameter matrix (1-based)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexOutOfRange(f"lambda index ({i},{j}) out of range for n={self.n}")
-        return self.model.lambda_entry(i, j)
-
     def _tilde_factor(self, k: int, i: int) -> tuple[int, int, int]:
         """Map an extended-matrix index pair to (row, col, exponent) over Lambda."""
         m = self.num_generators
@@ -595,21 +588,21 @@ class AlgebraSpec:
         a, b, e = self._tilde_factor(k, i)
         return self.model.lambda_power_product([(a, b, e)])
 
-    def lambda_tilde_power_product(self, factors: Iterable[tuple[int, int, int]]) -> Scalar:
-        """Exact product of powers of extended-matrix entries."""
+    def _over_lambda(self, factors: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        """Rewrite extended-matrix factors (k, i, e) as factors over Lambda."""
         mapped = []
         for k, i, e in factors:
             a, b, s = self._tilde_factor(k, i)
             mapped.append((a, b, s * e))
-        return self.model.lambda_power_product(mapped)
+        return mapped
+
+    def lambda_tilde_power_product(self, factors: Iterable[tuple[int, int, int]]) -> Scalar:
+        """Exact product of powers of extended-matrix entries."""
+        return self.model.lambda_power_product(self._over_lambda(factors))
 
     def monomial_is_one(self, factors: Iterable[tuple[int, int, int]]) -> bool:
         """Exact decision of prod lambda~_{k,i}^e = 1 over extended indices."""
-        mapped = []
-        for k, i, e in factors:
-            a, b, s = self._tilde_factor(k, i)
-            mapped.append((a, b, s * e))
-        return self.model.lambda_product_is_one(mapped)
+        return self.model.lambda_product_is_one(self._over_lambda(factors))
 
     def is_semiclassical(self) -> bool:
         return self.r == self.n

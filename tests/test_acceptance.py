@@ -40,7 +40,7 @@ from hochhom.koszul import (
     diff_weyl,
     generators_up_to,
     is_in_C,
-    weyl_compare_maps,
+    weyl_f_map,
     weyl_g_map,
     _compositions,
 )
@@ -239,7 +239,7 @@ def test_criterion_08_weyl_comparison_chain_maps(make_spec):
     def f_map(elem):
         out = ChainElement.zero(spec)
         for g, c in elem.terms.items():
-            _, image, _ = weyl_compare_maps(spec, g)
+            image = weyl_f_map(spec, g)
             out = out + image.scale(c)
         return out
 

@@ -91,6 +91,17 @@ def test_oracle_command_pass(capsys):
     assert '"pass"' in capsys.readouterr().out
 
 
+def test_oracle_command_large_prime_parameter(capsys, tmp_path):
+    # Freeness of a large prime parameter is decided without factoring it.
+    p = "1000000000000000003"
+    doc = {"n": 2, "r": 1, "scalar": {"type": "rational", "values": [["1", p], [f"1/{p}", "1"]]}}
+    path = tmp_path / "large-prime.json"
+    path.write_text(json.dumps(doc))
+    code = run(["oracle", "--config", str(path), "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
 def test_oracle_command_unsupported_regime_is_config_error(capsys):
     # all-one non-semiclassical spec has no closed-answer oracle
     doc = {"n": 2, "r": 0, "scalar": {"type": "rational", "values": [["1", "1"], ["1", "1"]]}}
@@ -159,13 +170,13 @@ def test_bad_config_exit_code(capsys):
 
 def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     # Swapping the wedge of each image moves it to another block of the strand.
-    terms = koszul._closed_form_terms
+    terms = koszul._lowering_terms
 
-    def leaky(spec, g, lowering_only):
-        for gen, coeff in terms(spec, g, lowering_only):
+    def leaky(spec, g):
+        for gen, coeff in terms(spec, g):
             yield koszul.ChainGenerator(gen.mono, gen.wedge[::-1]), coeff
 
-    monkeypatch.setattr(koszul, "_closed_form_terms", leaky)
+    monkeypatch.setattr(koszul, "_lowering_terms", leaky)
     code = run(["hh", "--config", "weyl(1)", "--wmin", "-1", "--wmax", "-1"])
     captured = capsys.readouterr()
     assert code == 3

@@ -34,9 +34,9 @@ from hochhom.koszul import (
     enumerate_strand,
     generators_up_to,
     is_in_C,
-    weyl_compare_maps,
+    weyl_f_map,
     weyl_g_map,
-    _closed_form_terms,
+    _lowering_terms,
 )
 from hochhom.linalg import matrix_of
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
@@ -131,6 +131,24 @@ def test_closed_form_agrees_with_generic(make_spec):
         assert diff_full_closed(spec, g) == diff_full(spec, g), chain_generator_str(spec, g)
 
 
+def _rational3(r, values):
+    return AlgebraSpec(3, r, RationalModel([[Fraction(v) for v in row] for row in values]))
+
+
+N3_SPECS = [
+    ("r0-rational", _rational3(0, [["1", "-2", "1/3"], ["-1/2", "1", "5"], ["3", "1/5", "1"]])),
+    ("r1-zeta6", AlgebraSpec(3, 1, CyclotomicModel(6, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]))),
+    ("r2-rational", _rational3(2, [["1", "1/2", "-3"], ["2", "1", "-1"], ["-1/3", "-1", "1"]])),
+    ("r3-zeta4", AlgebraSpec(3, 3, CyclotomicModel(4, [[0, 1, 3], [-1, 0, 2], [-3, -2, 0]]))),
+]
+
+
+@pytest.mark.parametrize("name,spec", N3_SPECS, ids=[name for name, _ in N3_SPECS])
+def test_closed_form_agrees_with_generic_on_n3(name, spec):
+    for g in generators_up_to(spec, 2):
+        assert diff_full_closed(spec, g) == diff_full(spec, g), chain_generator_str(spec, g)
+
+
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_small_differential_squares_and_stays_in_C(make_spec):
     spec = make_spec()
@@ -199,7 +217,7 @@ def test_top_wedge_with_no_paired_degrees_dies():
     spec = mixed_root_spec(2)
     g = ChainGenerator((0, 0, 2), (1, 1, 1))
     assert not is_in_C(spec, g.rho)
-    assert list(_closed_form_terms(spec, g, lowering_only=True)) == []
+    assert list(_lowering_terms(spec, g)) == []
 
 
 def test_full_differential_top_wedge_example():
@@ -284,7 +302,7 @@ def test_comparison_maps_intertwine_and_retract(make_spec):
     def f_map(elem):
         out = ChainElement.zero(spec)
         for g, c in elem.terms.items():
-            _, image, _ = weyl_compare_maps(spec, g)
+            image = weyl_f_map(spec, g)
             out = out + image.scale(c)
         return out
 
@@ -315,7 +333,7 @@ def test_comparison_maps_reject_outside_C():
     spec = semiclassical_spec()
     g = ChainGenerator((1, 1, 0, 0), (0, 0, 0, 0))
     with pytest.raises(NotInSmallComplex):
-        weyl_compare_maps(spec, g)
+        weyl_f_map(spec, g)
 
 
 # ---------------------------------------------------------------------------

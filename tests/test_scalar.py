@@ -124,6 +124,49 @@ def test_free_of_maximal_rank():
     assert not roots.is_free_of_maximal_rank()
 
 
+def _factorint_freeness(model):
+    """Reference: rank of the prime-exponent vectors of the lambda_{i,j} (i < j)."""
+    vectors = []
+    for i in range(model.n):
+        for j in range(i + 1, model.n):
+            v = model.values[i][j]
+            exps = dict(sympy.factorint(abs(v.numerator)))
+            for p, e in sympy.factorint(v.denominator).items():
+                exps[p] = exps.get(p, 0) - e
+            vectors.append(exps)
+    if not vectors:
+        return True
+    primes = sorted({p for exps in vectors for p in exps})
+    if not primes:
+        return False
+    return sympy.Matrix([[v.get(p, 0) for p in primes] for v in vectors]).rank() == len(vectors)
+
+
+# Products of these share factors in many ways, so the coprime base needs
+# several refinement steps; 1000000007 is prime.
+_FACTORS = [2, 3, 4, 5, 6, 9, 10, 12, 15, 18, 22, 35, 39, 49, 91, 1000000007]
+
+
+@st.composite
+def _parameter_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    part = st.lists(st.sampled_from(_FACTORS), max_size=4).map(
+        lambda xs: Fraction(1) if not xs else Fraction(sympy.prod(xs))
+    )
+    values = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(part) / draw(part) * draw(st.sampled_from([1, -1]))
+            values[i][j], values[j][i] = v, 1 / v
+    return RationalModel(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_parameter_matrices())
+def test_free_of_maximal_rank_matches_prime_factorization(model):
+    assert model.is_free_of_maximal_rank() == _factorint_freeness(model)
+
+
 def test_lambda_tilde_block_structure():
     model = RationalModel([[Fraction(1), Fraction(1, 2)], [Fraction(2), Fraction(1)]])
     spec = AlgebraSpec(2, 1, model)
