@@ -381,14 +381,27 @@ def diff_weyl(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
+    """All tuples of `parts` nonnegative integers summing to `total`, in lex order.
+
+    Each step raises the entry just before the last nonzero one among
+    positions 1.. and moves the rest of that entry's mass to the end.
+    """
+    if parts == 0 or total < 0:
+        if parts == 0 and total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    a = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(a)
+        j = parts - 1
+        while j > 0 and not a[j]:
+            j -= 1
+        if j == 0:
+            return
+        rest = a[j]
+        a[j] = 0
+        a[j - 1] += 1
+        a[-1] = rest - 1
 
 
 def _bit_vectors(total: int, parts: int):

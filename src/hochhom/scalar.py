@@ -1,9 +1,12 @@
 """Exact coefficient arithmetic for the two supported scalar models.
 
 Coefficients live either in Q (arbitrary-precision rationals) or in the
-cyclotomic field Q(zeta_m), represented by polynomials in zeta_m reduced
-modulo the m-th cyclotomic polynomial.  Both representations are canonical,
-so equality, is_zero and is_one are exact decisions.
+cyclotomic field Q(zeta_m).  An element of Q(zeta_m) is one integer vector of
+its phi(m) coordinates in the basis 1, zeta, ..., zeta^(phi-1) over one
+positive common denominator that shares no factor with all of them; products
+are reduced modulo the m-th cyclotomic polynomial, which is monic, with an
+integer table.  Both representations are canonical, so equality, is_zero and
+is_one are exact decisions.
 
 The module also owns the parameter bookkeeping: a ScalarModel stores the
 multiplicatively antisymmetric matrix of quantisation parameters, and an
@@ -17,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ConfigError, DivisionByZero, IndexOutOfRange, ModelMismatch
@@ -45,40 +48,49 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_divmod(num, den):
-    """Euclidean division for polynomials over a field (Fraction coeffs)."""
-    num = list(num)
+def _pseudo_divmod(num, den):
+    """Integer pseudo-division: (q, rem, scale) with scale * num = q * den + rem.
+
+    scale is lead^(deg num - deg den + 1) for the leading coefficient lead of
+    den, so for a monic den, as the cyclotomic polynomials are, this is exact
+    division with remainder.
+    """
     den = _poly_trim(den)
     if not den:
         raise DivisionByZero("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = Fraction(1) / Fraction(den[-1])
-    for i in range(len(num) - len(den), -1, -1):
-        c = Fraction(num[i + len(den) - 1]) * inv_lead
+    top, lead = len(den) - 1, den[-1]
+    steps = len(num) - top
+    scale = lead ** max(steps, 0)
+    rem = [c * scale for c in num]
+    terms = [(j, d) for j, d in enumerate(den[:-1]) if d]
+    quot = [0] * max(steps, 0)
+    for i in range(steps - 1, -1, -1):
+        c = rem[i + top]
         if c:
+            # Exact: the quotient of scale * num over Q has integer coefficients.
+            c //= lead
             quot[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return _poly_trim(quot), _poly_trim(num)
+            rem[i + top] = 0
+            for j, d in terms:
+                rem[i + j] -= c * d
+    return _poly_trim(quot), _poly_trim(rem), scale
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """The m-th cyclotomic polynomial as integer coefficients, constant first.
 
-    Computed by dividing x^m - 1 by the product of all lower-order
-    cyclotomic polynomials at proper divisors of m.
+    Computed by dividing x^m - 1 by the lower-order cyclotomic polynomials
+    at the proper divisors of m, each exactly and over the integers.
     """
     if m < 1:
         raise ConfigError("cyclotomic order must be >= 1")
     num = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
-    den = (1,)
     for d in range(1, m):
         if m % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    quot, rem = _poly_divmod(tuple(Fraction(c) for c in num), tuple(Fraction(c) for c in den))
-    assert not rem
-    return tuple(int(c) for c in quot)
+            num, rem, _ = _pseudo_divmod(num, cyclotomic_polynomial(d))
+            assert not rem
+    return num
 
 
 def euler_phi(m: int) -> int:
@@ -176,40 +188,110 @@ class RationalScalar:
 
 
 class CyclotomicField:
-    """Q(zeta_m) as the quotient of Q[x] by the m-th cyclotomic polynomial."""
+    """Q(zeta_m) as the quotient of Q[x] by the m-th cyclotomic polynomial.
+
+    Phi_m is monic, so x^k mod Phi_m has integer coefficients for every k.
+    Its sparse form ((index, coefficient) pairs) for phi(m) <= k < 2 phi(m) - 1
+    is the reduction table of a product; further powers of zeta are built on
+    demand, one multiplication by x at a time.
+    """
 
     def __init__(self, order: int):
         if order < 1:
             raise ConfigError("cyclotomic order must be >= 1")
         self.order = order
-        self.modulus = tuple(Fraction(c) for c in cyclotomic_polynomial(order))
-        self.degree = len(self.modulus) - 1
-        # x^t mod Phi_m for 0 <= t < m, as padded coefficient tuples.
-        self._zeta_pows = []
-        cur = (Fraction(1),)
-        for _ in range(order):
-            self._zeta_pows.append(self._pad(cur))
-            cur = self.reduce(_poly_mul(cur, (Fraction(0), Fraction(1))))
-        self.zero = CyclotomicScalar(self, self._pad(()))
-        self.one = CyclotomicScalar(self, self._zeta_pows[0])
+        self.modulus = cyclotomic_polynomial(order)
+        self.degree = phi = len(self.modulus) - 1
+        # _powers[k] is x^k mod Phi_m in sparse form, k = 0, 1, ... as built.
+        self._powers = [((k, 1),) for k in range(phi)]
+        self._powers.append(tuple((j, -c) for j, c in enumerate(self.modulus[:-1]) if c))
+        self._extend_powers(2 * phi - 2)
+        self._table = self._powers[phi : 2 * phi - 1]
+        self._zetas: dict[int, CyclotomicScalar] = {}
+        self._units: dict[tuple, int] | None = None
+        self.zero = CyclotomicScalar(self, (0,) * phi)
+        self.one = self.zeta_power(0)
 
-    def _pad(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        return coeffs + (Fraction(0),) * (self.degree - len(coeffs))
+    def _extend_powers(self, k: int) -> None:
+        """Build x^j mod Phi_m for every j <= k, multiplying by x each step."""
+        powers, phi = self._powers, self.degree
+        while len(powers) <= k:
+            out: dict[int, int] = {}
+            for j, d in powers[-1]:
+                if j + 1 < phi:
+                    out[j + 1] = out.get(j + 1, 0) + d
+                else:
+                    for i, c in powers[phi]:
+                        out[i] = out.get(i, 0) + d * c
+            powers.append(tuple((j, d) for j, d in sorted(out.items()) if d))
 
-    def reduce(self, coeffs):
-        if len(coeffs) > self.degree:
-            _, coeffs = _poly_divmod(coeffs, self.modulus)
-        return _poly_trim(coeffs)
+    def _zeta_terms(self, t: int) -> tuple[tuple[int, int], ...]:
+        """zeta^t in sparse form."""
+        t %= self.order
+        self._extend_powers(t)
+        return self._powers[t]
+
+    def _mul_nums(self, a, terms) -> list[int]:
+        """The integer vector a times the sparse vector terms, reduced mod Phi_m."""
+        phi = self.degree
+        out = [0] * (2 * phi - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in terms:
+                    out[i + j] += c * d
+        for k, row in enumerate(self._table, phi):
+            c = out[k]
+            if c:
+                for j, d in row:
+                    out[j] += c * d
+        del out[phi:]
+        return out
+
+    def _make(self, nums, den: int) -> "CyclotomicScalar":
+        """The canonical element nums / den (den > 0)."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        return CyclotomicScalar(self, tuple(nums), den)
 
     def element(self, coeffs: Sequence[_RatLike]) -> "CyclotomicScalar":
-        return CyclotomicScalar(self, self._pad(self.reduce(tuple(Fraction(c) for c in coeffs))))
+        """sum_k coeffs[k] zeta^k, for any number of coefficients."""
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        nums = [0] * self.degree
+        for k, f in enumerate(fracs):
+            if f:
+                c = f.numerator * (den // f.denominator)
+                for j, d in self._zeta_terms(k):
+                    nums[j] += c * d
+        return self._make(nums, den)
 
     def from_rational(self, value: _RatLike) -> "CyclotomicScalar":
-        return self.element((value,))
+        v = Fraction(value)
+        return CyclotomicScalar(self, (v.numerator,) + (0,) * (self.degree - 1), v.denominator)
 
     def zeta_power(self, t: int) -> "CyclotomicScalar":
-        return CyclotomicScalar(self, self._zeta_pows[t % self.order])
+        t %= self.order
+        z = self._zetas.get(t)
+        if z is None:
+            nums = [0] * self.degree
+            for j, d in self._zeta_terms(t):
+                nums[j] = d
+            z = self._zetas[t] = CyclotomicScalar(self, tuple(nums), 1, t)
+        return z
+
+    def _unit_exponent(self, key: tuple) -> int | None:
+        """The t with zeta^t in sparse form equal to key, or None.
+
+        The index from sparse vector to exponent covers every t >= phi(m)
+        (the smaller powers are the monomials) and is built on first use.
+        """
+        if self._units is None:
+            phi = self.degree
+            self._units = {self._zeta_terms(t): t for t in range(phi, self.order)}
+        return self._units.get(key)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
@@ -222,13 +304,26 @@ class CyclotomicField:
 
 
 class CyclotomicScalar:
-    """An element of Q(zeta_m), stored as phi(m) rational coordinates."""
+    """An element (nums[0] + nums[1] zeta + ... + nums[phi-1] zeta^(phi-1)) / den.
 
-    __slots__ = ("field", "coeffs")
+    nums holds phi(m) integers and den is a positive integer sharing no factor
+    with all of them, so (nums, den) is canonical and equality is a tuple
+    comparison.  zeta is t for an element built as zeta^t and None otherwise;
+    it only selects the fast paths and is not part of the value.
+    """
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den", "zeta")
+
+    def __init__(self, field: CyclotomicField, nums: tuple[int, ...], den: int = 1, zeta=None):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+        self.zeta = zeta
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(m) rational coordinates in the power basis."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicScalar):
@@ -245,7 +340,12 @@ class CyclotomicScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CyclotomicScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b, d1, d2 = self.nums, o.nums, self.den, o.den
+        if d1 == d2:
+            return self.field._make([x + y for x, y in zip(a, b)], d1)
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        return self.field._make([x * f1 + y * f2 for x, y in zip(a, b)], d1 * f1)
 
     __radd__ = __add__
 
@@ -253,7 +353,12 @@ class CyclotomicScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CyclotomicScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b, d1, d2 = self.nums, o.nums, self.den, o.den
+        if d1 == d2:
+            return self.field._make([x - y for x, y in zip(a, b)], d1)
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        return self.field._make([x * f1 - y * f2 for x, y in zip(a, b)], d1 * f1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -265,8 +370,19 @@ class CyclotomicScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        prod = self.field.reduce(_poly_mul(self.coeffs, o.coeffs))
-        return CyclotomicScalar(self.field, self.field._pad(prod))
+        field = self.field
+        s, t = self.zeta, o.zeta
+        if s is not None and t is not None:
+            return field.zeta_power(s + t)
+        if s is not None or t is not None:
+            # Multiplying by a unit of Z[zeta] keeps the content of the
+            # integer vector, so (nums, den) stays canonical.
+            x = o if t is None else self
+            nums = field._mul_nums(x.nums, field._zeta_terms(s if t is None else t))
+            return CyclotomicScalar(field, tuple(nums), x.den)
+        a, b = self.nums, o.nums
+        terms = [(j, d) for j, d in enumerate(b) if d]
+        return field._make(field._mul_nums(a, terms), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -277,30 +393,52 @@ class CyclotomicScalar:
         return self * o.inv()
 
     def __neg__(self):
-        return CyclotomicScalar(self.field, tuple(-c for c in self.coeffs))
+        return CyclotomicScalar(self.field, tuple(-c for c in self.nums), self.den)
 
     def inv(self) -> "CyclotomicScalar":
-        """Inverse via the extended Euclidean algorithm modulo Phi_m."""
-        a = _poly_trim(self.coeffs)
-        if not a:
+        """The inverse; a rational multiple of +-zeta^t is inverted directly."""
+        field = self.field
+        if self.zeta is not None:
+            return field.zeta_power(-self.zeta)
+        terms = [(j, c) for j, c in enumerate(self.nums) if c]
+        if not terms:
             raise DivisionByZero("inverse of zero")
-        # Invariant: s * self == r (mod Phi_m).
-        r0, r1 = self.field.modulus, a
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_trim(
-                tuple(
-                    x - y
-                    for x, y in itertools.zip_longest(s0, _poly_mul(q, s1), fillvalue=Fraction(0))
-                )
-            )
-        assert len(r0) == 1, "cyclotomic modulus is irreducible, gcd must be constant"
-        inv = tuple(c / r0[0] for c in s0)
-        return self.field.element(inv)
+        if len(terms) == 1:
+            (t, c), sign = terms[0], 1
+        else:
+            c = gcd(*self.nums)
+            key = tuple((j, d // c) for j, d in terms)
+            t, sign = field._unit_exponent(key), 1
+            if t is None:
+                t, sign = field._unit_exponent(tuple((j, -d) for j, d in key)), -1
+        if t is not None:
+            # self = (sign c / den) zeta^t with gcd(c, den) = 1.
+            if c < 0:
+                c, sign = -c, -sign
+            scale = sign * self.den
+            nums = tuple(scale * d for d in field.zeta_power(-t).nums)
+            return CyclotomicScalar(field, nums, c)
+        # Extended Euclid modulo Phi_m over the integers, by pseudo-division;
+        # invariant: s * self.nums == r (mod Phi_m).
+        r0, r1 = field.modulus, _poly_trim(self.nums)
+        s0, s1 = (), (1,)
+        while len(r1) > 1:
+            q, rem, scale = _pseudo_divmod(r0, r1)
+            qs = _poly_mul(q, s1)
+            s2 = [scale * x - y for x, y in itertools.zip_longest(s0, qs, fillvalue=0)]
+            g = gcd(*rem, *s2)
+            r0, s0 = r1, s1
+            r1, s1 = tuple(c // g for c in rem), _poly_trim([c // g for c in s2])
+        assert len(r1) == 1, "cyclotomic modulus is irreducible, gcd must be constant"
+        # self = nums / den and s1 * nums == c, so the inverse is den s1 / c.
+        c = r1[0]
+        sign = 1 if c > 0 else -1
+        nums = [sign * self.den * x for x in s1] + [0] * (field.degree - len(s1))
+        return field._make(nums, sign * c)
 
     def __pow__(self, e: int):
+        if self.zeta is not None:
+            return self.field.zeta_power(self.zeta * e)
         if e < 0:
             return self.inv() ** (-e)
         out = self.field.one
@@ -313,19 +451,19 @@ class CyclotomicScalar:
         return out
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.nums == self.field.one.nums
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.nums == o.nums
 
     def __hash__(self):
-        return hash(("cyc", self.field.order, self.coeffs))
+        return hash(("cyc", self.field.order, self.nums, self.den))
 
     def __repr__(self):
         return f"CyclotomicScalar(m={self.field.order}, {self})"

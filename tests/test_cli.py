@@ -102,6 +102,22 @@ def test_oracle_command_large_prime_parameter(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
+def test_hh_command_large_cyclotomic_order(capsys, tmp_path):
+    # Powers of zeta are built on demand, so a field of degree 1600 is cheap.
+    doc = {"n": 2, "r": 1,
+           "scalar": {"type": "cyclotomic", "order": 4000, "exponents": [[0, -1], [1, 0]]}}
+    path = tmp_path / "order-4000.json"
+    path.write_text(json.dumps(doc))
+    code = run(["hh", "--config", str(path), "--format", "json"])
+    assert code == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    # The mixed minimal closed form for an order above the weight window:
+    # z^s in degree 0 (s >= 1), z^s (x) z in degree 1 and x^y in degree 2.
+    expected = [(w, k) for w in range(-6, 7) for k in range(4)
+                if (k == 0 and w >= 1) or (k == 1 and w >= -1) or (k == 2 and w == -2)]
+    assert [(e["w"], e["k"], e["dim"]) for e in entries] == [(w, k, 1) for w, k in expected]
+
+
 def test_oracle_command_unsupported_regime_is_config_error(capsys):
     # all-one non-semiclassical spec has no closed-answer oracle
     doc = {"n": 2, "r": 0, "scalar": {"type": "rational", "values": [["1", "1"], ["1", "1"]]}}

@@ -25,6 +25,10 @@ CASES = {
         "hh", "--config", "semiclassical(2,4,1)", "--wmin", "-4", "--wmax", "0"
     ],
     "hh-free-3-0": ["hh", "--config", "free(3,0)", "--wmin", "-1", "--wmax", "2"],
+    "hh-mixed-minimal-12": ["hh", "--config", "mixed-minimal(12)", "--wmin", "-3", "--wmax", "13"],
+    "hh-semiclassical-2-12-5": [
+        "hh", "--config", "semiclassical(2,12,5)", "--wmin", "-4", "--wmax", "0"
+    ],
     "cohh-mixed-minimal-3": ["cohh", "--config", "mixed-minimal(3)", "--trunc", "3"],
     "verify-mixed-minimal-2": [
         "verify", "--config", "mixed-minimal(2)", "--suite", "all", "--bound", "2"

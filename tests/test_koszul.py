@@ -234,6 +234,24 @@ def test_full_differential_top_wedge_example():
 # ---------------------------------------------------------------------------
 
 
+def _recursive_compositions(total, parts):
+    """The recursive definition: the first part ascending, then the rest."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("parts", range(6))
+def test_compositions_match_recursive_definition(parts):
+    # monomials_up_to and the strand order rely on this exact order.
+    for total in range(-1, 9):
+        assert list(_compositions(total, parts)) == list(_recursive_compositions(total, parts))
+
+
 def test_strand_weight_and_composition():
     spec = weyl_spec()
     strand = enumerate_strand(spec, -2)

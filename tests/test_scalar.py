@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hochhom import scalar as scalar_module
 from hochhom.errors import DivisionByZero, ModelMismatch
 from hochhom.scalar import (
     AlgebraSpec,
@@ -204,3 +206,128 @@ def test_config_round_trip():
         "order": 6,
         "exponents": [[0, 2], [-2, 0]],
     }
+
+
+# ---------------------------------------------------------------------------
+# The integer-vector cyclotomic layer against an independent sympy reference.
+# ---------------------------------------------------------------------------
+
+# Degree-1 fields (1, 2) and fields with m > 2 phi(m) (4, 6, 12, 30) included.
+_ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 30]
+_X = sympy.symbols("x")
+_SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def _to_sympy(a):
+    return sum(sympy.Rational(c.numerator, c.denominator) * _X**k
+               for k, c in enumerate(a.coeffs))
+
+
+def _reference(expr, order):
+    """Coordinates of expr mod Phi_m, constant first, padded to phi(m)."""
+    rem = sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(order, _X), _X)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(rem, _X).all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (euler_phi(order) - len(coeffs)))
+
+
+def _assert_canonical(a):
+    assert a.den > 0
+    assert gcd(a.den, *a.nums) == 1
+    assert len(a.nums) == euler_phi(a.field.order)
+
+
+@st.composite
+def _field_and_elements(draw, count=2):
+    field = CyclotomicField(draw(st.sampled_from(_ORDERS)))
+    size = field.degree
+    elems = [field.element(draw(st.lists(_SMALL, max_size=size))) for _ in range(count)]
+    return field, elems
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_field_and_elements())
+def test_cyclotomic_ops_match_sympy(case):
+    field, (a, b) = case
+    pa, pb = _to_sympy(a), _to_sympy(b)
+    m = field.order
+    for got, want in [(a + b, pa + pb), (a - b, pa - pb), (a * b, pa * pb), (-a, -pa)]:
+        _assert_canonical(got)
+        assert got.coeffs == _reference(want, m)
+    if not b.is_zero():
+        inv = b.inv()
+        pinv = sympy.invert(pb, sympy.cyclotomic_poly(m, _X), _X)
+        _assert_canonical(inv)
+        assert inv.coeffs == _reference(pinv, m)
+        assert (a / b).coeffs == _reference(pa * pinv, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_field_and_elements(count=1), e=st.integers(min_value=-3, max_value=5))
+def test_cyclotomic_power_matches_sympy(case, e):
+    field, (a,) = case
+    if a.is_zero() and e < 0:
+        return
+    base = _to_sympy(a)
+    if e < 0:
+        base = sympy.invert(base, sympy.cyclotomic_poly(field.order, _X), _X)
+    got = a**e
+    _assert_canonical(got)
+    assert got.coeffs == _reference(base ** abs(e), field.order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_field_and_elements(count=1), t=st.integers(min_value=-70, max_value=70))
+def test_zeta_power_shift_matches_sympy(case, t):
+    field, (a,) = case
+    m = field.order
+    z = field.zeta_power(t)
+    _assert_canonical(z)
+    assert z.coeffs == _reference(_X ** (t % m), m)
+    assert (z * field.zeta_power(t + 1)).coeffs == _reference(_X ** ((2 * t + 1) % m), m)
+    assert (z**3).coeffs == _reference(_X ** (3 * t % m), m)
+    for got in (z * a, a * z, a * field.element(z.coeffs)):
+        _assert_canonical(got)
+        assert got.coeffs == _reference(_X ** (t % m) * _to_sympy(a), m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.sampled_from(_ORDERS), raw=st.lists(_SMALL, max_size=70))
+def test_unreduced_input_equals_arithmetic(order, raw):
+    # element() reduces input of any degree; the same value built by
+    # arithmetic on powers of zeta is == and hashes equal.
+    field = CyclotomicField(order)
+    a = field.element(raw)
+    _assert_canonical(a)
+    assert a.coeffs == _reference(sum(_to_sympy(field.from_rational(c)) * _X**k
+                                      for k, c in enumerate(raw)), order)
+    built = field.zero
+    for k, c in enumerate(raw):
+        built = built + field.zeta_power(k) * c
+    assert built == a and hash(built) == hash(a)
+    shifted = field.element([0] * (3 * order) + raw) * field.zeta_power(-3 * order)
+    assert shifted == a and hash(shifted) == hash(a)
+
+
+def test_cyclotomic_str_format():
+    # Report text is pinned here: the golden outputs print almost no zeta terms.
+    field = CyclotomicField(12)
+    assert str(field.element([Fraction(1, 2), -1, 0, 3])) == "(1/2 + -1*z + 3*z^3)"
+    assert str(field.element([0, 0, Fraction(-2, 3)])) == "(-2/3*z^2)"
+    assert str(field.element([0] * 7 + [Fraction(3, 4)])) == "(-3/4*z)"
+    assert str(field.zeta_power(5)) == "(-1*z + z^3)"
+    assert str(field.zeta_power(1)) == "(z)"
+    assert str(field.zero) == "0"
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_unit_inverse_path(order, monkeypatch):
+    # Rational multiples of +-zeta^t invert without the extended Euclid route.
+    field = CyclotomicField(order)
+    monkeypatch.setattr(scalar_module, "_pseudo_divmod", None)
+    for t in range(order):
+        for c in (Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2), Fraction(4)):
+            for u in (field.zeta_power(t) * c, field.element(field.zeta_power(t).coeffs) * c):
+                inv = u.inv()
+                _assert_canonical(inv)
+                assert (u * inv).is_one()
+                assert inv == field.zeta_power(-t) * (1 / c)
