@@ -23,16 +23,23 @@ contraction f' that must vanish).
 A weight strand of K_C is a direct sum of fine blocks.  The small
 differential lowers rho_{x_i} and rho_{y_i} together and never changes
 rho_{y_j} for j > r, so it preserves the block key (rho_{x_i} - rho_{y_i})_{i<=r}
-+ (rho_{y_j})_{j>r}.  Row x_i of the extended parameter matrix is the
-entrywise inverse of row y_i, so every column character, and with it
-membership in C, is decided once per block key rather than once per
-generator.
++ (rho_{y_j})_{j>r}.  The rho with a given key are its base point (the
+smallest of them) plus t_i (x_i + y_i) with t_i >= 0.  Row x_i of the
+extended parameter matrix is the entrywise inverse of row y_i, so the column
+characters are constant on a block and membership in C is decided once per
+key: a key whose base point touches a bad column has no point in C, and the
+points in C of any other key raise only the Weyl pairs whose two columns are
+good.  Strands are therefore enumerated key first: for each key meeting C
+and each of its points rho of total degree w + 2k, the degree-k generators
+are rho minus a wedge on a k-subset of the support of rho.  No generator
+outside C is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, product
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Union
 
 from .algebra import PbwElement, generator_name, monomial_str
@@ -186,9 +193,13 @@ def is_in_C(spec: AlgebraSpec, rho: Iterable[int]) -> bool:
 
 
 def _column_is_one(spec: AlgebraSpec, rho: Exponents, i: int) -> bool:
-    """Whether the character prod_k lambda~_{k,i}^{rho_k} of column i (1-based) is 1."""
-    m = spec.num_generators
-    return spec.monomial_is_one((k, i, rho[k - 1]) for k in range(1, m + 1) if rho[k - 1])
+    """Whether the character prod_k lambda~_{k,i}^{rho_k} of column i (1-based) is 1.
+
+    Each lattice coordinate of the character is an integer dot product with rho.
+    """
+    return spec.model.is_trivial(
+        [sum(map(mul, coords, rho)) for coords in spec.column_characters[i - 1]]
+    )
 
 
 def block_key(spec: AlgebraSpec, rho: Exponents) -> Exponents:
@@ -197,18 +208,43 @@ def block_key(spec: AlgebraSpec, rho: Exponents) -> Exponents:
     return tuple(rho[i] - rho[r + i] for i in range(r)) + tuple(rho[2 * r :])
 
 
+def _base_point(spec: AlgebraSpec, key: Exponents) -> Exponents:
+    """The smallest rho with this key: rho_{x_i} = max(delta_i, 0), rho_{y_i} = max(-delta_i, 0)."""
+    deltas = key[: spec.r]
+    return (
+        tuple([d if d > 0 else 0 for d in deltas] + [-d if d < 0 else 0 for d in deltas])
+        + key[spec.r :]
+    )
+
+
 def bad_columns(spec: AlgebraSpec, key: Exponents) -> tuple[int, ...]:
     """The 0-based columns whose character is not 1 on the block with this key.
 
     The characters are constant on a block, so they are evaluated once, at
-    the base point rho_{x_i} = max(delta_i, 0), rho_{y_i} = max(-delta_i, 0).
+    the base point, by integer dot products with the spec's column-character
+    table, and kept in the spec's memo for every later key and strand.  At
+    the base point they are linear in the key, so when the lattice is Z/t
+    alone (no exact coordinates) they depend only on the key mod t, which is
+    what the memo is keyed by then.  Column y_i's character is the inverse of
+    column x_i's, so only x_i is evaluated for a Weyl pair.
+
     A rho with this key lies in C exactly when rho_c = 0 for every column c
-    returned.
+    returned: a key whose base point touches such a column has no generator
+    in C, and otherwise only the Weyl pairs with both columns good can be
+    raised.
     """
-    r = spec.r
-    deltas = key[:r]
-    base = tuple(max(d, 0) for d in deltas) + tuple(max(-d, 0) for d in deltas) + key[r:]
-    return tuple(c for c in range(spec.num_generators) if not _column_is_one(spec, base, c + 1))
+    memo, period = spec.block_memo, spec.model.period
+    if period:
+        key = tuple([x % period for x in key])
+    bad = memo.get(key)
+    if bad is None:
+        r, base = spec.r, _base_point(spec, key)
+        pairs = [i for i in range(r) if not _column_is_one(spec, base, i + 1)]
+        quantum = [
+            c for c in range(2 * r, spec.num_generators) if not _column_is_one(spec, base, c + 1)
+        ]
+        bad = memo[key] = tuple(pairs + [r + i for i in pairs] + quantum)
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +451,25 @@ def _bit_vectors(total: int, parts: int):
                 yield (first,) + rest
 
 
+def _strand_keys(spec: AlgebraSpec, w: int):
+    """(key, base point, raisable pairs) for every block of weight w meeting C.
+
+    A degree-k generator has |rho| = w + 2k, so a key's base point has degree
+    at most w + 2(n+r) and the parity of w.  Keys whose base point touches a
+    bad column are left out; the pairs listed have both columns good.
+    """
+    r, m = spec.r, spec.num_generators
+    for size in range(w % 2, w + 2 * m + 1, 2):
+        for parts in _compositions(size, spec.n):
+            quantum = parts[r:]
+            for deltas in product(*[(d, -d) if d else (0,) for d in parts[:r]]):
+                key = deltas + quantum
+                bad = bad_columns(spec, key)
+                base = _base_point(spec, key)
+                if not any(base[c] for c in bad):
+                    yield key, base, [i for i in range(r) if i not in bad]
+
+
 @dataclass(frozen=True)
 class StrandBlock:
     """One fine block of a weight strand: the generators with one block key.
@@ -460,27 +515,35 @@ class StrandComplex:
 def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
     """The weight-w strand of K_C, split into its fine blocks.
 
-    Membership in C is decided once per block key (``bad_columns``); the
-    block matrices take the exponent-lowering terms directly, and an image
-    outside its block raises ComplexBroken.
+    Enumerated key by key (``_strand_keys``): a key's points in C are its
+    base point raised along the pairs it may raise, and a point rho of degree
+    w + 2k gives the degree-k generators rho - wedge, one per k-subset of the
+    support of rho.  Each degree is sorted in (mono, wedge) order and blocks
+    are listed by their first generator in that order; the block matrices
+    take the exponent-lowering terms directly, and an image outside its block
+    raises ComplexBroken.
     """
-    m = spec.num_generators
-    bad: dict[Exponents, tuple[int, ...]] = {}
+    m, r = spec.num_generators, spec.r
+    keys = list(_strand_keys(spec, w))
     generators: dict[int, list[ChainGenerator]] = {}
     blocks: dict[Exponents, dict[int, list[ChainGenerator]]] = {}
     for k in range(0, m + 1):
-        p = w + k
         found: list[tuple[Exponents, Exponents, Exponents]] = []
-        if p >= 0:
-            for wedge in _bit_vectors(k, m):
-                for mono in _compositions(p, m):
-                    rho = tuple(a + b for a, b in zip(mono, wedge))
-                    key = block_key(spec, rho)
-                    if key not in bad:
-                        bad[key] = bad_columns(spec, key)
-                    if not any(rho[c] for c in bad[key]):
-                        found.append((mono, wedge, key))
-            found.sort()
+        for key, base, pairs in keys:
+            raise_by = w + 2 * k - sum(base)
+            if raise_by < 0:
+                continue
+            for ts in _compositions(raise_by // 2, len(pairs)):
+                rho = list(base)
+                for i, t in zip(pairs, ts):
+                    rho[i] += t
+                    rho[r + i] += t
+                for cols in combinations([c for c in range(m) if rho[c]], k):
+                    wedge = [0] * m
+                    for c in cols:
+                        wedge[c] = 1
+                    found.append((tuple(map(sub, rho, wedge)), tuple(wedge), key))
+        found.sort()
         generators[k] = [ChainGenerator(mono, wedge) for mono, wedge, _ in found]
         for g, (_, _, key) in zip(generators[k], found):
             blocks.setdefault(key, {d: [] for d in range(m + 1)})[k].append(g)

@@ -13,13 +13,20 @@ multiplicatively antisymmetric matrix of quantisation parameters, and an
 AlgebraSpec combines it with the integers (n, r) and exposes the extended
 (n+r) x (n+r) block matrix of parameters together with exact "product of
 parameter powers equals 1" decisions.
+
+Both models map the parameters once, when they are built, into an integer
+character lattice Z/t x Z^B: a rational lambda is a sign bit (t = 2) and its
+exponents over a coprime base of B integers, a root of unity zeta_m^E is E
+mod m (t = m, B = 0).  A product of parameter powers is then the integer sum
+of the powers times the characters; it is 1 exactly when that sum is zero in
+the lattice, and its value is looked up per sum in a per-model cache.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -492,8 +499,64 @@ Scalar = Union[RationalScalar, CyclotomicScalar]
 # ---------------------------------------------------------------------------
 
 
-class RationalModel:
-    """Parameters lambda_{i,j} given as explicit nonzero rationals."""
+class _LatticeModel:
+    """The character lattice Z/torsion x Z^(rank-1) shared by the two scalar models.
+
+    characters[i][j] is the character of lambda_{i+1,j+1}: an integer vector
+    of length rank whose first coordinate lives in Z/torsion and whose other
+    coordinates are exact.  Subclasses call ``_set_lattice`` in their
+    constructor and say how to turn a reduced character back into a scalar.
+    """
+
+    def _set_lattice(self, torsion: int, rank: int, characters) -> None:
+        self.torsion, self.rank = torsion, rank
+        # Characters are periodic mod t in every exponent when the lattice is Z/t alone.
+        self.period = torsion if rank == 1 else 0
+        self.characters = tuple(tuple(row) for row in characters)
+        # The nonzero (coordinate, value) pairs of each character.
+        self._terms = tuple(
+            tuple(tuple((c, x) for c, x in enumerate(ch) if x) for ch in row)
+            for row in self.characters
+        )
+        self._products: dict[tuple[int, ...], Scalar] = {}
+
+    def character(self, factors: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
+        """The reduced character of prod lambda_{i,j}^e over (i, j, e) factors (1-based)."""
+        terms = self._terms
+        acc = [0] * self.rank
+        for i, j, e in factors:
+            for c, x in terms[i - 1][j - 1]:
+                acc[c] += e * x
+        acc[0] %= self.torsion
+        return tuple(acc)
+
+    def is_trivial(self, vector: Sequence[int]) -> bool:
+        """Whether an unreduced lattice vector is zero, so its product is 1."""
+        return vector[0] % self.torsion == 0 and not any(vector[1:])
+
+    def lambda_power_product(self, factors: Iterable[tuple[int, int, int]]) -> Scalar:
+        key = self.character(factors)
+        value = self._products.get(key)
+        if value is None:
+            value = self._products[key] = self._scalar_of(key)
+        return value
+
+    def lambda_product_is_one(self, factors: Iterable[tuple[int, int, int]]) -> bool:
+        return self.is_trivial(self.character(factors))
+
+    def _scalar_of(self, key: tuple[int, ...]) -> Scalar:
+        raise NotImplementedError
+
+
+class RationalModel(_LatticeModel):
+    """Parameters lambda_{i,j} given as explicit nonzero rationals.
+
+    Lattice: base is a coprime base of every numerator and denominator (gcd
+    factor refinement, no factoring), and lambda = (-1)^s prod_c base[c]^e_c
+    has the character (s, e_1, ..., e_B) with s taken mod 2.  Pairwise coprime
+    integers > 1 are multiplicatively independent, so the character of a
+    product of parameters is zero exactly when the product is 1.
+    """
 
     def __init__(self, values: Sequence[Sequence[_RatLike]]):
         self.n = len(values)
@@ -509,6 +572,25 @@ class RationalModel:
                     raise ConfigError("parameters must be nonzero")
                 if self.values[i][j] * self.values[j][i] != 1:
                     raise ConfigError("parameter matrix is not multiplicatively antisymmetric")
+        upper = [self.values[i][j] for i in range(self.n) for j in range(i + 1, self.n)]
+        self.base = tuple(
+            _coprime_base([abs(v.numerator) for v in upper] + [v.denominator for v in upper])
+        )
+        rows = [[self._lattice_vector(v) for v in row] for row in self.values]
+        self._set_lattice(2, 1 + len(self.base), rows)
+
+    def _lattice_vector(self, v: Fraction) -> tuple[int, ...]:
+        num, den = abs(v.numerator), v.denominator
+        return (int(v < 0),) + tuple(_valuation(num, b) - _valuation(den, b) for b in self.base)
+
+    def _scalar_of(self, key: tuple[int, ...]) -> RationalScalar:
+        num, den = 1, 1
+        for b, e in zip(self.base, key[1:]):
+            if e > 0:
+                num *= b**e
+            elif e < 0:
+                den *= b**-e
+        return RationalScalar(Fraction(-num if key[0] else num, den))
 
     def one(self) -> RationalScalar:
         return RationalScalar(1)
@@ -522,36 +604,20 @@ class RationalModel:
     def lambda_entry(self, i: int, j: int) -> RationalScalar:
         return RationalScalar(self.values[i - 1][j - 1])
 
-    def lambda_power_product(self, factors: Iterable[tuple[int, int, int]]) -> RationalScalar:
-        out = Fraction(1)
-        for i, j, e in factors:
-            v = self.values[i - 1][j - 1]
-            out *= v**e if e >= 0 else (1 / v) ** (-e)
-        return RationalScalar(out)
-
-    def lambda_product_is_one(self, factors: Iterable[tuple[int, int, int]]) -> bool:
-        return self.lambda_power_product(factors).is_one()
-
     def is_free_of_maximal_rank(self) -> bool:
         """Whether the lambda_{i,j} (i<j) generate a free group of rank n(n-1)/2.
 
-        Writes every numerator and denominator over one coprime base (built
-        by gcd factor refinement, no factoring) and checks that the exponent
-        vectors are linearly independent.  Signs are ignored: a relation up
-        to sign becomes a relation after squaring.
+        Checks that the exponent parts of their characters are linearly
+        independent.  The sign bit is dropped: a relation up to sign becomes
+        a relation after squaring.
         """
         from .linalg import span_rank
 
-        params = [self.values[i][j] for i in range(self.n) for j in range(i + 1, self.n)]
-        base = _coprime_base([abs(v.numerator) for v in params] + [v.denominator for v in params])
-        vectors = []
-        for v in params:
-            vec = {}
-            for c, b in enumerate(base):
-                e = _valuation(abs(v.numerator), b) - _valuation(v.denominator, b)
-                if e:
-                    vec[c] = RationalScalar(e)
-            vectors.append(vec)
+        vectors = [
+            {c: RationalScalar(e) for c, e in enumerate(self.characters[i][j][1:]) if e}
+            for i in range(self.n)
+            for j in range(i + 1, self.n)
+        ]
         return span_rank(vectors) == len(vectors)
 
     def to_config(self) -> dict:
@@ -567,8 +633,11 @@ class RationalModel:
         return hash(("ratmodel", self.values))
 
 
-class CyclotomicModel:
-    """Parameters lambda_{i,j} = zeta_m ^ E_{i,j} for an integer matrix E."""
+class CyclotomicModel(_LatticeModel):
+    """Parameters lambda_{i,j} = zeta_m ^ E_{i,j} for an integer matrix E.
+
+    Lattice: the character of lambda_{i,j} is (E_{i,j} mod m,), in Z/m.
+    """
 
     def __init__(self, order: int, exponents: Sequence[Sequence[int]]):
         self.order = order
@@ -584,6 +653,10 @@ class CyclotomicModel:
             for j in range(self.n):
                 if (self.exponents[i][j] + self.exponents[j][i]) % order != 0:
                     raise ConfigError("exponent matrix is not additively antisymmetric mod m")
+        self._set_lattice(order, 1, [[(e % order,) for e in row] for row in self.exponents])
+
+    def _scalar_of(self, key: tuple[int, ...]) -> CyclotomicScalar:
+        return self.field.zeta_power(key[0])
 
     def one(self) -> CyclotomicScalar:
         return self.field.one
@@ -596,18 +669,6 @@ class CyclotomicModel:
 
     def lambda_entry(self, i: int, j: int) -> CyclotomicScalar:
         return self.field.zeta_power(self.exponents[i - 1][j - 1])
-
-    def lambda_power_product(self, factors: Iterable[tuple[int, int, int]]) -> CyclotomicScalar:
-        t = 0
-        for i, j, e in factors:
-            t += e * self.exponents[i - 1][j - 1]
-        return self.field.zeta_power(t)
-
-    def lambda_product_is_one(self, factors: Iterable[tuple[int, int, int]]) -> bool:
-        t = 0
-        for i, j, e in factors:
-            t += e * self.exponents[i - 1][j - 1]
-        return t % self.order == 0
 
     def is_free_of_maximal_rank(self) -> bool:
         # Roots of unity never generate a free group of positive rank.
@@ -741,6 +802,30 @@ class AlgebraSpec:
     def monomial_is_one(self, factors: Iterable[tuple[int, int, int]]) -> bool:
         """Exact decision of prod lambda~_{k,i}^e = 1 over extended indices."""
         return self.model.lambda_product_is_one(self._over_lambda(factors))
+
+    @cached_property
+    def column_characters(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The column characters of the extended matrix as integer linear forms.
+
+        column_characters[i][c][k] is lattice coordinate c of the character
+        of lambda~_{k+1,i+1} (0-based i and k), so coordinate c of the
+        character of column i at rho, prod_k lambda~_{k,i}^{rho_k}, is the dot
+        product of column_characters[i][c] with rho.
+        """
+        m, chars = self.num_generators, self.model.characters
+        table = []
+        for i in range(1, m + 1):
+            rows = []
+            for k in range(1, m + 1):
+                a, b, e = self._tilde_factor(k, i)
+                rows.append(tuple(e * x for x in chars[a - 1][b - 1]))
+            table.append(tuple(zip(*rows)))
+        return tuple(table)
+
+    @cached_property
+    def block_memo(self) -> dict:
+        """Per-spec memo of data decided once per block key (``koszul.bad_columns``)."""
+        return {}
 
     def is_semiclassical(self) -> bool:
         return self.r == self.n

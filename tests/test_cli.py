@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from hochhom import koszul
 from hochhom.cli import (
+    MAX_CYCLOTOMIC_ORDER,
+    MAX_PARAMETER_DIGITS,
     emit_config,
     load_config,
     parse_config,
@@ -116,6 +119,49 @@ def test_hh_command_large_cyclotomic_order(capsys, tmp_path):
     expected = [(w, k) for w in range(-6, 7) for k in range(4)
                 if (k == 0 and w >= 1) or (k == 1 and w >= -1) or (k == 2 and w == -2)]
     assert [(e["w"], e["k"], e["dim"]) for e in entries] == [(w, k, 1) for w, k in expected]
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    [
+        {"type": "cyclotomic", "order": 10**9, "exponents": [[0, -1], [1, 0]]},
+        {"type": "rational", "values": [["1", "1e20000"], ["1e-20000", "1"]]},
+        {"type": "rational", "values": [["1", "1e1000000000"], ["1e-1000000000", "1"]]},
+    ],
+    ids=["order-1e9", "1e20000", "1e1000000000"],
+)
+def test_oversized_config_exits_2_quickly(capsys, tmp_path, scalar):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "r": 1, "scalar": scalar}))
+    start = time.perf_counter()
+    code = run(["hh", "--config", str(path), "--wmin", "-2", "--wmax", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_integer_literal_past_the_json_digit_limit_is_config_error(capsys, tmp_path):
+    path = tmp_path / "long-int.json"
+    big = "7" * 5000
+    path.write_text('{"n": 2, "r": 0, "scalar": {"type": "rational", '
+                    f'"values": [["1", {big}], ["1", "1"]]}}}}')
+    assert run(["hh", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_config_bounds_are_inclusive():
+    at_bound = {"type": "cyclotomic", "order": MAX_CYCLOTOMIC_ORDER, "exponents": [[0]]}
+    assert parse_config({"n": 1, "r": 0, "scalar": at_bound}).model.order == MAX_CYCLOTOMIC_ORDER
+    p = "7" * MAX_PARAMETER_DIGITS
+    spec = parse_config(
+        {"n": 2, "r": 0, "scalar": {"type": "rational", "values": [["1", p], [f"1/{p}", "1"]]}}
+    )
+    assert spec.model.values[0][1] == int(p)
+    for value in (f"{p}7", f"1/{p}7", f"1e{MAX_PARAMETER_DIGITS}", int(p + "7")):
+        doc = {"n": 2, "r": 0, "scalar": {"type": "rational", "values": [["1", value], ["1", "1"]]}}
+        with pytest.raises(ConfigError, match="digits"):
+            parse_config(doc)
 
 
 def test_oracle_command_unsupported_regime_is_config_error(capsys):

@@ -29,6 +29,11 @@ CASES = {
     "hh-semiclassical-2-12-5": [
         "hh", "--config", "semiclassical(2,12,5)", "--wmin", "-4", "--wmax", "0"
     ],
+    # Signed rationals sharing the factor 6, so C depends on signs and on the
+    # relation between -1/6 and -6.
+    "hh-signed-rational-3-1": [
+        "hh", "--config", str(GOLDEN / "hh-signed-rational-3-1.json"), "--wmin", "-4", "--wmax", "4"
+    ],
     "cohh-mixed-minimal-3": ["cohh", "--config", "mixed-minimal(3)", "--trunc", "3"],
     "verify-mixed-minimal-2": [
         "verify", "--config", "mixed-minimal(2)", "--suite", "all", "--bound", "2"

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import ALL_PRESETS, random_specs
 
 from hochhom.cli import load_config
@@ -20,6 +21,7 @@ from hochhom.errors import (
 from hochhom.koszul import (
     ChainElement,
     ChainGenerator,
+    _bit_vectors,
     _compositions,
     apply_diff,
     bad_columns,
@@ -265,20 +267,88 @@ def test_strand_weight_and_composition():
             assert lower.compose(matrix).is_zero()
 
 
-def _whole_strand(spec, w):
-    """The strand as one complex: every generator tested with is_in_C, diff_small matrices."""
+def _candidate_strand(spec, w):
+    """The reference: every (mono, wedge) of weight w, kept iff is_in_C(rho).
+
+    Returns the generators per degree in (mono, wedge) order and each block's
+    generators per degree, with the blocks keyed by block key and ordered by
+    their first generator, taking degrees in increasing order.
+    """
     m = spec.num_generators
-    generators = {k: [] for k in range(m + 1)}
-    for g in generators_up_to(spec, max(w + m, 0)):
-        if g.weight == w and is_in_C(spec, g.rho):
-            generators[g.degree].append(g)
-    for gens in generators.values():
-        gens.sort(key=lambda g: (g.mono, g.wedge))
-    matrices = {
+    generators = {}
+    blocks = {}
+    for k in range(m + 1):
+        found = sorted(
+            (mono, wedge)
+            for wedge in _bit_vectors(k, m)
+            for mono in _compositions(w + k, m)
+            if is_in_C(spec, tuple(a + b for a, b in zip(mono, wedge)))
+        )
+        generators[k] = [ChainGenerator(mono, wedge) for mono, wedge in found]
+        for g in generators[k]:
+            blocks.setdefault(block_key(spec, g.rho), {d: [] for d in range(m + 1)})[k].append(g)
+    return generators, blocks
+
+
+def _small_matrices(spec, generators):
+    return {
         k: matrix_of(generators[k], lambda g: diff_small(spec, g).terms.items(), generators[k - 1])
-        for k in range(1, m + 1)
+        for k in range(1, spec.num_generators + 1)
     }
-    return generators, matrices
+
+
+def assert_strand_matches_candidates(spec, w):
+    strand = enumerate_strand(spec, w)
+    generators, blocks = _candidate_strand(spec, w)
+    assert strand.generators == generators, w
+    assert [block.key for block in strand.blocks] == list(blocks), w
+    for block in strand.blocks:
+        assert block.generators == blocks[block.key], (w, block.key)
+        assert block.matrices == _small_matrices(spec, block.generators), (w, block.key)
+    return strand, generators
+
+
+@pytest.mark.parametrize("name,spec", ALL_PRESETS, ids=[n for n, _ in ALL_PRESETS])
+def test_enumeration_matches_candidate_filter_on_presets(name, spec):
+    for w in range(-spec.num_generators, 9):
+        assert_strand_matches_candidates(spec, w)
+
+
+@st.composite
+def signed_rational_specs(draw):
+    """Signed rationals over the shared primes 2 and 3, so many columns are torsion."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=0, max_value=n))
+    entry = st.tuples(
+        st.sampled_from([1, -1]), st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=-2, max_value=2),
+    ).map(lambda t: t[0] * Fraction(2) ** t[1] * Fraction(3) ** t[2])
+    values = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(entry)
+            values[i][j], values[j][i] = v, 1 / v
+    return AlgebraSpec(n, r, RationalModel(values))
+
+
+@st.composite
+def cyclotomic_specs(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=0, max_value=n))
+    order = draw(st.integers(min_value=1, max_value=8))
+    exponents = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = draw(st.integers(min_value=0, max_value=order - 1))
+            exponents[i][j], exponents[j][i] = e, -e
+    return AlgebraSpec(n, r, CyclotomicModel(order, exponents))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=st.one_of(signed_rational_specs(), cyclotomic_specs()), data=st.data())
+def test_enumeration_matches_candidate_filter_on_random_parameters(spec, data):
+    w = data.draw(st.integers(min_value=-spec.num_generators, max_value=2))
+    assert_strand_matches_candidates(spec, w)
 
 
 @pytest.mark.parametrize(
@@ -289,17 +359,11 @@ def _whole_strand(spec, w):
 def test_blocks_partition_the_whole_strand(config, w_min, w_max):
     spec = load_config(config)
     for w in range(w_min, w_max + 1):
-        strand = enumerate_strand(spec, w)
-        generators, matrices = _whole_strand(spec, w)
-        assert strand.generators == generators, w
-        for k, gens in generators.items():
-            merged = [g for block in strand.blocks for g in block.generators[k]]
-            assert sorted(merged, key=lambda g: (g.mono, g.wedge)) == gens, (w, k)
+        strand, generators = assert_strand_matches_candidates(spec, w)
         for block in strand.blocks:
             for k, gens in block.generators.items():
-                assert gens == sorted(gens, key=lambda g: (g.mono, g.wedge))
                 assert all(block_key(spec, g.rho) == block.key for g in gens)
-        assert strand.matrices == matrices, w
+        assert strand.matrices == _small_matrices(spec, generators), w
 
 
 def test_strand_top_degree_generator():

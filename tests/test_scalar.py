@@ -169,6 +169,83 @@ def test_free_of_maximal_rank_matches_prime_factorization(model):
     assert model.is_free_of_maximal_rank() == _factorint_freeness(model)
 
 
+# ---------------------------------------------------------------------------
+# The character lattice against raw products of the parameters.
+# ---------------------------------------------------------------------------
+
+_LATTICE_ENTRIES = [Fraction(v) for v in (-1, Fraction(1, 9), 3, 4, 2, 6, 10)]
+_SHARED_PRIMES = (2, 3, 5)
+
+
+@st.composite
+def _lattice_models(draw):
+    """Signed parameters over a few shared primes, so products often collapse to +-1."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    shared = st.tuples(
+        st.sampled_from([1, -1]), *[st.integers(min_value=-3, max_value=3) for _ in _SHARED_PRIMES]
+    ).map(lambda t: t[0] * sympy.prod([Fraction(p) ** e for p, e in zip(_SHARED_PRIMES, t[1:])]))
+    entry = st.one_of(st.sampled_from(_LATTICE_ENTRIES), shared)
+    values = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = Fraction(draw(entry))
+            values[i][j], values[j][i] = v, 1 / v
+    return RationalModel(values)
+
+
+def _factors(draw, size):
+    index = st.integers(min_value=1, max_value=size)
+    factor = st.tuples(index, index, st.integers(min_value=-4, max_value=4))
+    return draw(st.lists(factor, max_size=5))
+
+
+def _tilde_value(spec, k, i):
+    """lambda~_{k,i} read off the block layout of the extended matrix, as a Fraction."""
+    r, values = spec.r, spec.model.values
+    a, b = (k if k <= r else k - r), (i if i <= r else i - r)
+    v = values[a - 1][b - 1]
+    return 1 / v if (k <= r) != (i <= r) else v
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_lattice_models(), data=st.data())
+def test_lambda_power_product_matches_raw_fractions(model, data):
+    factors = _factors(data.draw, model.n)
+    raw, sym = Fraction(1), sympy.Integer(1)
+    for i, j, e in factors:
+        v = model.values[i - 1][j - 1]
+        raw *= v**e
+        sym *= sympy.Rational(v.numerator, v.denominator) ** e
+    assert Fraction(int(sym.p), int(sym.q)) == raw
+    assert model.lambda_power_product(factors) == RationalScalar(raw)
+    assert model.lambda_product_is_one(factors) == (raw == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_lattice_models(), data=st.data())
+def test_monomial_is_one_matches_raw_fractions(model, data):
+    spec = AlgebraSpec(model.n, data.draw(st.integers(min_value=0, max_value=model.n)), model)
+    factors = _factors(data.draw, spec.num_generators)
+    raw = Fraction(1)
+    for k, i, e in factors:
+        raw *= _tilde_value(spec, k, i) ** e
+    assert spec.monomial_is_one(factors) == (raw == 1)
+    assert spec.lambda_tilde_power_product(factors) == RationalScalar(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(min_value=1, max_value=12), data=st.data())
+def test_cyclotomic_lambda_power_product_matches_zeta_powers(order, data):
+    e12 = data.draw(st.integers(min_value=-30, max_value=30))
+    model = CyclotomicModel(order, [[0, e12], [-e12, 0]])
+    factors = _factors(data.draw, 2)
+    raw = model.field.one
+    for i, j, e in factors:
+        raw = raw * model.field.zeta_power(model.exponents[i - 1][j - 1]) ** e
+    assert model.lambda_power_product(factors) == raw
+    assert model.lambda_product_is_one(factors) == raw.is_one()
+
+
 def test_lambda_tilde_block_structure():
     model = RationalModel([[Fraction(1), Fraction(1, 2)], [Fraction(2), Fraction(1)]])
     spec = AlgebraSpec(2, 1, model)
