@@ -26,6 +26,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .cohomology import (
@@ -418,7 +419,9 @@ def _cmd_verify(spec: AlgebraSpec, args) -> tuple[int, dict]:
     return (1 if failed else 0), doc
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hochhom",
         description="Exact Hochschild (co)homology of mixed Weyl/q-commuting algebras.",

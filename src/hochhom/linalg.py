@@ -1,10 +1,10 @@
 """Exact sparse linear algebra over the coefficient field.
 
-All matrices and vectors hold exact scalars (rationals or cyclotomics); rank,
-kernel and subquotient computations are ordinary Gaussian elimination with a
-fill-minimizing pivot heuristic.  Exactness makes the pivot order a pure
-performance choice, except that it fixes which coset representatives are
-reported.
+All matrices and vectors hold exact scalars of one field Q(zeta_m), the
+rationals being Q(zeta_1); rank, kernel and subquotient computations are
+ordinary Gaussian elimination with a fill-minimizing pivot heuristic.
+Exactness makes the pivot order a pure performance choice, except that it
+fixes which coset representatives are reported.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
 
 from .errors import ComplexBroken, NotASubspace
-from .scalar import RationalScalar, Scalar
+from .scalar import QQ, Scalar
 
 Vector = dict[int, Scalar]
 
@@ -151,11 +151,7 @@ def rank_kernel(matrix: SparseMatrix, one: Optional[Scalar] = None) -> tuple[int
     """
     reduced = _eliminate(list(_rows(matrix).values()))
     if one is None:
-        if reduced:
-            some = next(iter(reduced[0][1].values()))
-            one = some * some.inv()
-        else:
-            one = RationalScalar(1)
+        one = next(iter(reduced[0][1].values())).field.one if reduced else QQ.one
     pivot_cols = {pj for pj, _ in reduced}
     kernel: list[Vector] = []
     for j in range(matrix.cols):

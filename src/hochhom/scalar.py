@@ -1,18 +1,19 @@
-"""Exact coefficient arithmetic for the two supported scalar models.
+"""Exact coefficient arithmetic: one scalar type, two parameter models.
 
-Coefficients live either in Q (arbitrary-precision rationals) or in the
-cyclotomic field Q(zeta_m).  An element of Q(zeta_m) is one integer vector of
-its phi(m) coordinates in the basis 1, zeta, ..., zeta^(phi-1) over one
-positive common denominator that shares no factor with all of them; products
-are reduced modulo the m-th cyclotomic polynomial, which is monic, with an
-integer table.  Both representations are canonical, so equality, is_zero and
-is_one are exact decisions.
+Every coefficient is an element of a cyclotomic field Q(zeta_m); the
+rationals are the case m = 1, the module-level field QQ.  An element of
+Q(zeta_m) is one integer vector of its phi(m) coordinates in the basis 1,
+zeta, ..., zeta^(phi-1) over one positive common denominator that shares no
+factor with all of them; products are reduced modulo the m-th cyclotomic
+polynomial, which is monic, with an integer table.  The representation is
+canonical, so equality, is_zero and is_one are exact decisions.
 
 The module also owns the parameter bookkeeping: a ScalarModel stores the
-multiplicatively antisymmetric matrix of quantisation parameters, and an
-AlgebraSpec combines it with the integers (n, r) and exposes the extended
-(n+r) x (n+r) block matrix of parameters together with exact "product of
-parameter powers equals 1" decisions.
+multiplicatively antisymmetric matrix of quantisation parameters, given
+either as explicit rationals (RationalModel, computing in QQ) or as powers of
+zeta_m (CyclotomicModel), and an AlgebraSpec combines it with the integers
+(n, r) and exposes the extended (n+r) x (n+r) block matrix of parameters
+together with exact "product of parameter powers equals 1" decisions.
 
 Both models map the parameters once, when they are built, into an integer
 character lattice Z/t x Z^B: a rational lambda is a sign bit (t = 2) and its
@@ -109,89 +110,6 @@ def euler_phi(m: int) -> int:
 # ---------------------------------------------------------------------------
 
 _RatLike = Union[int, Fraction]
-
-
-class RationalScalar:
-    """An exact rational field element."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: _RatLike):
-        self.value = Fraction(value)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalScalar):
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        if isinstance(other, CyclotomicScalar):
-            raise ModelMismatch("cannot mix rational and cyclotomic scalars")
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else RationalScalar(self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else RationalScalar(self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else RationalScalar(v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else RationalScalar(self.value * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v == 0:
-            raise DivisionByZero("division by zero scalar")
-        return RationalScalar(self.value / v)
-
-    def __neg__(self):
-        return RationalScalar(-self.value)
-
-    def inv(self) -> "RationalScalar":
-        if self.value == 0:
-            raise DivisionByZero("inverse of zero")
-        return RationalScalar(1 / self.value)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        return RationalScalar(self.value**e)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_one(self) -> bool:
-        return self.value == 1
-
-    def __eq__(self, other):
-        if isinstance(other, RationalScalar):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        if isinstance(other, CyclotomicScalar):
-            raise ModelMismatch("cannot compare rational and cyclotomic scalars")
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("rat", self.value))
-
-    def __repr__(self):
-        return f"RationalScalar({self.value})"
-
-    def __str__(self):
-        return str(self.value)
 
 
 class CyclotomicField:
@@ -339,8 +257,6 @@ class CyclotomicScalar:
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
-        if isinstance(other, RationalScalar):
-            raise ModelMismatch("cannot mix rational and cyclotomic scalars")
         return NotImplemented
 
     def __add__(self, other):
@@ -476,6 +392,9 @@ class CyclotomicScalar:
         return f"CyclotomicScalar(m={self.field.order}, {self})"
 
     def __str__(self):
+        if self.field.order == 1:
+            # Q(zeta_1) is Q, and a rational prints bare: 3/7, not (3/7).
+            return str(Fraction(self.nums[0], self.den))
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -491,7 +410,13 @@ class CyclotomicScalar:
         return "(" + " + ".join(terms) + ")"
 
 
-Scalar = Union[RationalScalar, CyclotomicScalar]
+Scalar = CyclotomicScalar
+
+# The rationals, as Q(zeta_1); every rational parameter model computes here.
+QQ = CyclotomicField(1)
+# Constructor alias, not a class: the benchmark's per-layer micro job
+# (perfbench/worker.py) builds its rational operands under this name.
+RationalScalar = QQ.from_rational
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +429,12 @@ class _LatticeModel:
 
     characters[i][j] is the character of lambda_{i+1,j+1}: an integer vector
     of length rank whose first coordinate lives in Z/torsion and whose other
-    coordinates are exact.  Subclasses call ``_set_lattice`` in their
-    constructor and say how to turn a reduced character back into a scalar.
+    coordinates are exact.  Subclasses set ``field``, the field their scalars
+    live in, call ``_set_lattice`` in their constructor and say how to turn a
+    reduced character back into a scalar.
     """
+
+    field: CyclotomicField
 
     def _set_lattice(self, torsion: int, rank: int, characters) -> None:
         self.torsion, self.rank = torsion, rank
@@ -547,6 +475,15 @@ class _LatticeModel:
     def _scalar_of(self, key: tuple[int, ...]) -> Scalar:
         raise NotImplementedError
 
+    def one(self) -> Scalar:
+        return self.field.one
+
+    def zero(self) -> Scalar:
+        return self.field.zero
+
+    def scalar(self, value: _RatLike) -> Scalar:
+        return self.field.from_rational(value)
+
 
 class RationalModel(_LatticeModel):
     """Parameters lambda_{i,j} given as explicit nonzero rationals.
@@ -557,6 +494,8 @@ class RationalModel(_LatticeModel):
     integers > 1 are multiplicatively independent, so the character of a
     product of parameters is zero exactly when the product is 1.
     """
+
+    field = QQ
 
     def __init__(self, values: Sequence[Sequence[_RatLike]]):
         self.n = len(values)
@@ -583,26 +522,17 @@ class RationalModel(_LatticeModel):
         num, den = abs(v.numerator), v.denominator
         return (int(v < 0),) + tuple(_valuation(num, b) - _valuation(den, b) for b in self.base)
 
-    def _scalar_of(self, key: tuple[int, ...]) -> RationalScalar:
+    def _scalar_of(self, key: tuple[int, ...]) -> CyclotomicScalar:
         num, den = 1, 1
         for b, e in zip(self.base, key[1:]):
             if e > 0:
                 num *= b**e
             elif e < 0:
                 den *= b**-e
-        return RationalScalar(Fraction(-num if key[0] else num, den))
+        return QQ._make([-num if key[0] else num], den)
 
-    def one(self) -> RationalScalar:
-        return RationalScalar(1)
-
-    def zero(self) -> RationalScalar:
-        return RationalScalar(0)
-
-    def scalar(self, value: _RatLike) -> RationalScalar:
-        return RationalScalar(value)
-
-    def lambda_entry(self, i: int, j: int) -> RationalScalar:
-        return RationalScalar(self.values[i - 1][j - 1])
+    def lambda_entry(self, i: int, j: int) -> CyclotomicScalar:
+        return QQ.from_rational(self.values[i - 1][j - 1])
 
     def is_free_of_maximal_rank(self) -> bool:
         """Whether the lambda_{i,j} (i<j) generate a free group of rank n(n-1)/2.
@@ -614,7 +544,7 @@ class RationalModel(_LatticeModel):
         from .linalg import span_rank
 
         vectors = [
-            {c: RationalScalar(e) for c, e in enumerate(self.characters[i][j][1:]) if e}
+            {c: QQ.from_rational(e) for c, e in enumerate(self.characters[i][j][1:]) if e}
             for i in range(self.n)
             for j in range(i + 1, self.n)
         ]
@@ -657,15 +587,6 @@ class CyclotomicModel(_LatticeModel):
 
     def _scalar_of(self, key: tuple[int, ...]) -> CyclotomicScalar:
         return self.field.zeta_power(key[0])
-
-    def one(self) -> CyclotomicScalar:
-        return self.field.one
-
-    def zero(self) -> CyclotomicScalar:
-        return self.field.zero
-
-    def scalar(self, value: _RatLike) -> CyclotomicScalar:
-        return self.field.from_rational(value)
 
     def lambda_entry(self, i: int, j: int) -> CyclotomicScalar:
         return self.field.zeta_power(self.exponents[i - 1][j - 1])

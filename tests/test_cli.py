@@ -11,6 +11,7 @@ from hochhom import koszul
 from hochhom.cli import (
     MAX_CYCLOTOMIC_ORDER,
     MAX_PARAMETER_DIGITS,
+    build_parser,
     emit_config,
     load_config,
     parse_config,
@@ -270,3 +271,33 @@ def test_cochain_text_format():
     assert cochain_lines(phi) == ["y2 -> y2"]
     psi = Cochain(spec, 0, {(): PbwElement.one(spec)})
     assert cochain_lines(psi) == ["1 -> 1"]
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(capsys):
+    assert build_parser() is build_parser()
+    argv = ["hh", "--config", "weyl(1)", "--wmin", "-2", "--wmax", "2", "--format", "json"]
+    assert run(argv + ["--representatives"]) == 0
+    (first,) = json.loads(capsys.readouterr().out)["entries"]
+    assert "representatives" in first
+    assert run(argv) == 0
+    (second,) = json.loads(capsys.readouterr().out)["entries"]
+    assert second == {"w": -2, "k": 2, "dim": 1}
+
+
+def test_order_one_cyclotomic_config_prints_as_its_rational_twin(capsys, tmp_path):
+    # Q(zeta_1) is Q, so zeta_1^E = 1 and the rational config with all
+    # parameters 1 is the same algebra; its coefficients print the same way.
+    twin = tmp_path / "ones.json"
+    twin.write_text(
+        json.dumps(
+            {"n": 2, "r": 1, "scalar": {"type": "rational", "values": [["1", "1"], ["1", "1"]]}}
+        )
+    )
+    entries = []
+    for config in ("mixed-minimal(1)", str(twin)):
+        argv = ["hh", "--config", config, "--wmin", "-3", "--wmax", "3", "--representatives",
+                "--format", "json"]
+        assert run(argv) == 0
+        entries.append(json.loads(capsys.readouterr().out)["entries"])
+    assert entries[0] == entries[1]
+    assert any(entry.get("representatives") for entry in entries[0])

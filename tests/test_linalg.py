@@ -20,7 +20,7 @@ from hochhom.linalg import (
     span_rank,
     subquotient_dim,
 )
-from hochhom.scalar import RationalScalar
+from hochhom.scalar import QQ
 
 
 def _sparse_from_lists(rows):
@@ -28,7 +28,7 @@ def _sparse_from_lists(rows):
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if v:
-                entries[(i, j)] = RationalScalar(Fraction(v))
+                entries[(i, j)] = QQ.from_rational(Fraction(v))
     return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries)
 
 
@@ -46,7 +46,7 @@ def test_rank_kernel_small_example():
     assert len(kernel) == 1
     vec = kernel[0]
     # kernel vector must satisfy the equations exactly
-    assert vec.get(0, RationalScalar(0)).value * 1 + vec.get(1, RationalScalar(0)).value * 2 == 0
+    assert vec.get(0, QQ.zero) * 1 + vec.get(1, QQ.zero) * 2 == 0
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -74,14 +74,14 @@ def test_span_rank_matches_sympy():
     for _ in range(6):
         rows = _random_rows(rng, rng.randint(1, 6), 5)
         vectors = [
-            {j: RationalScalar(Fraction(v)) for j, v in enumerate(row) if v} for row in rows
+            {j: QQ.from_rational(Fraction(v)) for j, v in enumerate(row) if v} for row in rows
         ]
         assert span_rank(vectors) == sympy.Matrix(rows).rank()
 
 
 def test_subquotient_dim_exact():
     # cycles = span{e0, e1, e2}, boundaries = span{e0 + e1} -> dim 2
-    one = RationalScalar(1)
+    one = QQ.from_rational(1)
     cycles = [{0: one}, {1: one}, {2: one}]
     boundaries = [{0: one, 1: one}]
     dim, reps = subquotient_dim(cycles, boundaries)
@@ -90,7 +90,7 @@ def test_subquotient_dim_exact():
 
 
 def test_subquotient_rejects_non_subspace():
-    one = RationalScalar(1)
+    one = QQ.from_rational(1)
     cycles = [{0: one}]
     boundaries = [{1: one}]
     with pytest.raises(NotASubspace):
@@ -112,10 +112,10 @@ def test_subquotient_matches_sympy_quotient():
             for row in combo
         ]
         cycles = [
-            {j: RationalScalar(Fraction(v)) for j, v in enumerate(r) if v} for r in cycle_rows
+            {j: QQ.from_rational(Fraction(v)) for j, v in enumerate(r) if v} for r in cycle_rows
         ]
         boundaries = [
-            {j: RationalScalar(Fraction(v)) for j, v in enumerate(r) if v}
+            {j: QQ.from_rational(Fraction(v)) for j, v in enumerate(r) if v}
             for r in boundary_rows
         ]
         boundaries = [b for b in boundaries if b]
@@ -131,10 +131,10 @@ def test_compose_and_transpose():
     a = _sparse_from_lists([[1, 0], [2, 1]])
     b = _sparse_from_lists([[1, 1], [0, 3]])
     ab = a.compose(b)
-    assert ab.entries[(0, 0)].value == 1
-    assert ab.entries[(1, 1)].value == 5
+    assert ab.entries[(0, 0)] == 1
+    assert ab.entries[(1, 1)] == 5
     t = a.transpose()
-    assert t.entries[(0, 1)].value == 2
+    assert t.entries[(0, 1)] == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,7 +176,7 @@ def test_subquotient_representatives_match_greedy_reference(seed):
     ]
 
     def vectors(rows):
-        out = [{j: RationalScalar(Fraction(v)) for j, v in enumerate(r) if v} for r in rows]
+        out = [{j: QQ.from_rational(Fraction(v)) for j, v in enumerate(r) if v} for r in rows]
         return [v for v in out if v]
 
     cycles, boundaries = vectors(cycle_rows), vectors(boundary_rows)
@@ -189,7 +189,7 @@ def test_complex_with_nonzero_square_is_broken():
     d1 = _sparse_from_lists([[1, 0]])
     d2 = _sparse_from_lists([[1], [1]])
     with pytest.raises(ComplexBroken):
-        complex_homology({1: d1, 2: d2}, RationalScalar(1))
+        complex_homology({1: d1, 2: d2}, QQ.from_rational(1))
 
 
 def test_non_exact_complex_reports_degree_and_witness():
@@ -197,7 +197,7 @@ def test_non_exact_complex_reports_degree_and_witness():
     # spanned by the class of e1.
     d1 = _sparse_from_lists([[0, 0, 1]])
     d2 = _sparse_from_lists([[1], [0], [0]])
-    one = RationalScalar(1)
+    one = QQ.from_rational(1)
     dims, reps = complex_homology({1: d1, 2: d2}, one)
     assert dims == {0: 0, 1: 1, 2: 0}
     assert reps == {}
