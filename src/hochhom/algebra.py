@@ -13,12 +13,20 @@ using the defining relations
 and, for each Weyl pair, the closed reorder
 
     y_i^b x_i^c = sum_t (-1)^t t! C(b,t) C(c,t) x_i^{c-t} y_i^{b-t}.
+
+Every product reduces to products of basis monomials, and the normal form of
+each pair (left, right) is computed once per ``AlgebraSpec`` and kept in its
+``product_table``.  The cochain differential, the duality check and the
+generic Koszul differential all multiply a monomial by one generator, so
+they meet the same few pairs many times.  Table entries are shared and
+read-only: a caller that needs a mutable result copies the entry.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from .errors import IndexOutOfRange, ModelMismatch
 from .scalar import AlgebraSpec, Scalar
@@ -38,6 +46,13 @@ def generator_name(spec: AlgebraSpec, index: int) -> str:
     if index <= spec.r:
         return f"x{index}"
     return f"y{index - spec.r}"
+
+
+def generator_monomial(spec: AlgebraSpec, index: int) -> Monomial:
+    """The exponent vector of the generator v_index (1-based)."""
+    if not (1 <= index <= spec.num_generators):
+        raise IndexOutOfRange(f"generator index {index} out of range")
+    return tuple(1 if k == index - 1 else 0 for k in range(spec.num_generators))
 
 
 def monomial_str(spec: AlgebraSpec, mono: Monomial) -> str:
@@ -83,10 +98,7 @@ class PbwElement:
     @classmethod
     def generator(cls, spec: AlgebraSpec, index: int) -> "PbwElement":
         """The generator v_index (x_index if index <= r, else y_{index-r})."""
-        if not (1 <= index <= spec.num_generators):
-            raise IndexOutOfRange(f"generator index {index} out of range")
-        mono = tuple(1 if k == index - 1 else 0 for k in range(spec.num_generators))
-        return cls.monomial(spec, mono)
+        return cls.monomial(spec, generator_monomial(spec, index))
 
     # -- linear structure ---------------------------------------------------
 
@@ -155,8 +167,26 @@ class PbwElement:
         return f"PbwElement({self})"
 
 
-def normal_mul_monomials(spec: AlgebraSpec, left: Monomial, right: Monomial) -> dict[Monomial, Scalar]:
-    """Normal form of the product of two basis monomials.
+def normal_mul_monomials(
+    spec: AlgebraSpec, left: Monomial, right: Monomial
+) -> Mapping[Monomial, Scalar]:
+    """Normal form of the product of two basis monomials, computed once per spec.
+
+    The first call for a pair (left, right) rewrites the product and stores
+    it in ``spec.product_table``; later calls return the stored entry.  The
+    entry is a read-only view shared by every caller: iterate it, or copy it
+    with ``dict(...)`` to get a mutable result.
+    """
+    table = spec.product_table
+    key = (left, right)
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = MappingProxyType(normal_mul_uncached(spec, left, right))
+    return entry
+
+
+def normal_mul_uncached(spec: AlgebraSpec, left: Monomial, right: Monomial) -> dict[Monomial, Scalar]:
+    """Normal form of the product of two basis monomials, rewritten afresh.
 
     Returns the resulting exponent vectors with their scalar coefficients.
     The rewriting proceeds in three stages: move the x-block of the right
@@ -201,7 +231,34 @@ def normal_mul_monomials(spec: AlgebraSpec, left: Monomial, right: Monomial) -> 
     return {m: c for m, c in out.items() if not c.is_zero()}
 
 
-def commutator_with_generator(spec: AlgebraSpec, index: int, element: PbwElement) -> PbwElement:
-    """The commutator [v_index, element] = v_index * element - element * v_index."""
-    v = PbwElement.generator(spec, index)
-    return v * element - element * v
+def commutator_with_generator(
+    spec: AlgebraSpec,
+    index: int,
+    element: PbwElement,
+    left: Scalar | None = None,
+    right: Scalar | None = None,
+) -> PbwElement:
+    """The braided commutator left * v_index * element - right * element * v_index.
+
+    ``left`` and ``right`` default to 1, giving [v_index, element].  The terms
+    keep the order of ``(v * element).scale(left) - (element * v).scale(right)``
+    for the generator v, without building those elements: matrices built from
+    the cochain differential take their row order from it.
+    """
+    v = generator_monomial(spec, index)
+
+    def products(coeff: Scalar | None, generator_first: bool) -> dict[Monomial, Scalar]:
+        out: dict[Monomial, Scalar] = {}
+        for mono, c in element.terms.items():
+            if coeff is not None:
+                c = c * coeff
+            pair = (v, mono) if generator_first else (mono, v)
+            for prod, factor in normal_mul_monomials(spec, *pair).items():
+                contrib = c * factor
+                out[prod] = out[prod] + contrib if prod in out else contrib
+        return {m: c for m, c in out.items() if not c.is_zero()}
+
+    out = products(left, True)
+    for mono, c in products(right, False).items():
+        out[mono] = out[mono] - c if mono in out else -c
+    return PbwElement(spec, out)

@@ -10,9 +10,10 @@ Subcommands:
   suite reports how many cases it checked; a suite that checked none is
   ``vacuous``, not ``pass``.
 
-Exit codes: 0 success, 1 a verification or oracle failure, 2 a config error,
-3 an internal failure of the computation (a ``HochhomError`` such as a broken
-complex), reported on one stderr line.
+Exit codes: 0 success, 1 a verification or oracle failure, 2 a config error
+or a negative ``--trunc``/``--bound`` window, 3 an internal failure of the
+computation (a ``HochhomError`` such as a broken complex), each error
+reported on one stderr line.
 
 Configs are JSON documents (``{"n": .., "r": .., "scalar": {..}}``) or one of
 the built-in presets ``weyl(n)``, ``semiclassical(n,order,e)``, ``free(n,r)``,
@@ -463,6 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A negative window holds no monomials, so every answer from it would be vacuous.
+    for option in ("trunc", "bound"):
+        value = getattr(args, option, 0)
+        if value < 0:
+            print(f"argument error: --{option} must be >= 0, got {value}", file=sys.stderr)
+            return 2
     try:
         spec = load_config(args.config)
         handler = {

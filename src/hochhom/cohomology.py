@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Monomial, PbwElement
+from .algebra import Monomial, PbwElement, commutator_with_generator
 from .errors import IndexOutOfRange, UnsupportedDegree
 from .homology import strand_homology
-from .koszul import ChainElement, ChainGenerator, diff_full, monomials_up_to
+from .koszul import ChainElement, ChainGenerator, apply_diff, diff_full, monomials_up_to
 from .linalg import complex_homology, matrix_of, rank_kernel
 from .scalar import AlgebraSpec, Scalar
 
@@ -110,26 +110,31 @@ class Cochain:
 
 
 def D_apply(spec: AlgebraSpec, phi: Cochain) -> Cochain:
-    """The cochain differential: alternating braided commutators with v_{i_k}."""
+    """The cochain differential: alternating braided commutators with v_{i_k}.
+
+    Only the wedges I = sub + {j} with phi(sub) nonzero can have a nonzero
+    value; they are visited in ``all_wedges`` order.
+    """
     star = phi.degree
     m = spec.num_generators
     if star >= m:
         return Cochain(spec, star + 1, {})
+    reached = {
+        tuple(sorted(sub + (j,))) for sub in phi.values for j in range(1, m + 1) if j not in sub
+    }
     out: dict[WedgeIndex, PbwElement] = {}
-    for I in all_wedges(spec, star + 1):
+    for I in sorted(reached):
         total = PbwElement.zero(spec)
         for k, ik in enumerate(I, start=1):
-            sub = tuple(t for t in I if t != ik)
-            val = phi.value(sub)
-            if val.is_zero():
+            val = phi.values.get(I[: k - 1] + I[k:])
+            if val is None:
                 continue
-            v = PbwElement.generator(spec, ik)
+            sign = (-1) ** (k - 1)
             left = spec.lambda_tilde_power_product((I[s - 1], ik, 1) for s in range(1, k))
             right = spec.lambda_tilde_power_product(
                 (ik, I[s - 1], 1) for s in range(k + 1, star + 2)
             )
-            sign = spec.scalar((-1) ** (k - 1))
-            total = total + ((v * val).scale(left) - (val * v).scale(right)).scale(sign)
+            total = total + commutator_with_generator(spec, ik, val, left * sign, right * sign)
         if not total.is_zero():
             out[I] = total
     return Cochain(spec, star + 1, out)
@@ -193,8 +198,8 @@ def Delta_apply(spec: AlgebraSpec, c: DualChain) -> DualChain:
             right = spec.lambda_tilde_power_product(
                 (jk, J[s - 1], 1) for s in range(k + 1, len(J) + 1)
             )
-            v = PbwElement.generator(spec, jk)
-            value = (a * v).scale(left) - (v * a).scale(right)
+            # left * a v_jk - right * v_jk a
+            value = commutator_with_generator(spec, jk, a, -right, -left)
             if value.is_zero():
                 continue
             new_I = tuple(sorted(I + (jk,)))
@@ -251,10 +256,7 @@ def phi2_inv(spec: AlgebraSpec, c: DualChain) -> ChainElement:
 
 def delta_by_conjugation(spec: AlgebraSpec, c: DualChain) -> DualChain:
     """Phi_2 . d . Phi_2^{-1}: the definitional route for Delta."""
-    chain = phi2_inv(spec, c)
-    image = ChainElement.zero(spec)
-    for g, coeff in chain.terms.items():
-        image = image + diff_full(spec, g).scale(coeff)
+    image = apply_diff(spec, diff_full, phi2_inv(spec, c))
     if image.is_zero():
         return DualChain(spec, c.degree + 1, {})
     return phi2(spec, image)
@@ -375,8 +377,8 @@ def _commutators(spec: AlgebraSpec, mono: Monomial) -> list[tuple[tuple[int, Mon
     elem = PbwElement.monomial(spec, mono)
     terms = []
     for i in range(1, spec.num_generators + 1):
-        v = PbwElement.generator(spec, i)
-        terms.extend(((i, out_mono), c) for out_mono, c in (v * elem - elem * v).terms.items())
+        commutator = commutator_with_generator(spec, i, elem)
+        terms.extend(((i, out_mono), c) for out_mono, c in commutator.terms.items())
     return terms
 
 

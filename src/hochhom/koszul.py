@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 from operator import mul, sub
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
-from .algebra import PbwElement, generator_name, monomial_str
+from .algebra import generator_monomial, generator_name, monomial_str, normal_mul_monomials
 from .errors import (
     IndexOutOfRange,
     ModelMismatch,
@@ -264,11 +264,11 @@ def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     m = spec.num_generators
     G = g.wedge
     k_total = sum(G)
-    poly = PbwElement.monomial(spec, g.mono)
+    poly = g.mono
     out: dict[ChainGenerator, Scalar] = {}
 
-    def accumulate(product: PbwElement, coeff: Scalar, new_wedge: Exponents):
-        for mono, c in product.terms.items():
+    def accumulate(product: Mapping[Exponents, Scalar], coeff: Scalar, new_wedge: Exponents):
+        for mono, c in product.items():
             gen = ChainGenerator(mono, new_wedge)
             contrib = coeff * c
             out[gen] = out[gen] + contrib if gen in out else contrib
@@ -276,18 +276,18 @@ def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     for i in range(1, m + 1):
         if not G[i - 1]:
             continue
-        v_i = PbwElement.generator(spec, i)
+        v_i = generator_monomial(spec, i)
         new_wedge = _without(G, i - 1)
         sign_omega = (-1) ** sum(G[: i - 1])
         omega = spec.lambda_tilde_power_product(
             (k, i, G[k - 1]) for k in range(1, i) if G[k - 1]
         ) * sign_omega
-        accumulate(poly * v_i, omega, new_wedge)
+        accumulate(normal_mul_monomials(spec, poly, v_i), omega, new_wedge)
         sign_theta = (-1) ** (k_total + sum(G[i:]))
         theta = spec.lambda_tilde_power_product(
             (i, k, G[k - 1]) for k in range(i + 1, m + 1) if G[k - 1]
         ) * sign_theta
-        accumulate(v_i * poly, theta, new_wedge)
+        accumulate(normal_mul_monomials(spec, v_i, poly), theta, new_wedge)
     return ChainElement(spec, out)
 
 
@@ -591,10 +591,12 @@ def apply_diff(
     elem: ChainElement,
 ) -> ChainElement:
     """Extend a differential given on generators linearly to a chain."""
-    out = ChainElement.zero(spec)
+    out: dict[ChainGenerator, Scalar] = {}
     for g, c in elem.terms.items():
-        out = out + diff(spec, g).scale(c)
-    return out
+        for h, d in diff(spec, g).terms.items():
+            contrib = d * c
+            out[h] = out[h] + contrib if h in out else contrib
+    return ChainElement(spec, out)
 
 
 # ---------------------------------------------------------------------------

@@ -748,6 +748,11 @@ class AlgebraSpec:
         """Per-spec memo of data decided once per block key (``koszul.bad_columns``)."""
         return {}
 
+    @cached_property
+    def product_table(self) -> dict:
+        """Per-spec table of PBW monomial products (``algebra.normal_mul_monomials``)."""
+        return {}
+
     def is_semiclassical(self) -> bool:
         return self.r == self.n
 

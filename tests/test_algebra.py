@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hochhom import algebra
 from hochhom.algebra import (
     PbwElement,
     commutator_with_generator,
     generator_name,
     monomial_str,
     normal_mul_monomials,
+    normal_mul_uncached,
     weyl_reorder_coefficient,
 )
+from hochhom.cli import load_config, verify_complex
+from hochhom.cohomology import cohomology_report
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
 
 
@@ -145,6 +150,41 @@ def test_monomial_product_matches_naive_rewriter(make_spec):
         } == expected
 
 
+@pytest.mark.parametrize("config", ["semiclassical(2,4,1)", "mixed-minimal(3)"])
+def test_product_table_holds_each_pair_once_and_unchanged(config, monkeypatch):
+    # Every PBW product of the complex check and the cohomology report goes
+    # through the spec's table; a caller writing into a shared entry would
+    # corrupt every later product of the same pair.
+    spec = load_config(config)
+    computed = Counter()
+
+    def counting(spec_, left, right):
+        computed[left, right] += 1
+        return normal_mul_uncached(spec_, left, right)
+
+    monkeypatch.setattr(algebra, "normal_mul_uncached", counting)
+    checked, failures = verify_complex(spec, 3)
+    assert checked and not failures
+    cohomology_report(spec, range(spec.num_generators + 1), 3)
+    table = spec.product_table
+    assert table and set(computed) == set(table)
+    assert set(computed.values()) == {1}
+    for (left, right), entry in table.items():
+        assert dict(entry) == normal_mul_uncached(spec, left, right)
+
+
+def test_product_table_entries_are_read_only():
+    spec = semiclassical_spec()
+    left, right = (0, 1, 1, 0), (1, 0, 0, 1)
+    entry = normal_mul_monomials(spec, left, right)
+    assert normal_mul_monomials(spec, left, right) is entry
+    with pytest.raises(TypeError):
+        entry[left] = spec.one()
+    copy = dict(entry)
+    copy[left] = spec.one()
+    assert dict(normal_mul_monomials(spec, left, right)) == normal_mul_uncached(spec, left, right)
+
+
 def test_weyl_defining_relation():
     spec = weyl_spec()
     x = PbwElement.generator(spec, 1)
@@ -191,6 +231,24 @@ def test_commutator_with_generator():
     y = PbwElement.generator(spec, 2)
     assert commutator_with_generator(spec, 1, y) == PbwElement.one(spec)
     assert commutator_with_generator(spec, 2, y).is_zero()
+
+
+@pytest.mark.parametrize("make_spec", ALL_SPECS)
+def test_braided_commutator_matches_element_arithmetic(make_spec):
+    spec = make_spec()
+    rng = random.Random(5)
+    m = spec.num_generators
+    for _ in range(10):
+        elem = PbwElement(spec, {
+            tuple(rng.randint(0, 2) for _ in range(m)): spec.scalar(rng.randint(-3, 3))
+            for _ in range(3)
+        })
+        left, right = spec.scalar(rng.randint(1, 3)), spec.lambda_tilde(1, m)
+        for i in range(1, m + 1):
+            v = PbwElement.generator(spec, i)
+            want = (v * elem).scale(left) - (elem * v).scale(right)
+            got = commutator_with_generator(spec, i, elem, left, right)
+            assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_monomial_text_format():

@@ -301,3 +301,28 @@ def test_order_one_cyclotomic_config_prints_as_its_rational_twin(capsys, tmp_pat
         entries.append(json.loads(capsys.readouterr().out)["entries"])
     assert entries[0] == entries[1]
     assert any(entry.get("representatives") for entry in entries[0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--config", "weyl(1)", "--bound", "-1"],
+     ["verify", "--config", "weyl(1)", "--suite", "duality", "--bound", "-3"],
+     ["cohh", "--config", "weyl(1)", "--trunc", "-1"]],
+    ids=["verify-all", "verify-duality", "cohh"],
+)
+def test_negative_window_exits_2_on_one_line(capsys, argv):
+    # A window below 0 holds no monomial: answering would compare nothing.
+    code = run(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    option = "--trunc" if argv[0] == "cohh" else "--bound"
+    assert captured.err == f"argument error: {option} must be >= 0, got {argv[-1]}\n"
+
+
+def test_zero_window_still_answers(capsys):
+    # The center of A_1 is k, which a window of degree 0 already sees.
+    assert run(["cohh", "--config", "weyl(1)", "--trunc", "0", "--format", "json"]) == 0
+    dims = {e["degree"]: e["dim"] for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert dims[0] == 1
+    assert run(["verify", "--config", "weyl(1)", "--suite", "complex", "--bound", "0"]) == 0

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hochhom.algebra import PbwElement
 from hochhom.cohomology import (
@@ -127,6 +129,79 @@ def test_D_degree_zero_is_commutator():
     image = D_apply(spec, Cochain(spec, 0, {(): z}))
     # [x1, z] = (1 - lambda_{1,2}) x1 z with lambda_{1,2} = 1/2
     assert image.value((1,)) == PbwElement.monomial(spec, (1, 0, 1), spec.scalar(Fraction(1, 2)))
+
+
+def D_apply_all_wedges(spec, phi):
+    """Reference D: every (degree+1)-wedge and every removal, zero values included."""
+    star = phi.degree
+    out = {}
+    for I in all_wedges(spec, star + 1):
+        total = PbwElement.zero(spec)
+        for k, ik in enumerate(I, start=1):
+            sub = tuple(t for t in I if t != ik)
+            val = phi.value(sub)
+            if val.is_zero():
+                continue
+            v = PbwElement.generator(spec, ik)
+            left = spec.lambda_tilde_power_product((I[s - 1], ik, 1) for s in range(1, k))
+            right = spec.lambda_tilde_power_product(
+                (ik, I[s - 1], 1) for s in range(k + 1, star + 2)
+            )
+            sign = spec.scalar((-1) ** (k - 1))
+            total = total + ((v * val).scale(left) - (val * v).scale(right)).scale(sign)
+        if not total.is_zero():
+            out[I] = total
+    return Cochain(spec, star + 1, out)
+
+
+# One rational spec and one over Q(zeta_4) (lambda_{1,2} = zeta_4), both with n + r = 4.
+D_SPECS = {
+    "rational": semiclassical_spec(),
+    "zeta4": AlgebraSpec(2, 2, CyclotomicModel(4, [[0, 1], [-1, 0]])),
+}
+
+
+@st.composite
+def random_cochains(draw, spec, degree):
+    """A degree-``degree`` cochain with several nonzero values of several terms each."""
+    m = spec.num_generators
+    wedges = all_wedges(spec, degree)
+    chosen = draw(
+        st.lists(st.sampled_from(wedges), min_size=min(3, len(wedges)), max_size=4, unique=True)
+    )
+    zeta = spec.lambda_tilde(1, 2)
+    values = {}
+    for I in chosen:
+        terms = draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * m),
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=2,
+                max_size=4,
+            )
+        )
+        value = PbwElement(
+            spec, {mono: spec.scalar(a) + zeta * spec.scalar(b) for mono, (a, b) in terms.items()}
+        )
+        assume(len(value.terms) >= 2)
+        values[I] = value
+    return Cochain(spec, degree, values)
+
+
+@pytest.mark.parametrize("name", sorted(D_SPECS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sparse_D_matches_the_all_wedges_loop(name, data):
+    spec = D_SPECS[name]
+    for degree in range(spec.num_generators):
+        phi = data.draw(random_cochains(spec, degree))
+        got, want = D_apply(spec, phi), D_apply_all_wedges(spec, phi)
+        assert got == want
+        # Same wedge order and the same term order within each value, so the
+        # matrices built from D have the same rows in the same order.
+        assert list(got.values) == list(want.values)
+        for I, value in want.values.items():
+            assert list(got.values[I].terms.items()) == list(value.terms.items())
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)

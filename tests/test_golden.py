@@ -35,11 +35,16 @@ CASES = {
         "hh", "--config", str(GOLDEN / "hh-signed-rational-3-1.json"), "--wmin", "-4", "--wmax", "4"
     ],
     "cohh-mixed-minimal-3": ["cohh", "--config", "mixed-minimal(3)", "--trunc", "3"],
+    "cohh-weyl-2": ["cohh", "--config", "weyl(2)", "--trunc", "2"],
+    "cohh-semiclassical-2-4-1": ["cohh", "--config", "semiclassical(2,4,1)", "--trunc", "3"],
     "verify-mixed-minimal-2": [
         "verify", "--config", "mixed-minimal(2)", "--suite", "all", "--bound", "2"
     ],
     "verify-semiclassical-2-4-1": [
         "verify", "--config", "semiclassical(2,4,1)", "--suite", "all", "--bound", "2"
+    ],
+    "verify-complex-semiclassical-2-4-1": [
+        "verify", "--config", "semiclassical(2,4,1)", "--suite", "complex", "--bound", "3"
     ],
     "oracle-free-2-1": ["oracle", "--config", "free(2,1)"],
 }
