@@ -10,10 +10,12 @@ Subcommands:
   suite reports how many cases it checked; a suite that checked none is
   ``vacuous``, not ``pass``.
 
-Exit codes: 0 success, 1 a verification or oracle failure, 2 a config error
-or a negative ``--trunc``/``--bound`` window, 3 an internal failure of the
-computation (a ``HochhomError`` such as a broken complex), each error
-reported on one stderr line.
+Exit codes: 0 success, 1 a verification or oracle failure, 2 a config error,
+a negative ``--trunc``/``--bound`` window or an empty ``--wmin``..``--wmax``
+range, 3 an internal failure of the computation (a ``HochhomError`` such as a
+broken complex), each error reported on one stderr line.  An ``oracle`` whose
+window lies wholly below the lowest weight -(n+r) compares nothing and
+reports ``vacuous``.
 
 Configs are JSON documents (``{"n": .., "r": .., "scalar": {..}}``) or one of
 the built-in presets ``weyl(n)``, ``semiclassical(n,order,e)``, ``free(n,r)``,
@@ -390,7 +392,7 @@ def _cmd_oracle(spec: AlgebraSpec, args) -> tuple[int, dict]:
         "config": emit_config(spec),
         "wmin": report.w_min,
         "wmax": report.w_max,
-        "status": "pass" if not mismatches else "fail",
+        "status": "fail" if mismatches else "pass" if report.strands else "vacuous",
         "mismatches": mismatches,
     }
     return (0 if not mismatches else 1), doc
@@ -470,6 +472,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         if value < 0:
             print(f"argument error: --{option} must be >= 0, got {value}", file=sys.stderr)
             return 2
+    if getattr(args, "wmin", 0) > getattr(args, "wmax", 0):
+        print(f"argument error: --wmin {args.wmin} exceeds --wmax {args.wmax}", file=sys.stderr)
+        return 2
     try:
         spec = load_config(args.config)
         handler = {

@@ -5,6 +5,14 @@ rationals being Q(zeta_1); rank, kernel and subquotient computations are
 ordinary Gaussian elimination with a fill-minimizing pivot heuristic.
 Exactness makes the pivot order a pure performance choice, except that it
 fixes which coset representatives are reported.
+
+Homology ranks are certified modular ranks.  ``homology_picks`` checks
+d_{k-1} d_k = 0 exactly, then ranks every d_k over GF(p) for the field's
+prime p (``CyclotomicField.residue_map``).  A rank can only drop mod p, and
+d d = 0 gives rank d_k + rank d_{k+1} <= dim C_k, so a degree where the
+modular ranks sum to dim C_k certifies both, as rank_p = min(rows, cols)
+certifies one map.  The other ranks fall back to exact elimination, and
+kernels and representatives are computed only where homology survives.
 """
 from __future__ import annotations
 
@@ -169,6 +177,50 @@ def span_rank(vectors: Sequence[Vector]) -> int:
     return len(_eliminate(vectors))
 
 
+def _rank_mod_p(matrix: SparseMatrix) -> Optional[int]:
+    """The rank of the residues of the entries, or None when p divides a denominator."""
+    if not matrix.entries:
+        return 0
+    field = next(iter(matrix.entries.values())).field
+    p = field.residue_map[0]
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), v in matrix.entries.items():
+        c = field.residue(v)
+        if c is None:
+            return None
+        if c:
+            rows.setdefault(i, {})[j] = c
+    # Echelon form by leading column; each pivot row is scaled to lead with 1.
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows.values():
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: c * inv % p for j, c in row.items()}
+                break
+            factor = row[lead]
+            for j, c in pivot.items():
+                c = (row.get(j, 0) - factor * c) % p
+                if c:
+                    row[j] = c
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+def _certified_ranks(d: dict[int, SparseMatrix]) -> dict[int, Optional[int]]:
+    """rank d_k where the modular ranks certify it, else None; d d = 0 is checked already."""
+    modular = {k: _rank_mod_p(matrix) for k, matrix in d.items()}
+    certified = {k for k, r in modular.items() if r == min(d[k].rows, d[k].cols)}
+    for k, matrix in d.items():
+        r, above = modular[k], modular.get(k + 1, 0)
+        if r is not None and above is not None and r + above == matrix.cols:
+            certified |= {k, k + 1}
+    return {k: r if k in certified else None for k, r in modular.items()}
+
+
 def _reduce_against(vec: Vector, reduced: Sequence[tuple[int, Vector]]) -> Vector:
     """Reduce vec against (pivot, row) pairs, each row free of the earlier pivots."""
     out = dict(vec)
@@ -227,7 +279,7 @@ def complex_homology(
     min(differentials) - 1 through max(differentials).  Returns dim H_k =
     dim C_k - rank d_k - rank d_{k+1} for every degree, and coset
     representatives of H_k (coordinate vectors over C_k) for the degrees in
-    ``representatives``; kernels are computed for those degrees only.
+    ``representatives``; kernels are computed only there and where H_k != 0.
     Raises ComplexBroken when some d_{k-1} d_k is nonzero.
     """
     dims, picks = homology_picks(differentials, one, representatives)
@@ -252,19 +304,18 @@ def homology_picks(
             raise ComplexBroken(f"d_{k - 1} d_{k} is not zero")
     low = min(differentials) - 1
     d = {low: SparseMatrix(0, differentials[low + 1].rows), **differentials}
-    ranks: dict[int, int] = {}
-    kernels: dict[int, list[Vector]] = {}
-    for k, matrix in d.items():
-        if k in representatives:
-            ranks[k], kernels[k] = rank_kernel(matrix, one=one)
-        else:
-            ranks[k] = span_rank(list(_rows(matrix).values()))
+    ranks = {
+        k: span_rank(list(_rows(d[k]).values())) if rank is None else rank
+        for k, rank in _certified_ranks(d).items()
+    }
     dims = {k: d[k].cols - ranks[k] - ranks.get(k + 1, 0) for k in sorted(d)}
-    picks = {}
-    for k, kernel in kernels.items():
-        columns = sorted(_rows(d[k + 1].transpose()).items()) if k + 1 in d else []
-        picks[k] = [
-            (next(iter(kernel[index])), rep)
-            for index, rep in _pick_cosets(kernel, [col for _, col in columns])
-        ]
+    picks: dict[int, list[tuple[int, Vector]]] = {k: [] for k in d if k in representatives}
+    for k in picks:
+        if dims[k]:
+            _, kernel = rank_kernel(d[k], one=one)
+            columns = sorted(_rows(d[k + 1].transpose()).items()) if k + 1 in d else []
+            picks[k] = [
+                (next(iter(kernel[index])), rep)
+                for index, rep in _pick_cosets(kernel, [col for _, col in columns])
+            ]
     return dims, picks

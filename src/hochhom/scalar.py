@@ -105,6 +105,20 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Scalars.
 # ---------------------------------------------------------------------------
@@ -136,6 +150,33 @@ class CyclotomicField:
         self._units: dict[tuple, int] | None = None
         self.zero = CyclotomicScalar(self, (0,) * phi)
         self.one = self.zeta_power(0)
+
+    @cached_property
+    def residue_map(self) -> tuple[int, tuple[int, ...]]:
+        """The first prime p = 1 (mod m) above 2^30, and the images of zeta^0..zeta^(phi-1).
+
+        zeta maps to g = a^((p-1)/m) for the first a >= 2 giving g of order m, so
+        Phi_m(g) = 0 mod p and ``residue`` is a ring map where it is defined.
+        """
+        m = self.order
+        p = (2**30 // m + 1) * m + 1
+        while not _is_prime(p):
+            p += m
+        if p >= 3_215_031_751:
+            raise ConfigError(f"cyclotomic order {m} has no residue prime below 3.2e9")
+        divisors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+        for a in itertools.count(2):
+            g = pow(a, (p - 1) // m, p)
+            if all(pow(g, m // q, p) != 1 for q in divisors):
+                return p, tuple(pow(g, k, p) for k in range(self.degree))
+
+    def residue(self, x: "CyclotomicScalar") -> int | None:
+        """The image of x in GF(p) under zeta -> g, or None when p divides its denominator."""
+        p, images = self.residue_map
+        if x.den % p == 0:
+            return None
+        value = sum(c * g for c, g in zip(x.nums, images))
+        return value % p if x.den == 1 else value * pow(x.den, -1, p) % p
 
     def _extend_powers(self, k: int) -> None:
         """Build x^j mod Phi_m for every j <= k, multiplying by x each step."""
@@ -717,8 +758,11 @@ class AlgebraSpec:
         return mapped
 
     def lambda_tilde_power_product(self, factors: Iterable[tuple[int, int, int]]) -> Scalar:
-        """Exact product of powers of extended-matrix entries."""
-        return self.model.lambda_power_product(self._over_lambda(factors))
+        """Exact product of powers of extended-matrix entries, memoized per factor list."""
+        key, memo = tuple(factors), self.coefficient_memo
+        if key not in memo:
+            memo[key] = self.model.lambda_power_product(self._over_lambda(key))
+        return memo[key]
 
     def monomial_is_one(self, factors: Iterable[tuple[int, int, int]]) -> bool:
         """Exact decision of prod lambda~_{k,i}^e = 1 over extended indices."""
@@ -746,6 +790,11 @@ class AlgebraSpec:
     @cached_property
     def block_memo(self) -> dict:
         """Per-spec memo of data decided once per block key (``koszul.bad_columns``)."""
+        return {}
+
+    @cached_property
+    def coefficient_memo(self) -> dict:
+        """Per-spec memo of braided coefficients (``lambda_tilde_power_product``)."""
         return {}
 
     @cached_property

@@ -326,3 +326,25 @@ def test_zero_window_still_answers(capsys):
     dims = {e["degree"]: e["dim"] for e in json.loads(capsys.readouterr().out)["entries"]}
     assert dims[0] == 1
     assert run(["verify", "--config", "weyl(1)", "--suite", "complex", "--bound", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["hh", "oracle"])
+def test_empty_weight_range_exits_2_before_reading_the_config(capsys, command):
+    # The config path does not exist: the range is refused before it is read.
+    argv = [command, "--config", "no-such-config.json", "--wmin", "2", "--wmax", "0"]
+    code = run(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "argument error: --wmin 2 exceeds --wmax 0\n"
+
+
+def test_oracle_below_the_lowest_weight_is_vacuous(capsys):
+    # Weights of weyl(1) start at -(n+r) = -2, so the window holds no strand.
+    argv = ["oracle", "--config", "weyl(1)", "--wmin", "-100", "--wmax", "-50", "--format", "json"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "vacuous" and doc["mismatches"] == []
+    assert run(["oracle", "--config", "weyl(1)", "--wmin", "-2", "--wmax", "-2",
+                "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"

@@ -47,12 +47,17 @@ CASES = {
         "verify", "--config", "semiclassical(2,4,1)", "--suite", "complex", "--bound", "3"
     ],
     "oracle-free-2-1": ["oracle", "--config", "free(2,1)"],
+    # Dimensions only: the path that computes no kernels or representatives.
+    "hh-dims-weyl-3": ["hh", "--config", "weyl(3)", "--wmin", "-6", "--wmax", "-1"],
+    "hh-dims-mixed-minimal-12": [
+        "hh", "--config", "mixed-minimal(12)", "--wmin", "-3", "--wmax", "13"
+    ],
 }
 
 
 def _argv(name: str) -> list[str]:
     argv = CASES[name] + ["--format", "json"]
-    if argv[0] == "hh":
+    if argv[0] == "hh" and not name.startswith("hh-dims-"):
         argv.append("--representatives")
     return argv
 

@@ -10,17 +10,27 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hochhom import linalg
+from hochhom.cli import load_config
 from hochhom.errors import ComplexBroken, NotASubspace
+from hochhom.homology import strand_homology
+from hochhom.koszul import enumerate_strand
 from hochhom.linalg import (
     SparseMatrix,
     _eliminate,
+    _pick_cosets,
+    _rank_mod_p,
     _reduce_against,
+    _rows,
     complex_homology,
+    homology_picks,
     rank_kernel,
     span_rank,
     subquotient_dim,
 )
-from hochhom.scalar import QQ
+from hochhom.scalar import QQ, CyclotomicField
+
+P = QQ.residue_map[0]
 
 
 def _sparse_from_lists(rows):
@@ -207,3 +217,132 @@ def test_non_exact_complex_reports_degree_and_witness():
     assert not d1.apply(witness)
     boundaries = [{0: one}]
     assert span_rank(boundaries + [witness]) == span_rank(boundaries) + 1
+
+
+# ---------------------------------------------------------------------------
+# Certified modular ranks.
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    """Record the matrix or vectors of every call to linalg.<name>."""
+    calls = []
+    fn = getattr(linalg, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_rank_drop_mod_p_falls_back_to_exact_rank(monkeypatch):
+    # det = p: rank 2 over Q, rank 1 mod p, and no neighbour certifies it.
+    d1 = _sparse_from_lists([[1, 1], [1, 1 + P]])
+    assert _rank_mod_p(d1) == 1
+    fallbacks = _count_calls(monkeypatch, "span_rank")
+    dims, _ = complex_homology({1: d1}, QQ.one)
+    assert dims == {0: 0, 1: 0}
+    assert len(fallbacks) == 1
+
+
+def test_denominator_divisible_by_p_falls_back_to_exact_rank(monkeypatch):
+    d1 = _sparse_from_lists([[Fraction(1, P), 1], [0, 1]])
+    assert _rank_mod_p(d1) is None
+    fallbacks = _count_calls(monkeypatch, "span_rank")
+    dims, _ = complex_homology({1: d1}, QQ.one)
+    assert dims == {0: 0, 1: 0}
+    assert len(fallbacks) == 1
+
+
+def test_exact_degree_certifies_both_of_its_maps(monkeypatch):
+    # Q^2 --d2--> Q^2 --d1--> Q^2, each map of rank 1, so only degree 1 is
+    # exact: it alone certifies d2 (rank < min(rows, cols), degree 2 not
+    # exact) and d1 (rank < min(rows, cols), degree 0 not exact).
+    d1 = _sparse_from_lists([[1, -1], [1, -1]])
+    d2 = _sparse_from_lists([[1, 1], [1, 1]])
+    fallbacks = _count_calls(monkeypatch, "span_rank")
+    dims, _ = complex_homology({1: d1, 2: d2}, QQ.one)
+    assert dims == {0: 1, 1: 0, 2: 1}
+    assert fallbacks == []
+    kernels = _count_calls(monkeypatch, "rank_kernel")
+    _, reps = complex_homology({1: d1, 2: d2}, QQ.one, representatives=range(3))
+    assert kernels == [SparseMatrix(0, 2), d2]
+    assert reps[1] == [] and len(reps[0]) == len(reps[2]) == 1
+
+
+def _exact_homology_picks(differentials, one, representatives):
+    """Reference: exact rank, kernel and coset sweep in every degree."""
+    low = min(differentials) - 1
+    d = {low: SparseMatrix(0, differentials[low + 1].rows), **differentials}
+    ranks, kernels = {}, {}
+    for k, matrix in d.items():
+        ranks[k], kernels[k] = rank_kernel(matrix, one=one)
+    dims = {k: d[k].cols - ranks[k] - ranks.get(k + 1, 0) for k in sorted(d)}
+    picks = {}
+    for k in d:
+        if k in representatives:
+            columns = sorted(_rows(d[k + 1].transpose()).items()) if k + 1 in d else []
+            picks[k] = [
+                (next(iter(kernels[k][index])), rep)
+                for index, rep in _pick_cosets(kernels[k], [col for _, col in columns])
+            ]
+    return dims, picks
+
+
+def _random_complex(draw, field):
+    """A complex with d d = 0: the columns of each map combine the kernel vectors of the last.
+
+    Entries are drawn from a pool holding p, 1 + p, 1/p and zeta - g for the
+    field's residue prime p and image g of zeta, so ranks often drop mod p
+    and denominators are often divisible by p.
+    """
+    p = field.residue_map[0]
+    zeta = field.zeta_power(1)
+    pool = [field.from_rational(c) for c in (0, 1, -1, 2, p, p + 1, Fraction(1, p))]
+    pool += [zeta, zeta + 1, zeta * p, zeta - field.residue(zeta)]
+    entry = st.sampled_from(pool)
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=5))
+
+    def column(kernel):
+        out = {}
+        for vec in kernel:
+            c = draw(entry)
+            for i, v in vec.items():
+                out[i] = out.get(i, field.zero) + c * v
+        return out
+
+    d = {}
+    kernel = [{i: field.one} for i in range(sizes[0])]
+    for k in range(1, len(sizes)):
+        columns = [column(kernel) for _ in range(sizes[k])]
+        entries = {(i, j): v for j, col in enumerate(columns) for i, v in col.items()}
+        d[k] = SparseMatrix(sizes[k - 1], sizes[k], entries)
+        _, kernel = rank_kernel(d[k], one=field.one)
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), order=st.sampled_from([1, 4]))
+def test_certified_homology_matches_exact_reference(data, order):
+    field = QQ if order == 1 else CyclotomicField(order)
+    d = _random_complex(data.draw, field)
+    degrees = range(min(d) - 1, max(d) + 1)
+    assert homology_picks(d, field.one, degrees) == _exact_homology_picks(d, field.one, degrees)
+    assert homology_picks(d, field.one)[0] == _exact_homology_picks(d, field.one, ())[0]
+
+
+def test_kernels_only_where_homology_survives(monkeypatch):
+    spec = load_config("mixed-minimal(12)")
+    strand = enumerate_strand(spec, 2)
+    expected = [
+        block.matrices[k] if k in block.matrices else SparseMatrix(0, len(block.generators[k]))
+        for block in strand.blocks
+        for k, dim in complex_homology(block.matrices, spec.one())[0].items()
+        if dim
+    ]
+    kernels = _count_calls(monkeypatch, "rank_kernel")
+    strand_homology(spec, 2, representatives=True)
+    assert kernels == expected
+    assert 0 < len(kernels) < sum(len(block.generators) for block in strand.blocks)

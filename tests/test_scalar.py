@@ -434,3 +434,56 @@ def test_unit_inverse_path(order, monkeypatch):
                 _assert_canonical(inv)
                 assert (u * inv).is_one()
                 assert inv == field.zeta_power(-t) * (1 / c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_lattice_models(), data=st.data())
+def test_braided_coefficient_memo_hit_equals_fresh_computation(model, data):
+    spec = AlgebraSpec(model.n, data.draw(st.integers(min_value=0, max_value=model.n)), model)
+    factors = _factors(data.draw, spec.num_generators)
+    first = spec.lambda_tilde_power_product(iter(factors))
+    assert tuple(factors) in spec.coefficient_memo
+    fresh = AlgebraSpec(spec.n, spec.r, model).lambda_tilde_power_product(factors)
+    assert spec.lambda_tilde_power_product(factors) == first == fresh
+    assert fresh == model.lambda_power_product(spec._over_lambda(factors))
+
+
+# ---------------------------------------------------------------------------
+# The residue map Q(zeta_m) -> GF(p).
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [*range(1, 65), 9973, 10_000])
+def test_residue_map_sends_zeta_to_a_root_of_phi_of_order_m(order):
+    field = CyclotomicField(order)
+    p, images = field.residue_map
+    assert p > 2**30 and (p - 1) % order == 0 and sympy.isprime(p)
+    g = field.residue(field.zeta_power(1))
+    assert images == tuple(pow(g, k, p) for k in range(field.degree))
+    value = 0
+    for c in reversed(cyclotomic_polynomial(order)):
+        value = (value * g + c) % p
+    assert value == 0
+    power, t = g, 1
+    while power != 1:
+        power, t = power * g % p, t + 1
+    assert t == order
+
+
+def _field_elements(field):
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return st.lists(coeff, min_size=1, max_size=field.degree + 3).map(field.element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.sampled_from([1, 2, 3, 4, 5, 8, 12, 15]), data=st.data())
+def test_residue_map_is_a_ring_homomorphism(order, data):
+    field = CyclotomicField(order)
+    p = field.residue_map[0]
+    a, b = data.draw(_field_elements(field)), data.draw(_field_elements(field))
+    res = field.residue
+    assert res(field.one) == 1 and res(field.zero) == 0
+    assert res(a + b) == (res(a) + res(b)) % p
+    assert res(a * b) == res(a) * res(b) % p
+    assert res(-a) == -res(a) % p
+    assert res(field.from_rational(Fraction(1, p))) is None
