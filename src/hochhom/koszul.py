@@ -32,10 +32,13 @@ points in C of any other key raise only the Weyl pairs whose two columns are
 good.  Strands are therefore enumerated key first: for each key meeting C
 and each of its points rho of total degree w + 2k, the degree-k generators
 are rho minus a wedge on a k-subset of the support of rho.  No generator
-outside C is built.
+outside C is built.  Strand matrices come from the lowering formula written
+once as a kernel on (mono, wedge) tuples (``_lowering``); ``diff_small`` and
+``diff_full_closed`` wrap the same kernel for chain generators.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -299,17 +302,17 @@ def _epsilon_2(gamma: Exponents, delta: Exponents, j: int) -> int:
     return (-1) ** (sum(gamma) + sum(delta[: j - 1]))
 
 
-def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
+def _lowering(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
     """The exponent-lowering (Weyl contraction) terms of the differential.
 
-    Yields (generator, scalar) pairs by the closed coefficient formulas: the
-    x_i terms for i <= r, then the y_j terms for j <= r.  They make up the
+    Yields ((mono, wedge), scalar) pairs by the closed coefficient formulas:
+    the x_i terms for i <= r, then the y_j terms for j <= r.  They make up the
     small-complex differential, and with ``diff_symmetric`` the full one.
     """
     r, n = spec.r, spec.n
     lam = spec.model.lambda_power_product
-    alpha, beta = g.mono[:r], g.mono[r:]
-    gamma, delta = g.wedge[:r], g.wedge[r:]
+    alpha, beta = mono[:r], mono[r:]
+    gamma, delta = wedge[:r], wedge[r:]
 
     for i in range(1, r + 1):
         if gamma[i - 1] and beta[i - 1]:
@@ -317,8 +320,7 @@ def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
                 [(k, i, gamma[k - 1]) for k in range(1, i)]
                 + [(k, i, -beta[k - 1]) for k in range(i + 1, n + 1)]
             ) * (-_epsilon_1(gamma, i) * beta[i - 1])
-            mono = alpha + _lower(beta, i - 1)
-            yield ChainGenerator(mono, _without(g.wedge, i - 1)), coeff
+            yield (alpha + _lower(beta, i - 1), _without(wedge, i - 1)), coeff
 
     for j in range(1, r + 1):
         if delta[j - 1] and alpha[j - 1]:
@@ -326,8 +328,13 @@ def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
                 [(j, k, delta[k - 1]) for k in range(j + 1, n + 1)]
                 + [(j, k, -alpha[k - 1]) for k in range(1, j)]
             ) * (_epsilon_2(gamma, delta, j) * alpha[j - 1])
-            mono = _lower(alpha, j - 1) + beta
-            yield ChainGenerator(mono, _without(g.wedge, r + j - 1)), coeff
+            yield (_lower(alpha, j - 1) + beta, _without(wedge, r + j - 1)), coeff
+
+
+def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
+    """``_lowering`` on a chain generator, as (generator, scalar) pairs."""
+    for (mono, wedge), coeff in _lowering(spec, g.mono, g.wedge):
+        yield ChainGenerator(mono, wedge), coeff
 
 
 def _sum_terms(spec: AlgebraSpec, terms: Iterable[tuple[ChainGenerator, Scalar]]) -> ChainElement:
@@ -520,13 +527,15 @@ def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
     w + 2k gives the degree-k generators rho - wedge, one per k-subset of the
     support of rho.  Each degree is sorted in (mono, wedge) order and blocks
     are listed by their first generator in that order; the block matrices
-    take the exponent-lowering terms directly, and an image outside its block
-    raises ComplexBroken.
+    take the exponent-lowering terms of ``_lowering`` as (mono, wedge) row
+    keys, and an image outside its block raises ComplexBroken.
     """
     m, r = spec.num_generators, spec.r
     keys = list(_strand_keys(spec, w))
     generators: dict[int, list[ChainGenerator]] = {}
-    blocks: dict[Exponents, dict[int, list[ChainGenerator]]] = {}
+    blocks: dict[Exponents, dict[int, list[ChainGenerator]]] = defaultdict(
+        lambda: {d: [] for d in range(m + 1)}
+    )
     for k in range(0, m + 1):
         found: list[tuple[Exponents, Exponents, Exponents]] = []
         for key, base, pairs in keys:
@@ -546,7 +555,7 @@ def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
         found.sort()
         generators[k] = [ChainGenerator(mono, wedge) for mono, wedge, _ in found]
         for g, (_, _, key) in zip(generators[k], found):
-            blocks.setdefault(key, {d: [] for d in range(m + 1)})[k].append(g)
+            blocks[key][k].append(g)
 
     return StrandComplex(
         w,
@@ -556,7 +565,8 @@ def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
                 key,
                 gens,
                 {
-                    k: matrix_of(gens[k], lambda g: _lowering_terms(spec, g), gens[k - 1])
+                    k: matrix_of(gens[k], lambda g: _lowering(spec, g.mono, g.wedge),
+                                 [(g.mono, g.wedge) for g in gens[k - 1]])
                     for k in range(1, m + 1)
                 },
             )

@@ -7,16 +7,19 @@ Exactness makes the pivot order a pure performance choice, except that it
 fixes which coset representatives are reported.
 
 Homology ranks are certified modular ranks.  ``homology_picks`` checks
-d_{k-1} d_k = 0 exactly, then ranks every d_k over GF(p) for the field's
-prime p (``CyclotomicField.residue_map``).  A rank can only drop mod p, and
-d d = 0 gives rank d_k + rank d_{k+1} <= dim C_k, so a degree where the
-modular ranks sum to dim C_k certifies both, as rank_p = min(rows, cols)
-certifies one map.  The other ranks fall back to exact elimination, and
-kernels and representatives are computed only where homology survives.
+d_{k-1} d_k = 0 exactly, as a product over integer rows with one
+denominator per row and column (``SparseMatrix.compose``), then ranks every
+d_k over GF(p) for the field's prime p (``CyclotomicField.residue_map``).  A
+rank can only drop mod p, and d d = 0 gives rank d_k + rank d_{k+1} <=
+dim C_k, so a degree where the modular ranks sum to dim C_k certifies both,
+as rank_p = min(rows, cols) certifies one map.  The other ranks fall back to
+exact elimination, and kernels and representatives are computed only where
+homology survives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
 
 from .errors import ComplexBroken, NotASubspace
@@ -55,15 +58,59 @@ class SparseMatrix:
         return {i: c for i, c in out.items() if not c.is_zero()}
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
-        """The product self * other (apply other first)."""
+        """The product self * other (apply other first), exactly, over integer rows.
+
+        Each row of self and each column of other is cleared to the lcm of its
+        denominators.  An entry of the product is then a sum of integer
+        coordinate vectors, each product reduced mod Phi_m, over the product of
+        one row and one column denominator; only nonzero sums become scalars.
+        Entries come in the order of the scalar product's first contributions,
+        which fixes the pivot order of later eliminations.
+        """
         assert self.cols == other.rows
-        out: dict[tuple[int, int], Scalar] = {}
-        by_row = _rows(other)
+        if not (self.entries and other.entries):
+            return SparseMatrix(self.rows, other.cols)
+        field = next(iter(self.entries.values())).field
+        row_den, col_den = _lcm_denominators(self, 0), _lcm_denominators(other, 1)
+        # Over Q a coordinate vector is one integer, multiplied and added as such.
+        rational = field.degree == 1
+        by_row: dict[int, list] = {}
+        for (k, j), w in other.entries.items():
+            scale = col_den[j] // w.den
+            b = w.nums[0] * scale if rational else [(t, c * scale) for t, c in enumerate(w.nums) if c]
+            by_row.setdefault(k, []).append((j, b))
+        sums: dict[tuple[int, int], list] = {}
         for (i, k), v in self.entries.items():
-            for j, w in by_row.get(k, {}).items():
-                c = v * w
-                out[(i, j)] = out[(i, j)] + c if (i, j) in out else c
-        return SparseMatrix(self.rows, other.cols, {k: v for k, v in out.items() if not v.is_zero()})
+            scale = row_den[i] // v.den
+            if rational:
+                a = v.nums[0] * scale
+                for j, b in by_row.get(k, ()):
+                    sums[(i, j)] = sums.get((i, j), 0) + a * b
+                continue
+            a = [c * scale for c in v.nums]
+            for j, b in by_row.get(k, ()):
+                c = field._mul_nums(a, b)
+                s = sums.get((i, j))
+                if s is None:
+                    sums[(i, j)] = c
+                else:
+                    for t, x in enumerate(c):
+                        s[t] += x
+        if rational:
+            sums = {at: [s] for at, s in sums.items() if s}
+        entries = {
+            (i, j): field._make(s, row_den[i] * col_den[j]) for (i, j), s in sums.items() if any(s)
+        }
+        return SparseMatrix(self.rows, other.cols, entries)
+
+
+def _lcm_denominators(matrix: SparseMatrix, axis: int) -> dict[int, int]:
+    """The lcm of the entry denominators of each row (axis 0) or column (axis 1)."""
+    dens: dict[int, int] = {}
+    for at, v in matrix.entries.items():
+        d = dens.get(at[axis], 1)
+        dens[at[axis]] = d if d % v.den == 0 else lcm(d, v.den)
+    return dens
 
 
 def _rows(matrix: SparseMatrix) -> dict[int, Vector]:

@@ -331,6 +331,8 @@ class CyclotomicScalar:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self.field._make([c * other for c in self.nums], self.den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

@@ -233,13 +233,13 @@ def test_bad_config_exit_code(capsys):
 
 def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     # Swapping the wedge of each image moves it to another block of the strand.
-    terms = koszul._lowering_terms
+    terms = koszul._lowering
 
-    def leaky(spec, g):
-        for gen, coeff in terms(spec, g):
-            yield koszul.ChainGenerator(gen.mono, gen.wedge[::-1]), coeff
+    def leaky(spec, mono, wedge):
+        for (image_mono, image_wedge), coeff in terms(spec, mono, wedge):
+            yield (image_mono, image_wedge[::-1]), coeff
 
-    monkeypatch.setattr(koszul, "_lowering_terms", leaky)
+    monkeypatch.setattr(koszul, "_lowering", leaky)
     code = run(["hh", "--config", "weyl(1)", "--wmin", "-1", "--wmax", "-1"])
     captured = capsys.readouterr()
     assert code == 3

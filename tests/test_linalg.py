@@ -147,6 +147,72 @@ def test_compose_and_transpose():
     assert t.entries[(0, 1)] == 2
 
 
+def _reference_compose(a, b):
+    """a * b by one scalar multiply and add per pair of entries, zeros dropped."""
+    out = {}
+    by_row = _rows(b)
+    for (i, k), v in a.entries.items():
+        for j, w in by_row.get(k, {}).items():
+            c = v * w
+            out[(i, j)] = out[(i, j)] + c if (i, j) in out else c
+    return [(at, v) for at, v in out.items() if not v.is_zero()]
+
+
+# One matrix cell: a density draw, phi <= 4 numerators and a denominator.
+_CELL = st.tuples(
+    st.integers(min_value=0, max_value=9),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
+    st.integers(min_value=1, max_value=9),
+)
+
+
+@st.composite
+def _cancelling_products(draw):
+    """Matrices a = [x | c x] and b = [y ; e - y / c] over Q(zeta_m), m in {1, 4, 12}.
+
+    Every entry of a b = c x e sums contributions that cancel, and it is zero
+    wherever x e is; entries carry random denominators.
+    """
+    field = CyclotomicField(draw(st.sampled_from([1, 4, 12])))
+    sizes = st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3)
+    rows, inner, cols = draw(sizes)
+
+    def matrix(nrows, ncols, density):
+        cells = draw(st.lists(_CELL, min_size=nrows * ncols, max_size=nrows * ncols))
+        values = [
+            field.element([Fraction(c, den) for c in nums[: field.degree]]) if dense < density
+            else field.zero
+            for dense, nums, den in cells
+        ]
+        return [values[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+
+    x, y, e = matrix(rows, inner, 7), matrix(inner, cols, 7), matrix(inner, cols, 2)
+    c = matrix(1, 1, 10)[0][0]
+    if c.is_zero():
+        c = field.one
+    left = [row + [c * v for v in row] for row in x]
+    inverse = c.inv()
+    right = y + [[f - v * inverse for f, v in zip(fs, vs)] for fs, vs in zip(e, y)]
+
+    def sparse(rows):
+        entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+        return SparseMatrix(len(rows), len(rows[0]), entries)
+
+    return sparse(left), sparse(right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cancelling_products())
+def test_compose_matches_scalar_product(case):
+    a, b = case
+    for left, right in ((a, b), (b.transpose(), a.transpose())):
+        got = left.compose(right)
+        assert (got.rows, got.cols) == (left.rows, right.cols)
+        assert [(at, v.nums, v.den) for at, v in got.entries.items()] == [
+            (at, v.nums, v.den) for at, v in _reference_compose(left, right)
+        ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.lists(
@@ -200,6 +266,37 @@ def test_complex_with_nonzero_square_is_broken():
     d2 = _sparse_from_lists([[1], [1]])
     with pytest.raises(ComplexBroken):
         complex_homology({1: d1, 2: d2}, QQ.from_rational(1))
+
+
+def _exact_only_complexes():
+    """(d_1, d_2) over Q and Q(zeta_4) whose product vanishes only exactly.
+
+    Over Q, 1/2 * 1/3 - 1/3 * 1/2 cancels only over a common denominator;
+    over Q(zeta_4), zeta * zeta + 1 * 1 cancels only modulo Phi_4.
+    """
+    half, third = QQ.from_rational(Fraction(1, 2)), QQ.from_rational(Fraction(1, 3))
+    field = CyclotomicField(4)
+    zeta = field.zeta_power(1)
+    return [([half, third], [third, -half]), ([zeta, field.one], [zeta, field.one])]
+
+
+@pytest.mark.parametrize("row,column", _exact_only_complexes(), ids=["Q", "Q(zeta_4)"])
+def test_d_squared_is_checked_exactly(row, column):
+    one = row[0].field.one
+
+    def complex_of(row, column):
+        d1 = SparseMatrix(1, 2, {(0, j): v for j, v in enumerate(row)})
+        d2 = SparseMatrix(2, 1, {(i, 0): v for i, v in enumerate(column)})
+        return {1: d1, 2: d2}
+
+    dims, _ = homology_picks(complex_of(row, column), one)
+    assert dims == {0: 0, 1: 0, 2: 0}
+    for t in range(2):
+        shifted_row = [v + one if j == t else v for j, v in enumerate(row)]
+        shifted_column = [v + one if i == t else v for i, v in enumerate(column)]
+        for broken in (complex_of(shifted_row, column), complex_of(row, shifted_column)):
+            with pytest.raises(ComplexBroken):
+                homology_picks(broken, one)
 
 
 def test_non_exact_complex_reports_degree_and_witness():

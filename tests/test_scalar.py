@@ -487,3 +487,41 @@ def test_residue_map_is_a_ring_homomorphism(order, data):
     assert res(a * b) == res(a) * res(b) % p
     assert res(-a) == -res(a) % p
     assert res(field.from_rational(Fraction(1, p))) is None
+
+
+@st.composite
+def _scaled_elements(draw):
+    """An element of Q(zeta_m), m in {1, 4, 12}, often with den != 1 or built as zeta^t."""
+    field = CyclotomicField(draw(st.sampled_from([1, 4, 12])))
+    den = draw(st.integers(min_value=1, max_value=60))
+    nums = draw(st.lists(st.integers(-50, 50), min_size=field.degree, max_size=field.degree))
+    x = field.element([Fraction(c, den) for c in nums])
+    kind = draw(st.sampled_from(["element", "zeta", "scaled zeta"]))
+    if kind != "element":
+        z = field.zeta_power(draw(st.integers(min_value=-13, max_value=13)))
+        x = z if kind == "zeta" else z * field.from_rational(Fraction(nums[0] or 1, den))
+    return field, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_scaled_elements(),
+    n=st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-(10**40), max_value=10**40)),
+)
+def test_int_multiply_matches_rational_multiply(case, n):
+    field, x = case
+    want = x * field.from_rational(n)
+    for got in (x * n, n * x):
+        _assert_canonical(got)
+        assert (got.nums, got.den, hash(got), str(got)) == (
+            want.nums, want.den, hash(want), str(want)
+        )
+
+
+def test_int_multiply_covers_denominators_and_zero():
+    field = CyclotomicField(12)
+    x = field.element([Fraction(1, 6), Fraction(-5, 4)])
+    assert x.den == 12
+    assert (x * 0).nums == field.zero.nums and (x * 0).den == 1
+    assert x * 6 == field.element([1, Fraction(-15, 2)]) and (x * 6).den == 2
+    assert (-12) * x == field.element([-2, 15]) and ((-12) * x).den == 1
