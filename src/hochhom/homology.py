@@ -13,6 +13,7 @@ K_C in the first place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import RhoInC
 from .koszul import (
@@ -55,12 +56,6 @@ class HomologyReport:
         return out
 
 
-def _vector_to_chain(
-    spec: AlgebraSpec, vec: Vector, basis: list[ChainGenerator]
-) -> ChainElement:
-    return ChainElement(spec, {basis[j]: c for j, c in vec.items()})
-
-
 def strand_homology(
     spec: AlgebraSpec, w: int, representatives: bool = True
 ) -> StrandHomology:
@@ -77,10 +72,11 @@ def homology_of_strand(
     Pivoting never mixes blocks, so each block picks the representatives one
     elimination of the whole strand would pick; sorting the picks by the
     generator of their kernel vector's free column restores that order.
+    Chain generators are built only for the representatives.
     """
     degrees = range(spec.num_generators + 1)
     dims = dict.fromkeys(degrees, 0)
-    picks: dict[int, list[tuple[ChainGenerator, ChainElement]]] = {k: [] for k in degrees}
+    picks: dict[int, list[tuple[tuple, Vector, list]]] = {k: [] for k in degrees}
     for block in strand.blocks:
         block_dims, block_picks = homology_picks(
             block.matrices, spec.one(), representatives=degrees if representatives else ()
@@ -88,26 +84,28 @@ def homology_of_strand(
         for k, dim in block_dims.items():
             dims[k] += dim
         for k, found in block_picks.items():
-            basis = block.generators[k]
-            picks[k] += [(basis[j], _vector_to_chain(spec, v, basis)) for j, v in found]
+            basis = block.basis[k]
+            picks[k] += [(basis[j], v, basis) for j, v in found]
     reps = {
-        k: [rep for _, rep in sorted(found, key=lambda pick: (pick[0].mono, pick[0].wedge))]
+        k: [
+            ChainElement(spec, {ChainGenerator(*basis[j]): c for j, c in v.items()})
+            for _, v, basis in sorted(found, key=itemgetter(0))
+        ]
         for k, found in picks.items()
     }
-    chain_dims = {k: len(strand.generators[k]) for k in degrees}
-    return StrandHomology(strand.weight, dims, reps, chain_dims)
+    return StrandHomology(strand.weight, dims, reps, dict(strand.chain_dimensions))
 
 
 def hh_report(
     spec: AlgebraSpec, w_min: int, w_max: int, representatives: bool = True
 ) -> HomologyReport:
-    if w_min < -spec.num_generators:
-        w_min = -spec.num_generators
+    """Homology of the strands w_min..w_max, w_min raised to -(n+r) unless that empties the window."""
+    lowest = max(w_min, -spec.num_generators)
     strands = {
         w: strand_homology(spec, w, representatives=representatives)
-        for w in range(w_min, w_max + 1)
+        for w in range(lowest, w_max + 1)
     }
-    return HomologyReport(spec, w_min, w_max, strands)
+    return HomologyReport(spec, lowest if lowest <= w_max else w_min, w_max, strands)
 
 
 # ---------------------------------------------------------------------------
@@ -225,5 +223,6 @@ def quotient_strand_acyclicity(spec: AlgebraSpec, rho) -> AcyclicityResult:
     for k in range(m + 1):
         if dims[k]:
             _, reps = complex_homology(matrices, spec.one(), representatives=[k])
-            return AcyclicityResult(rho, False, k, _vector_to_chain(spec, reps[k][0], generators[k]))
+            witness = {generators[k][j]: c for j, c in reps[k][0].items()}
+            return AcyclicityResult(rho, False, k, ChainElement(spec, witness))
     return AcyclicityResult(rho, True)

@@ -29,16 +29,18 @@ extended parameter matrix is the entrywise inverse of row y_i, so the column
 characters are constant on a block and membership in C is decided once per
 key: a key whose base point touches a bad column has no point in C, and the
 points in C of any other key raise only the Weyl pairs whose two columns are
-good.  Strands are therefore enumerated key first: for each key meeting C
-and each of its points rho of total degree w + 2k, the degree-k generators
-are rho minus a wedge on a k-subset of the support of rho.  No generator
-outside C is built.  Strand matrices come from the lowering formula written
-once as a kernel on (mono, wedge) tuples (``_lowering``); ``diff_small`` and
-``diff_full_closed`` wrap the same kernel for chain generators.
+good.  Strands are therefore enumerated key first: for each key with a
+generator in C and each of its points rho of total degree w + 2k, the
+degree-k generators are rho minus a wedge on a k-subset of the support of
+rho.  No generator outside C is built, and a block's basis is a list of
+(mono, wedge) tuples.  Strand matrices come from the lowering formula
+written once as a kernel on those tuples (``_lowering``), which gives each
+coefficient as a lambda-character and an int, so block matrices are integer
+rows with no scalar per entry; ``diff_small`` and ``diff_full_closed`` wrap
+the same kernel for chain generators.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -47,13 +49,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .algebra import generator_monomial, generator_name, monomial_str, normal_mul_monomials
 from .errors import (
+    ComplexBroken,
     IndexOutOfRange,
     ModelMismatch,
     NotInSmallComplex,
     NotSemiClassical,
     WordTooLong,
 )
-from .linalg import SparseMatrix, matrix_of
+from .linalg import SparseMatrix
 from .scalar import AlgebraSpec, Scalar
 
 Exponents = tuple[int, ...]
@@ -294,47 +297,48 @@ def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     return ChainElement(spec, out)
 
 
-def _epsilon_1(gamma: Exponents, i: int) -> int:
-    return (-1) ** sum(gamma[: i - 1])
-
-
-def _epsilon_2(gamma: Exponents, delta: Exponents, j: int) -> int:
-    return (-1) ** (sum(gamma) + sum(delta[: j - 1]))
+def _epsilon_1(wedge: Exponents, i: int) -> int:
+    """(-1) to the number of wedge factors before position i (1-based)."""
+    return (-1) ** sum(wedge[: i - 1])
 
 
 def _lowering(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
     """The exponent-lowering (Weyl contraction) terms of the differential.
 
-    Yields ((mono, wedge), scalar) pairs by the closed coefficient formulas:
-    the x_i terms for i <= r, then the y_j terms for j <= r.  They make up the
-    small-complex differential, and with ``diff_symmetric`` the full one.
+    Yields ((mono, wedge), character, int) triples by the closed coefficient
+    formulas, the coefficient being the model's value of the reduced
+    lambda-character times the int: the x_i terms for i <= r, then the y_j
+    terms for j <= r.  They make up the small-complex differential, and with
+    ``diff_symmetric`` the full one.
     """
     r, n = spec.r, spec.n
-    lam = spec.model.lambda_power_product
-    alpha, beta = mono[:r], mono[r:]
-    gamma, delta = wedge[:r], wedge[r:]
+    character = spec.model.character
 
     for i in range(1, r + 1):
-        if gamma[i - 1] and beta[i - 1]:
-            coeff = lam(
-                [(k, i, gamma[k - 1]) for k in range(1, i)]
-                + [(k, i, -beta[k - 1]) for k in range(i + 1, n + 1)]
-            ) * (-_epsilon_1(gamma, i) * beta[i - 1])
-            yield (alpha + _lower(beta, i - 1), _without(wedge, i - 1)), coeff
+        beta_i = mono[r + i - 1]
+        if wedge[i - 1] and beta_i:
+            char = character(
+                [(k, i, wedge[k - 1]) for k in range(1, i)]
+                + [(k, i, -mono[r + k - 1]) for k in range(i + 1, n + 1)]
+            )
+            image = _lower(mono, r + i - 1), _without(wedge, i - 1)
+            yield image, char, -_epsilon_1(wedge, i) * beta_i
 
     for j in range(1, r + 1):
-        if delta[j - 1] and alpha[j - 1]:
-            coeff = lam(
-                [(j, k, delta[k - 1]) for k in range(j + 1, n + 1)]
-                + [(j, k, -alpha[k - 1]) for k in range(1, j)]
-            ) * (_epsilon_2(gamma, delta, j) * alpha[j - 1])
-            yield (_lower(alpha, j - 1) + beta, _without(wedge, r + j - 1)), coeff
+        alpha_j = mono[j - 1]
+        if wedge[r + j - 1] and alpha_j:
+            char = character(
+                [(j, k, wedge[r + k - 1]) for k in range(j + 1, n + 1)]
+                + [(j, k, -mono[k - 1]) for k in range(1, j)]
+            )
+            image = _lower(mono, j - 1), _without(wedge, r + j - 1)
+            yield image, char, _epsilon_1(wedge, r + j) * alpha_j
 
 
 def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
     """``_lowering`` on a chain generator, as (generator, scalar) pairs."""
-    for (mono, wedge), coeff in _lowering(spec, g.mono, g.wedge):
-        yield ChainGenerator(mono, wedge), coeff
+    for (mono, wedge), char, c in _lowering(spec, g.mono, g.wedge):
+        yield ChainGenerator(mono, wedge), spec.model.value(char) * c
 
 
 def _sum_terms(spec: AlgebraSpec, terms: Iterable[tuple[ChainGenerator, Scalar]]) -> ChainElement:
@@ -407,13 +411,13 @@ def diff_weyl(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
         if gamma[i - 1] and beta[i - 1]:
             add(
                 ChainGenerator(alpha + _lower(beta, i - 1), _without(g.wedge, i - 1)),
-                -_epsilon_1(gamma, i) * beta[i - 1],
+                -_epsilon_1(g.wedge, i) * beta[i - 1],
             )
     for j in range(1, r + 1):
         if delta[j - 1] and alpha[j - 1]:
             add(
                 ChainGenerator(_lower(alpha, j - 1) + beta, _without(g.wedge, r + j - 1)),
-                _epsilon_2(gamma, delta, j) * alpha[j - 1],
+                _epsilon_1(g.wedge, r + j) * alpha[j - 1],
             )
     return ChainElement(spec, out)
 
@@ -447,101 +451,107 @@ def _compositions(total: int, parts: int):
         a[-1] = rest - 1
 
 
-def _bit_vectors(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in (0, 1):
-        if first <= total:
-            for rest in _bit_vectors(total - first, parts - 1):
-                yield (first,) + rest
-
-
 def _strand_keys(spec: AlgebraSpec, w: int):
-    """(key, base point, raisable pairs) for every block of weight w meeting C.
+    """(key, base point, raisable pairs) for every block of weight w with a generator.
 
-    A degree-k generator has |rho| = w + 2k, so a key's base point has degree
-    at most w + 2(n+r) and the parity of w.  Keys whose base point touches a
-    bad column are left out; the pairs listed have both columns good.
+    Keys whose base point b touches a bad column are left out; the pairs
+    listed have both columns good.  Raising b by T along them reaches degree
+    k = (|b| + 2T - w) / 2, and some point there has k columns in its support
+    exactly when T = 0 or a pair is raisable, and k <= |supp b| + 2 min(T, z)
+    + min(T - z, nz) for the z raisable pairs with delta_i = 0 and the nz
+    with delta_i != 0.  As |supp b| <= n, then |b| <= w + n + (n+r).
     """
-    r, m = spec.r, spec.num_generators
-    for size in range(w % 2, w + 2 * m + 1, 2):
-        for parts in _compositions(size, spec.n):
+    n, r, m = spec.n, spec.r, spec.num_generators
+    for size in range(w % 2, w + n + m + 1, 2):
+        for parts in _compositions(size, n):
             quantum = parts[r:]
             for deltas in product(*[(d, -d) if d else (0,) for d in parts[:r]]):
                 key = deltas + quantum
                 bad = bad_columns(spec, key)
                 base = _base_point(spec, key)
-                if not any(base[c] for c in bad):
-                    yield key, base, [i for i in range(r) if i not in bad]
+                if any(base[c] for c in bad):
+                    continue
+                pairs = [i for i in range(r) if i not in bad]
+                z, support = sum(1 for i in pairs if not deltas[i]), m - base.count(0)
+                if any(
+                    k <= support + 2 * min(t, z) + min(max(t - z, 0), len(pairs) - z)
+                    for k, t in ((k, (w + 2 * k - size) // 2) for k in range(m + 1))
+                    if t == 0 or (t > 0 and pairs)
+                ):
+                    yield key, base, pairs
+
+
+Basis = list[tuple[Exponents, Exponents]]
 
 
 @dataclass(frozen=True)
 class StrandBlock:
     """One fine block of a weight strand: the generators with one block key.
 
-    generators[k] lists the block's degree-k basis in strand order;
-    matrices[k] maps the block's degree-k coordinates to its degree-(k-1)
-    coordinates, for every k in 1..n+r.
+    basis[k] lists the block's degree-k generators as (mono, wedge) tuples in
+    lexicographic order; matrices[k] maps the block's degree-k coordinates to
+    its degree-(k-1) coordinates, for every k in 1..n+r.
     """
 
     key: Exponents
-    generators: dict[int, list[ChainGenerator]]
+    basis: dict[int, Basis]
     matrices: dict[int, SparseMatrix]
 
 
 @dataclass(frozen=True)
 class StrandComplex:
-    """The weight-w strand of the small complex, as the direct sum of its blocks.
-
-    generators[k] lists the degree-k basis in lexicographic (mono, wedge)
-    order.  matrices[k], the whole-strand map from degree-k to degree-(k-1)
-    coordinates, is assembled from the blocks when first read.
-    """
+    """The weight-w strand of the small complex, as the direct sum of its blocks."""
 
     weight: int
-    generators: dict[int, list[ChainGenerator]]
+    chain_dimensions: dict[int, int]
     blocks: list[StrandBlock]
 
     @cached_property
-    def matrices(self) -> dict[int, SparseMatrix]:
-        columns: dict[ChainGenerator, list[tuple[ChainGenerator, Scalar]]] = {}
-        for block in self.blocks:
-            for k, matrix in block.matrices.items():
-                for (i, j), v in matrix.entries.items():
-                    columns.setdefault(block.generators[k][j], []).append(
-                        (block.generators[k - 1][i], v)
-                    )
+    def generators(self) -> dict[int, list[ChainGenerator]]:
+        """The degree-k generators in (mono, wedge) order, built when first read."""
         return {
-            k: matrix_of(self.generators[k], lambda g: columns.get(g, ()), self.generators[k - 1])
-            for k in range(1, len(self.generators))
+            k: [ChainGenerator(*g) for g in sorted(t for b in self.blocks for t in b.basis[k])]
+            for k in self.chain_dimensions
         }
+
+
+def _lowering_matrix(spec: AlgebraSpec, columns: Basis, rows: Basis) -> SparseMatrix:
+    """The lowering terms of ``columns`` over ``rows``, as integer rows, no scalar per entry.
+
+    The images of one column are distinct, and one outside ``rows`` raises
+    ComplexBroken.
+    """
+    row_of = {g: i for i, g in enumerate(rows)}
+    field, value = spec.model.field, spec.model.value
+    cells = {}
+    for j, (mono, wedge) in enumerate(columns):
+        for image, char, c in _lowering(spec, mono, wedge):
+            if image not in row_of:
+                raise ComplexBroken(f"the image of {(mono, wedge)} leaves its block at {image}")
+            v = value(char)
+            nums = c * v.nums[0] if field.degree == 1 else [c * x for x in v.nums]
+            cells[(row_of[image], j)] = nums, v.den
+    return SparseMatrix.from_cells(len(rows), len(columns), field, cells)
 
 
 def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
     """The weight-w strand of K_C, split into its fine blocks.
 
-    Enumerated key by key (``_strand_keys``): a key's points in C are its
-    base point raised along the pairs it may raise, and a point rho of degree
-    w + 2k gives the degree-k generators rho - wedge, one per k-subset of the
-    support of rho.  Each degree is sorted in (mono, wedge) order and blocks
-    are listed by their first generator in that order; the block matrices
-    take the exponent-lowering terms of ``_lowering`` as (mono, wedge) row
-    keys, and an image outside its block raises ComplexBroken.
+    Enumerated key by key, over the keys with a generator only
+    (``_strand_keys``, whose base points have degree at most w + n + (n+r)):
+    a key's points in C are its base point raised along the pairs it may
+    raise, and a point rho of degree w + 2k gives the degree-k generators
+    rho - wedge, one per k-subset of the support of rho.  Each block sorts
+    its own (mono, wedge) tuples, and blocks are listed by their first
+    generator in strand order.
     """
     m, r = spec.num_generators, spec.r
-    keys = list(_strand_keys(spec, w))
-    generators: dict[int, list[ChainGenerator]] = {}
-    blocks: dict[Exponents, dict[int, list[ChainGenerator]]] = defaultdict(
-        lambda: {d: [] for d in range(m + 1)}
-    )
-    for k in range(0, m + 1):
-        found: list[tuple[Exponents, Exponents, Exponents]] = []
-        for key, base, pairs in keys:
+    blocks = []
+    for key, base, pairs in _strand_keys(spec, w):
+        basis: dict[int, Basis] = {}
+        for k in range(m + 1):
+            found = basis[k] = []
             raise_by = w + 2 * k - sum(base)
-            if raise_by < 0:
-                continue
             for ts in _compositions(raise_by // 2, len(pairs)):
                 rho = list(base)
                 for i, t in zip(pairs, ts):
@@ -551,28 +561,13 @@ def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
                     wedge = [0] * m
                     for c in cols:
                         wedge[c] = 1
-                    found.append((tuple(map(sub, rho, wedge)), tuple(wedge), key))
-        found.sort()
-        generators[k] = [ChainGenerator(mono, wedge) for mono, wedge, _ in found]
-        for g, (_, _, key) in zip(generators[k], found):
-            blocks[key][k].append(g)
-
-    return StrandComplex(
-        w,
-        generators,
-        [
-            StrandBlock(
-                key,
-                gens,
-                {
-                    k: matrix_of(gens[k], lambda g: _lowering(spec, g.mono, g.wedge),
-                                 [(g.mono, g.wedge) for g in gens[k - 1]])
-                    for k in range(1, m + 1)
-                },
-            )
-            for key, gens in blocks.items()
-        ],
-    )
+                    found.append((tuple(map(sub, rho, wedge)), tuple(wedge)))
+            found.sort()
+        matrices = {k: _lowering_matrix(spec, basis[k], basis[k - 1]) for k in range(1, m + 1)}
+        blocks.append(StrandBlock(key, basis, matrices))
+    blocks.sort(key=lambda b: next((k, found[0]) for k, found in b.basis.items() if found))
+    dims = {k: sum(len(b.basis[k]) for b in blocks) for k in range(m + 1)}
+    return StrandComplex(w, dims, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +584,16 @@ def monomials_up_to(spec: AlgebraSpec, bound: int) -> Iterator[Exponents]:
 def generators_up_to(spec: AlgebraSpec, bound: int) -> Iterator[ChainGenerator]:
     """Every chain generator whose polynomial part has degree <= bound."""
     m = spec.num_generators
+    # Wedges by size, each size in lexicographic order: the reverse of the
+    # order in which combinations lists the positions of its ones.
+    wedges = [
+        tuple(int(c in cols) for c in range(m))
+        for size in range(m + 1)
+        for cols in reversed(list(combinations(range(m), size)))
+    ]
     for mono in monomials_up_to(spec, bound):
-        for size in range(m + 1):
-            for wedge in _bit_vectors(size, m):
-                yield ChainGenerator(mono, wedge)
+        for wedge in wedges:
+            yield ChainGenerator(mono, wedge)
 
 
 def apply_diff(

@@ -1,93 +1,129 @@
 """Exact sparse linear algebra over the coefficient field.
 
 All matrices and vectors hold exact scalars of one field Q(zeta_m), the
-rationals being Q(zeta_1); rank, kernel and subquotient computations are
-ordinary Gaussian elimination with a fill-minimizing pivot heuristic.
-Exactness makes the pivot order a pure performance choice, except that it
-fixes which coset representatives are reported.
+rationals being Q(zeta_1).  A matrix stores integer rows: each row is a set
+of integer coordinate vectors over one denominator, so products and modular
+ranks run on integers, and scalars are built only where elimination needs
+them.  Rank, kernel and subquotient computations are ordinary Gaussian
+elimination with a fill-minimizing pivot heuristic.  Exactness makes the
+pivot order a pure performance choice, except that it fixes which coset
+representatives are reported.
 
 Homology ranks are certified modular ranks.  ``homology_picks`` checks
-d_{k-1} d_k = 0 exactly, as a product over integer rows with one
-denominator per row and column (``SparseMatrix.compose``), then ranks every
-d_k over GF(p) for the field's prime p (``CyclotomicField.residue_map``).  A
-rank can only drop mod p, and d d = 0 gives rank d_k + rank d_{k+1} <=
-dim C_k, so a degree where the modular ranks sum to dim C_k certifies both,
-as rank_p = min(rows, cols) certifies one map.  The other ranks fall back to
-exact elimination, and kernels and representatives are computed only where
-homology survives.
+d_{k-1} d_k = 0 exactly, as a product of integer rows
+(``SparseMatrix.compose``), then ranks every d_k over GF(p) for the field's
+prime p (``CyclotomicField.residue_map``).  A rank can only drop mod p, and
+d d = 0 gives rank d_k + rank d_{k+1} <= dim C_k, so a degree where the
+modular ranks sum to dim C_k certifies both, as rank_p = min(rows, cols)
+certifies one map.  The other ranks fall back to exact elimination, and
+kernels and representatives are computed only where homology survives.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
 
 from .errors import ComplexBroken, NotASubspace
-from .scalar import QQ, Scalar
+from .scalar import QQ, CyclotomicField, Scalar
 
 Vector = dict[int, Scalar]
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
-    """A rows x cols matrix storing only nonzero entries."""
+    """A rows x cols matrix storing only nonzero entries, as integer rows.
 
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], Scalar] = field(default_factory=dict)
+    Each nonzero row i has one denominator dens[i], the lcm of the reduced
+    denominators of its entries, and ints[(i, j)] is entry (i, j) times
+    dens[i]: an int when phi(m) = 1 and a tuple of phi(m) ints otherwise.
+    The form is canonical, so equal matrices compare equal.  Entries keep the
+    order they were given in, which fixes the pivot order of later
+    eliminations; ``entries`` is their scalar view, built on each read.
+    """
 
-    def __post_init__(self):
-        for (i, j), v in list(self.entries.items()):
-            assert 0 <= i < self.rows and 0 <= j < self.cols
-            if v.is_zero():
-                del self.entries[(i, j)]
+    __slots__ = ("rows", "cols", "field", "ints", "dens")
+
+    def __init__(self, rows: int, cols: int, entries: Optional[dict[tuple[int, int], Scalar]] = None):
+        entries = entries or {}
+        field = next(iter(entries.values())).field if entries else QQ
+        cells = {at: (v.nums[0] if field.degree == 1 else v.nums, v.den) for at, v in entries.items()}
+        self._store(rows, cols, field, cells)
+
+    @classmethod
+    def from_cells(cls, rows: int, cols: int, field: CyclotomicField, cells: dict) -> "SparseMatrix":
+        """The matrix of entries c / den for cells[(i, j)] = (c, den), with c an int
+        when phi(m) = 1 and a sequence of phi(m) ints otherwise; builds no scalar."""
+        matrix = cls.__new__(cls)
+        matrix._store(rows, cols, field, cells)
+        return matrix
+
+    def _store(self, rows: int, cols: int, field: CyclotomicField, cells: dict) -> None:
+        rational = field.degree == 1
+        reduced, dens = {}, {}
+        for at, (c, den) in cells.items():
+            assert 0 <= at[0] < rows and 0 <= at[1] < cols
+            if not (c if rational else any(c)):
+                continue
+            g = 1 if den == 1 else gcd(c, den) if rational else gcd(den, *c)
+            if g != 1:
+                c, den = (c // g if rational else [x // g for x in c]), den // g
+            reduced[at] = c, den
+            d = dens.setdefault(at[0], den)
+            if d % den:
+                dens[at[0]] = lcm(d, den)
+        # Clear each row to its denominator.
+        ints = {}
+        for at, (c, den) in reduced.items():
+            scale = dens[at[0]] // den
+            if scale != 1:
+                c = c * scale if rational else [x * scale for x in c]
+            ints[at] = c if rational else tuple(c)
+        self.rows, self.cols, self.field, self.ints, self.dens = rows, cols, field, ints, dens
+
+    @property
+    def entries(self) -> dict[tuple[int, int], Scalar]:
+        """The nonzero entries as scalars, in storage order."""
+        make, dens, rational = self.field._make, self.dens, self.field.degree == 1
+        return {at: make([c] if rational else c, dens[at[0]]) for at, c in self.ints.items()}
+
+    def __eq__(self, other):
+        return isinstance(other, SparseMatrix) and (self.rows, self.cols, self.ints, self.dens) == (
+            other.rows, other.cols, other.ints, other.dens
+        ) and (not self.ints or self.field == other.field)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.ints
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
-    def apply(self, vec: Vector) -> Vector:
-        """Matrix-vector product; vec maps column index to scalar."""
-        out: Vector = {}
-        for (i, j), v in self.entries.items():
-            if j in vec:
-                c = v * vec[j]
-                out[i] = out[i] + c if i in out else c
-        return {i: c for i, c in out.items() if not c.is_zero()}
-
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """The product self * other (apply other first), exactly, over integer rows.
 
-        Each row of self and each column of other is cleared to the lcm of its
-        denominators.  An entry of the product is then a sum of integer
-        coordinate vectors, each product reduced mod Phi_m, over the product of
-        one row and one column denominator; only nonzero sums become scalars.
+        The rows of other are scaled to the lcm L of their denominators, so an
+        entry of the product is a sum of integer coordinate vectors, each
+        product reduced mod Phi_m, over the denominator of its row times L.
         Entries come in the order of the scalar product's first contributions,
         which fixes the pivot order of later eliminations.
         """
         assert self.cols == other.rows
-        if not (self.entries and other.entries):
+        if not (self.ints and other.ints):
             return SparseMatrix(self.rows, other.cols)
-        field = next(iter(self.entries.values())).field
-        row_den, col_den = _lcm_denominators(self, 0), _lcm_denominators(other, 1)
+        field = self.field
         # Over Q a coordinate vector is one integer, multiplied and added as such.
         rational = field.degree == 1
+        common = lcm(*other.dens.values())
         by_row: dict[int, list] = {}
-        for (k, j), w in other.entries.items():
-            scale = col_den[j] // w.den
-            b = w.nums[0] * scale if rational else [(t, c * scale) for t, c in enumerate(w.nums) if c]
+        for (k, j), b in other.ints.items():
+            scale = common // other.dens[k]
+            b = b * scale if rational else [(t, c * scale) for t, c in enumerate(b) if c]
             by_row.setdefault(k, []).append((j, b))
         sums: dict[tuple[int, int], list] = {}
-        for (i, k), v in self.entries.items():
-            scale = row_den[i] // v.den
+        for (i, k), a in self.ints.items():
             if rational:
-                a = v.nums[0] * scale
                 for j, b in by_row.get(k, ()):
                     sums[(i, j)] = sums.get((i, j), 0) + a * b
                 continue
-            a = [c * scale for c in v.nums]
             for j, b in by_row.get(k, ()):
                 c = field._mul_nums(a, b)
                 s = sums.get((i, j))
@@ -96,21 +132,8 @@ class SparseMatrix:
                 else:
                     for t, x in enumerate(c):
                         s[t] += x
-        if rational:
-            sums = {at: [s] for at, s in sums.items() if s}
-        entries = {
-            (i, j): field._make(s, row_den[i] * col_den[j]) for (i, j), s in sums.items() if any(s)
-        }
-        return SparseMatrix(self.rows, other.cols, entries)
-
-
-def _lcm_denominators(matrix: SparseMatrix, axis: int) -> dict[int, int]:
-    """The lcm of the entry denominators of each row (axis 0) or column (axis 1)."""
-    dens: dict[int, int] = {}
-    for at, v in matrix.entries.items():
-        d = dens.get(at[axis], 1)
-        dens[at[axis]] = d if d % v.den == 0 else lcm(d, v.den)
-    return dens
+        cells = {(i, j): (s, self.dens[i] * common) for (i, j), s in sums.items()}
+        return SparseMatrix.from_cells(self.rows, other.cols, field, cells)
 
 
 def _rows(matrix: SparseMatrix) -> dict[int, Vector]:
@@ -225,16 +248,20 @@ def span_rank(vectors: Sequence[Vector]) -> int:
 
 
 def _rank_mod_p(matrix: SparseMatrix) -> Optional[int]:
-    """The rank of the residues of the entries, or None when p divides a denominator."""
-    if not matrix.entries:
+    """The rank of the residues of the entries, or None when p divides a denominator.
+
+    Rows are reduced as integer vectors: scaling by a unit mod p keeps the rank.
+    """
+    if not matrix.ints:
         return 0
-    field = next(iter(matrix.entries.values())).field
-    p = field.residue_map[0]
+    field = matrix.field
+    p, images = field.residue_map
+    if any(den % p == 0 for den in matrix.dens.values()):
+        return None
+    rational = field.degree == 1
     rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in matrix.entries.items():
-        c = field.residue(v)
-        if c is None:
-            return None
+    for (i, j), c in matrix.ints.items():
+        c = c % p if rational else sum(map(mul, c, images)) % p
         if c:
             rows.setdefault(i, {})[j] = c
     # Echelon form by leading column; each pivot row is scaled to lead with 1.

@@ -506,7 +506,10 @@ class _LatticeModel:
         return vector[0] % self.torsion == 0 and not any(vector[1:])
 
     def lambda_power_product(self, factors: Iterable[tuple[int, int, int]]) -> Scalar:
-        key = self.character(factors)
+        return self.value(self.character(factors))
+
+    def value(self, key: tuple[int, ...]) -> Scalar:
+        """The scalar of a reduced character, built once per model."""
         value = self._products.get(key)
         if value is None:
             value = self._products[key] = self._scalar_of(key)

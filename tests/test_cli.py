@@ -236,8 +236,8 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
     terms = koszul._lowering
 
     def leaky(spec, mono, wedge):
-        for (image_mono, image_wedge), coeff in terms(spec, mono, wedge):
-            yield (image_mono, image_wedge[::-1]), coeff
+        for (image_mono, image_wedge), char, c in terms(spec, mono, wedge):
+            yield (image_mono, image_wedge[::-1]), char, c
 
     monkeypatch.setattr(koszul, "_lowering", leaky)
     code = run(["hh", "--config", "weyl(1)", "--wmin", "-1", "--wmax", "-1"])
@@ -348,3 +348,15 @@ def test_oracle_below_the_lowest_weight_is_vacuous(capsys):
     assert run(["oracle", "--config", "weyl(1)", "--wmin", "-2", "--wmax", "-2",
                 "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+def test_hh_window_below_the_lowest_weight_keeps_its_bounds(capsys):
+    # Weights of weyl(1) start at -(n+r) = -2: a window wholly below holds no
+    # strand and is printed as given, not with wmin raised above wmax.
+    argv = ["hh", "--config", "weyl(1)", "--wmin", "-9", "--wmax", "-5", "--format", "json"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["wmin"], doc["wmax"], doc["entries"]) == (-9, -5, [])
+    assert run(["hh", "--config", "weyl(1)", "--wmin", "-9", "--wmax", "-2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["wmin"], doc["wmax"], doc["entries"]) == (-2, -2, [{"w": -2, "k": 2, "dim": 1}])

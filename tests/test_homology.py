@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochhom import homology
+from hochhom import homology, koszul
 from hochhom.cli import load_config
 from hochhom.errors import RhoInC
 from hochhom.homology import (
@@ -18,7 +18,8 @@ from hochhom.homology import (
 )
 from hochhom.koszul import ChainElement, ChainGenerator, _compositions, enumerate_strand, is_in_C
 from hochhom.linalg import SparseMatrix, complex_homology, rank_kernel, subquotient_dim
-from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
+from hochhom.scalar import AlgebraSpec, CyclotomicModel, CyclotomicScalar, RationalModel
+from test_koszul import strand_matrices
 
 
 def weyl_spec():
@@ -128,14 +129,15 @@ def test_quotient_acyclicity_rejects_C_strand():
 def _reference_dimensions(spec, strand):
     """dim H_k as span(kernel of d_k) / span(columns of d_{k+1})."""
     m = spec.num_generators
+    matrices = strand_matrices(strand)
     dims = {}
     for k in range(m + 1):
-        d_k = strand.matrices.get(k, SparseMatrix(0, len(strand.generators[k])))
+        d_k = matrices.get(k, SparseMatrix(0, len(strand.generators[k])))
         _, cycles = rank_kernel(d_k, one=spec.one())
         boundaries = []
         if k + 1 <= m:
             columns = {}
-            for (i, j), v in strand.matrices[k + 1].entries.items():
+            for (i, j), v in matrices[k + 1].entries.items():
                 columns.setdefault(j, {})[i] = v
             boundaries = list(columns.values())
         dims[k] = subquotient_dim(cycles, boundaries)[0]
@@ -170,7 +172,7 @@ def test_euler_characteristic_per_block_and_per_strand(config, w_min, w_max):
         total = dict.fromkeys(range(m + 1), 0)
         for block in strand.blocks:
             dims, _ = complex_homology(block.matrices, spec.one())
-            chain = {k: len(gens) for k, gens in block.generators.items()}
+            chain = {k: len(basis) for k, basis in block.basis.items()}
             assert _euler(dims) == _euler(chain), (w, block.key)
             for k, d in dims.items():
                 total[k] += d
@@ -190,7 +192,7 @@ def test_block_representatives_match_whole_strand_elimination(config, w_min, w_m
     m = spec.num_generators
     for w in range(w_min, w_max + 1):
         strand = enumerate_strand(spec, w)
-        dims, reps = complex_homology(strand.matrices, spec.one(), representatives=range(m + 1))
+        dims, reps = complex_homology(strand_matrices(strand), spec.one(), representatives=range(m + 1))
         got = homology.homology_of_strand(spec, strand)
         assert got.dimensions == dims, w
         for k in range(m + 1):
@@ -212,3 +214,26 @@ def test_quotient_acyclicity_reports_failing_degree_and_witness(monkeypatch):
     assert not result.passed
     assert result.failing_degree == 0
     assert result.witness == ChainElement.single(spec, ChainGenerator(rho, (0, 0, 0)))
+
+
+def test_strand_builds_no_scalar_per_matrix_entry(monkeypatch):
+    # Block entries are integer rows: a scalar is built at most once per
+    # lambda-character met, never once per entry.
+    spec = load_config("weyl(3)")
+    characters, built = set(), []
+    lowering, init = koszul._lowering, CyclotomicScalar.__init__
+
+    def recorded(spec, mono, wedge):
+        for image, char, c in lowering(spec, mono, wedge):
+            characters.add(char)
+            yield image, char, c
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(koszul, "_lowering", recorded)
+    monkeypatch.setattr(CyclotomicScalar, "__init__", counted)
+    result = strand_homology(spec, -1, representatives=False)
+    assert sum(result.chain_dimensions.values()) == 2364
+    assert characters and len(built) <= len(characters)

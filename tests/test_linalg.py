@@ -42,6 +42,16 @@ def _sparse_from_lists(rows):
     return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries)
 
 
+def _apply(matrix, vec):
+    """The product of a matrix with a vector mapping column index to scalar, zeros dropped."""
+    out = {}
+    for (i, j), v in matrix.entries.items():
+        if j in vec:
+            c = v * vec[j]
+            out[i] = out[i] + c if i in out else c
+    return {i: c for i, c in out.items() if not c.is_zero()}
+
+
 def _random_rows(rng, nrows, ncols, density=0.5):
     return [
         [rng.choice([-2, -1, 1, 2, 3]) if rng.random() < density else 0 for _ in range(ncols)]
@@ -76,7 +86,7 @@ def test_kernel_vectors_annihilated(seed):
     matrix = _sparse_from_lists(rows)
     _, kernel = rank_kernel(matrix)
     for vec in kernel:
-        assert not matrix.apply(vec)
+        assert not _apply(matrix, vec)
 
 
 def test_span_rank_matches_sympy():
@@ -311,7 +321,7 @@ def test_non_exact_complex_reports_degree_and_witness():
     failing = min(k for k, dim in dims.items() if dim)
     _, reps = complex_homology({1: d1, 2: d2}, one, representatives=[failing])
     (witness,) = reps[failing]
-    assert not d1.apply(witness)
+    assert not _apply(d1, witness)
     boundaries = [{0: one}]
     assert span_rank(boundaries + [witness]) == span_rank(boundaries) + 1
 
@@ -332,6 +342,53 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(linalg, name, counted)
     return calls
+
+
+def _residue_rank(matrix):
+    """Reference: the rank over GF(p) of field.residue of every entry, None if one is undefined."""
+    field = next(iter(matrix.entries.values())).field
+    p = field.residue_map[0]
+    rows = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for (i, j), v in matrix.entries.items():
+        rows[i][j] = field.residue(v)
+        if rows[i][j] is None:
+            return None
+    rank = 0
+    for j in range(matrix.cols):
+        pivot = next((i for i in range(rank, matrix.rows) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        for i in range(rank + 1, matrix.rows):
+            factor = rows[i][j] * inv
+            rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _residue_matrices(draw):
+    """Matrices over Q with denominators, Q(zeta_4) and Q(zeta_12), entries near p."""
+    field = draw(st.sampled_from([QQ, CyclotomicField(4), CyclotomicField(12)]))
+    p = field.residue_map[0]
+    zeta = field.zeta_power(1)
+    pool = [field.from_rational(c) for c in (1, -1, 2, p, p + 1, Fraction(1, 3), Fraction(-5, 6))]
+    pool += [field.from_rational(Fraction(1, p)), zeta, zeta + 1, zeta * Fraction(2, 3)]
+    pool += [zeta - field.residue(zeta), field.zeta_power(5) * 7]
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.sampled_from([None] * 4 + pool), min_size=rows * cols, max_size=rows * cols))
+    entries = {(t // cols, t % cols): v for t, v in enumerate(cells) if v is not None}
+    return SparseMatrix(rows, cols, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_residue_matrices())
+def test_rank_mod_p_on_integer_rows_matches_entry_residues(matrix):
+    if matrix.is_zero():
+        assert _rank_mod_p(matrix) == 0
+    else:
+        assert _rank_mod_p(matrix) == _residue_rank(matrix)
 
 
 def test_rank_drop_mod_p_falls_back_to_exact_rank(monkeypatch):
@@ -434,7 +491,7 @@ def test_kernels_only_where_homology_survives(monkeypatch):
     spec = load_config("mixed-minimal(12)")
     strand = enumerate_strand(spec, 2)
     expected = [
-        block.matrices[k] if k in block.matrices else SparseMatrix(0, len(block.generators[k]))
+        block.matrices[k] if k in block.matrices else SparseMatrix(0, len(block.basis[k]))
         for block in strand.blocks
         for k, dim in complex_homology(block.matrices, spec.one())[0].items()
         if dim
@@ -442,4 +499,4 @@ def test_kernels_only_where_homology_survives(monkeypatch):
     kernels = _count_calls(monkeypatch, "rank_kernel")
     strand_homology(spec, 2, representatives=True)
     assert kernels == expected
-    assert 0 < len(kernels) < sum(len(block.generators) for block in strand.blocks)
+    assert 0 < len(kernels) < sum(len(block.basis) for block in strand.blocks)
