@@ -3,11 +3,10 @@
 Elements are finite scalar combinations of the basis monomials
 x_1^{a_1} ... x_r^{a_r} y_1^{b_1} ... y_n^{b_n}, stored as exponent tuples of
 length r + n.  Multiplication rewrites arbitrary products into this basis
-using the defining relations
+using the defining relations, written for the generators v_1..v_{r+n} =
+x_1..x_r, y_1..y_n over the extended parameter matrix lambda~ of AlgebraSpec,
 
-    y_i y_j = lambda_{i,j} y_j y_i
-    x_i x_j = lambda_{i,j} x_j x_i           (i, j <= r)
-    x_i y_j = lambda_{i,j}^{-1} y_j x_i      (i != j)
+    v_a v_b = lambda~_{a,b} v_b v_a          (a, b not a Weyl pair)
     x_i y_i = y_i x_i + 1                    (i <= r)
 
 and, for each Weyl pair, the closed reorder
@@ -197,21 +196,20 @@ def normal_mul_uncached(spec: AlgebraSpec, left: Monomial, right: Monomial) -> d
     r, n = spec.r, spec.n
     beta = left[r:]
     gamma, delta = right[:r], right[r:]
-    model = spec.model
 
     # Stage 1: y^beta * x^gamma.  Each pending term is (g, b, coeff) where g
     # holds the x-exponents settled so far (indices 1..i) and b the current
-    # y-exponents.  Moving x_i^{gamma_i} left past y_j costs lambda_{i,j} per
-    # crossing; meeting y_i^{b_i} triggers the Weyl reorder sum.
+    # y-exponents.  Moving x_i^{gamma_i} left past y_j costs lambda~_{r+j,i}
+    # per crossing; meeting y_i^{b_i} triggers the Weyl reorder sum.
     pending: list[tuple[tuple[int, ...], tuple[int, ...], Scalar]] = [((), beta, spec.one())]
     for i in range(1, r + 1):
         gi = gamma[i - 1]
         nxt = []
         for g, b, coeff in pending:
-            outer = [(i, j, gi * b[j - 1]) for j in range(i + 1, n + 1) if b[j - 1]]
+            outer = [(r + j, i, gi * b[j - 1]) for j in range(i + 1, n + 1) if b[j - 1]]
             for t in range(0, min(b[i - 1], gi) + 1):
-                inner = [(i, j, (gi - t) * b[j - 1]) for j in range(1, i) if b[j - 1]]
-                c = coeff * model.lambda_power_product(outer + inner)
+                inner = [(r + j, i, (gi - t) * b[j - 1]) for j in range(1, i) if b[j - 1]]
+                c = coeff * spec.lambda_tilde_power_product(outer + inner)
                 w = weyl_reorder_coefficient(b[i - 1], gi, t)
                 if w != 1:
                     c = c * w
@@ -224,8 +222,8 @@ def normal_mul_uncached(spec: AlgebraSpec, left: Monomial, right: Monomial) -> d
     out: dict[Monomial, Scalar] = {}
     for g, b, coeff in pending:
         xfac = [(j, i, g[i - 1] * alpha[j - 1]) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-        yfac = [(j, i, delta[i - 1] * b[j - 1]) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        c = coeff * model.lambda_power_product(xfac + yfac)
+        yfac = [(r + j, r + i, delta[i - 1] * b[j - 1]) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        c = coeff * spec.lambda_tilde_power_product(xfac + yfac)
         mono = tuple(a + gg for a, gg in zip(alpha, g)) + tuple(bb + d for bb, d in zip(b, delta))
         out[mono] = out[mono] + c if mono in out else c
     return {m: c for m, c in out.items() if not c.is_zero()}

@@ -71,7 +71,10 @@ MAX_CYCLOTOMIC_ORDER = 10_000
 # denominator, counting the shift of a decimal exponent ("1e20000" has 20001).
 MAX_PARAMETER_DIGITS = 1_000
 
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+# One prime per pair i < j of the free(n, r) preset, for every n allowed.
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+# The syntax of a preset name; a config source of this form is never read as a file.
+_PRESET = re.compile(r"([a-z-]+)\(([-0-9,\s]*)\)")
 
 
 # ---------------------------------------------------------------------------
@@ -79,17 +82,32 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 # ---------------------------------------------------------------------------
 
 
-def parse_config(doc: dict) -> AlgebraSpec:
-    try:
-        n, r = int(doc["n"]), int(doc["r"])
-        scalar = doc["scalar"]
-        kind = scalar["type"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+def _integer(value, what: str) -> int:
+    """A JSON integer or an integer string as an int; a float or a boolean is refused."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_size(n: int, r: int) -> None:
+    """Refuse (n, r) outside 0 <= r <= n or past MAX_GENERATORS generators."""
     if not (0 <= r <= n):
         raise ConfigError(f"need 0 <= r <= n, got n={n} r={r}")
     if n + r > MAX_GENERATORS:
         raise ConfigError(f"n + r = {n + r} exceeds the supported bound {MAX_GENERATORS}")
+
+
+def parse_config(doc: dict) -> AlgebraSpec:
+    try:
+        n, r = _integer(doc["n"], "n"), _integer(doc["r"], "r")
+        scalar = doc["scalar"]
+        kind = scalar["type"]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    _check_size(n, r)
     try:
         if kind == "rational":
             rows = scalar["values"]
@@ -98,12 +116,13 @@ def parse_config(doc: dict) -> AlgebraSpec:
                     _check_parameter_digits(v)
             model = RationalModel([[Fraction(v) for v in row] for row in rows])
         elif kind == "cyclotomic":
-            order = int(scalar["order"])
+            order = _integer(scalar["order"], "the cyclotomic order")
             if order > MAX_CYCLOTOMIC_ORDER:
                 raise ConfigError(
                     f"cyclotomic order {order} exceeds the supported bound {MAX_CYCLOTOMIC_ORDER}"
                 )
-            model = CyclotomicModel(order, scalar["exponents"])
+            exponents = [[_integer(e, "an exponent") for e in row] for row in scalar["exponents"]]
+            model = CyclotomicModel(order, exponents)
         else:
             raise ConfigError(f"unknown scalar model type {kind!r}")
         return AlgebraSpec(n, r, model)
@@ -137,18 +156,20 @@ def emit_config(spec: AlgebraSpec) -> dict:
 
 
 def preset_config(name: str) -> dict:
-    """Configs for the named parameter regimes."""
-    m = re.fullmatch(r"([a-z-]+)\(([-0-9,\s]*)\)", name.strip())
+    """Configs for the named parameter regimes, sized by ``_check_size`` before they are built."""
+    m = _PRESET.fullmatch(name.strip())
     if not m:
         raise ConfigError(f"not a preset: {name!r}")
     kind = m.group(1)
-    args = [int(a) for a in m.group(2).split(",") if a.strip()]
+    args = [_integer(a, "a preset argument") for a in m.group(2).split(",") if a.strip()]
     if kind == "weyl" and len(args) == 1:
         n = args[0]
+        _check_size(n, n)
         values = [["1"] * n for _ in range(n)]
         return {"n": n, "r": n, "scalar": {"type": "rational", "values": values}}
     if kind == "semiclassical" and len(args) == 3:
         n, order, e = args
+        _check_size(n, n)
         exps = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -157,6 +178,7 @@ def preset_config(name: str) -> dict:
         return {"n": n, "r": n, "scalar": {"type": "cyclotomic", "order": order, "exponents": exps}}
     if kind == "free" and len(args) == 2:
         n, r = args
+        _check_size(n, r)
         values = [["1"] * n for _ in range(n)]
         it = iter(_PRIMES)
         for i in range(n):
@@ -175,9 +197,9 @@ def preset_config(name: str) -> dict:
 
 def load_config(source: str) -> AlgebraSpec:
     """Load a config from a JSON file path or a preset name."""
-    try:
+    if _PRESET.fullmatch(source.strip()):
         doc = preset_config(source)
-    except ConfigError:
+    else:
         try:
             with open(source) as fh:
                 doc = json.load(fh)
@@ -256,9 +278,7 @@ def verify_complex(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
 
 
 def verify_chainmaps(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
-    """f and g intertwine the Weyl and small differentials; g.f = id on K_C."""
-    if spec.r != spec.n:
-        return 0, ["chain-map suite needs a semi-classical spec (r = n)"]
+    """f and g intertwine the Weyl and small differentials; g.f = id on K_C (needs r = n)."""
     failures = []
     checked = 0
     for g in generators_up_to(spec, bound):
@@ -403,7 +423,7 @@ def _cmd_verify(spec: AlgebraSpec, args) -> tuple[int, dict]:
     results = []
     failed = False
     for name in names:
-        if name == "chainmaps" and args.suite == "all" and spec.r != spec.n:
+        if name == "chainmaps" and spec.r != spec.n:
             results.append({"suite": name, "status": "skipped", "checked": 0, "failures": []})
             continue
         checked, failures = SUITES[name](spec, args.bound)

@@ -18,7 +18,8 @@ Four differentials live here:
 The module also provides the membership test for C, weight-strand
 enumeration, the comparison scalar R with the maps ``weyl_f_map`` and
 ``weyl_g_map``, and the braided antisymmetry check (the alternating
-contraction f' that must vanish).
+contraction f' that must vanish).  Every coefficient and column product
+is a list of (k, i, e) factors over lambda~, summed by ``AlgebraSpec.character``.
 
 A weight strand of K_C is a direct sum of fine blocks.  The small
 differential lowers rho_{x_i} and rho_{y_i} together and never changes
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
-from operator import mul, sub
+from operator import sub
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .algebra import generator_monomial, generator_name, monomial_str, normal_mul_monomials
@@ -199,13 +200,8 @@ def is_in_C(spec: AlgebraSpec, rho: Iterable[int]) -> bool:
 
 
 def _column_is_one(spec: AlgebraSpec, rho: Exponents, i: int) -> bool:
-    """Whether the character prod_k lambda~_{k,i}^{rho_k} of column i (1-based) is 1.
-
-    Each lattice coordinate of the character is an integer dot product with rho.
-    """
-    return spec.model.is_trivial(
-        [sum(map(mul, coords, rho)) for coords in spec.column_characters[i - 1]]
-    )
+    """Whether the column product prod_k lambda~_{k,i}^{rho_k} (i 1-based) is 1."""
+    return spec.monomial_is_one((k, i, e) for k, e in enumerate(rho, 1) if e)
 
 
 def block_key(spec: AlgebraSpec, rho: Exponents) -> Exponents:
@@ -227,8 +223,8 @@ def bad_columns(spec: AlgebraSpec, key: Exponents) -> tuple[int, ...]:
     """The 0-based columns whose character is not 1 on the block with this key.
 
     The characters are constant on a block, so they are evaluated once, at
-    the base point, by integer dot products with the spec's column-character
-    table, and kept in the spec's memo for every later key and strand.  At
+    the base point, as sums over the spec's table of lambda~ characters, and
+    kept in the spec's memo for every later key and strand.  At
     the base point they are linear in the key, so when the lattice is Z/t
     alone (no exact coordinates) they depend only on the key mod t, which is
     what the memo is keyed by then.  Column y_i's character is the inverse of
@@ -307,19 +303,21 @@ def _lowering(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
 
     Yields ((mono, wedge), character, int) triples by the closed coefficient
     formulas, the coefficient being the model's value of the reduced
-    lambda-character times the int: the x_i terms for i <= r, then the y_j
+    lambda~-character times the int: the x_i terms for i <= r, then the y_j
     terms for j <= r.  They make up the small-complex differential, and with
-    ``diff_symmetric`` the full one.
+    ``diff_symmetric`` the full one.  Their characters are those of
+    prod lambda~_{k,i}^{gamma_k} lambda~_{r+k,i}^{beta_k} (x_i) and
+    prod lambda~_{r+j,r+k}^{delta_k} lambda~_{r+j,k}^{alpha_k} (y_j).
     """
     r, n = spec.r, spec.n
-    character = spec.model.character
+    character = spec.character
 
     for i in range(1, r + 1):
         beta_i = mono[r + i - 1]
         if wedge[i - 1] and beta_i:
             char = character(
                 [(k, i, wedge[k - 1]) for k in range(1, i)]
-                + [(k, i, -mono[r + k - 1]) for k in range(i + 1, n + 1)]
+                + [(r + k, i, mono[r + k - 1]) for k in range(i + 1, n + 1)]
             )
             image = _lower(mono, r + i - 1), _without(wedge, i - 1)
             yield image, char, -_epsilon_1(wedge, i) * beta_i
@@ -328,8 +326,8 @@ def _lowering(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
         alpha_j = mono[j - 1]
         if wedge[r + j - 1] and alpha_j:
             char = character(
-                [(j, k, wedge[r + k - 1]) for k in range(j + 1, n + 1)]
-                + [(j, k, -mono[k - 1]) for k in range(1, j)]
+                [(r + j, r + k, wedge[r + k - 1]) for k in range(j + 1, n + 1)]
+                + [(r + j, k, mono[k - 1]) for k in range(1, j)]
             )
             image = _lower(mono, j - 1), _without(wedge, r + j - 1)
             yield image, char, _epsilon_1(wedge, r + j) * alpha_j
@@ -627,7 +625,7 @@ def weyl_compare_R(spec: AlgebraSpec, g: ChainGenerator) -> Scalar:
         Omega'_2(g) R(d_2 g) =  eps_2(j) alpha_j R(g)
 
     exactly, which is the statement that f (multiplication by R) intertwines
-    the two differentials.
+    the two differentials.  With r = n, lambda_{u,v} is lambda~_{u,v}.
     """
     if spec.r != spec.n:
         raise NotSemiClassical("comparison maps need r = n")
@@ -640,7 +638,7 @@ def weyl_compare_R(spec: AlgebraSpec, g: ChainGenerator) -> Scalar:
             e = gamma[u - 1] * beta[v - 1] + alpha[u - 1] * delta[v - 1]
             if e:
                 factors.append((u, v, e))
-    return spec.model.lambda_power_product(factors)
+    return spec.lambda_tilde_power_product(factors)
 
 
 def weyl_f_map(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:

@@ -18,9 +18,10 @@ together with exact "product of parameter powers equals 1" decisions.
 Both models map the parameters once, when they are built, into an integer
 character lattice Z/t x Z^B: a rational lambda is a sign bit (t = 2) and its
 exponents over a coprime base of B integers, a root of unity zeta_m^E is E
-mod m (t = m, B = 0).  A product of parameter powers is then the integer sum
-of the powers times the characters; it is 1 exactly when that sum is zero in
-the lattice, and its value is looked up per sum in a per-model cache.
+mod m (t = m, B = 0).  Every product of parameter powers is written over
+the extended matrix lambda~ and is the sum of the characters of its entries,
+read from one table per AlgebraSpec; it is 1 exactly when that sum is zero
+in the lattice, and its value is looked up per sum in the model's cache.
 """
 from __future__ import annotations
 
@@ -484,29 +485,11 @@ class _LatticeModel:
         # Characters are periodic mod t in every exponent when the lattice is Z/t alone.
         self.period = torsion if rank == 1 else 0
         self.characters = tuple(tuple(row) for row in characters)
-        # The nonzero (coordinate, value) pairs of each character.
-        self._terms = tuple(
-            tuple(tuple((c, x) for c, x in enumerate(ch) if x) for ch in row)
-            for row in self.characters
-        )
         self._products: dict[tuple[int, ...], Scalar] = {}
-
-    def character(self, factors: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
-        """The reduced character of prod lambda_{i,j}^e over (i, j, e) factors (1-based)."""
-        terms = self._terms
-        acc = [0] * self.rank
-        for i, j, e in factors:
-            for c, x in terms[i - 1][j - 1]:
-                acc[c] += e * x
-        acc[0] %= self.torsion
-        return tuple(acc)
 
     def is_trivial(self, vector: Sequence[int]) -> bool:
         """Whether an unreduced lattice vector is zero, so its product is 1."""
         return vector[0] % self.torsion == 0 and not any(vector[1:])
-
-    def lambda_power_product(self, factors: Iterable[tuple[int, int, int]]) -> Scalar:
-        return self.value(self.character(factors))
 
     def value(self, key: tuple[int, ...]) -> Scalar:
         """The scalar of a reduced character, built once per model."""
@@ -515,20 +498,8 @@ class _LatticeModel:
             value = self._products[key] = self._scalar_of(key)
         return value
 
-    def lambda_product_is_one(self, factors: Iterable[tuple[int, int, int]]) -> bool:
-        return self.is_trivial(self.character(factors))
-
     def _scalar_of(self, key: tuple[int, ...]) -> Scalar:
         raise NotImplementedError
-
-    def one(self) -> Scalar:
-        return self.field.one
-
-    def zero(self) -> Scalar:
-        return self.field.zero
-
-    def scalar(self, value: _RatLike) -> Scalar:
-        return self.field.from_rational(value)
 
 
 class RationalModel(_LatticeModel):
@@ -703,13 +674,15 @@ def _valuation(value: int, b: int) -> int:
 class AlgebraSpec:
     """One algebra: n q-commuting generators, r of them completed to Weyl pairs.
 
-    The extended (n+r) x (n+r) parameter matrix has the block layout
+    The extended (n+r) x (n+r) parameter matrix lambda~ has the block layout
 
         [ Lambda_r        Lambda_{r,n}^{-1} ]
         [ Lambda_{n,r}^{-1}    Lambda       ]
 
     where the first r rows/columns correspond to the x generators and the
-    remaining n to the y generators.
+    remaining n to the y generators: v_a v_b = lambda~_{a,b} v_b v_a but for a
+    Weyl pair.  Only ``_tilde_factor`` knows this layout, and only to build
+    the table of entry characters that ``character`` sums.
     """
 
     n: int
@@ -727,13 +700,10 @@ class AlgebraSpec:
         return self.n + self.r
 
     def one(self) -> Scalar:
-        return self.model.one()
-
-    def zero(self) -> Scalar:
-        return self.model.zero()
+        return self.model.field.one
 
     def scalar(self, value: _RatLike) -> Scalar:
-        return self.model.scalar(value)
+        return self.model.field.from_rational(value)
 
     def _tilde_factor(self, k: int, i: int) -> tuple[int, int, int]:
         """Map an extended-matrix index pair to (row, col, exponent) over Lambda."""
@@ -749,57 +719,49 @@ class AlgebraSpec:
             return (k - r, i, -1)
         return (k - r, i - r, 1)
 
+    @cached_property
+    def _tilde_characters(self) -> dict[int, dict[int, tuple[tuple[int, int], ...]]]:
+        """[k][i]: the nonzero (coordinate, value) pairs of the character of lambda~_{k,i}.
+
+        Keyed by the 1-based indices, so an index outside 1..n+r has no entry.
+        """
+        m, chars = self.num_generators, self.model.characters
+        table = {k: {} for k in range(1, m + 1)}
+        for k, row in table.items():
+            for i in range(1, m + 1):
+                a, b, e = self._tilde_factor(k, i)
+                row[i] = tuple((c, e * x) for c, x in enumerate(chars[a - 1][b - 1]) if x)
+        return table
+
+    def character(self, factors: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
+        """The reduced lattice character of prod lambda~_{k,i}^e over 1-based (k, i, e) factors."""
+        table, model = self._tilde_characters, self.model
+        acc = [0] * model.rank
+        try:
+            for k, i, e in factors:
+                for c, x in table[k][i]:
+                    acc[c] += e * x
+        except KeyError:
+            self._tilde_factor(k, i)  # raises IndexOutOfRange
+            raise
+        acc[0] %= model.torsion
+        return tuple(acc)
+
     def lambda_tilde(self, k: int, i: int) -> Scalar:
         """Entry of the extended parameter matrix Q(Lambda) (1-based)."""
-        a, b, e = self._tilde_factor(k, i)
-        return self.model.lambda_power_product([(a, b, e)])
-
-    def _over_lambda(self, factors: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-        """Rewrite extended-matrix factors (k, i, e) as factors over Lambda."""
-        mapped = []
-        for k, i, e in factors:
-            a, b, s = self._tilde_factor(k, i)
-            mapped.append((a, b, s * e))
-        return mapped
+        return self.model.value(self.character([(k, i, 1)]))
 
     def lambda_tilde_power_product(self, factors: Iterable[tuple[int, int, int]]) -> Scalar:
-        """Exact product of powers of extended-matrix entries, memoized per factor list."""
-        key, memo = tuple(factors), self.coefficient_memo
-        if key not in memo:
-            memo[key] = self.model.lambda_power_product(self._over_lambda(key))
-        return memo[key]
+        """Exact product of powers of extended-matrix entries."""
+        return self.model.value(self.character(factors))
 
     def monomial_is_one(self, factors: Iterable[tuple[int, int, int]]) -> bool:
         """Exact decision of prod lambda~_{k,i}^e = 1 over extended indices."""
-        return self.model.lambda_product_is_one(self._over_lambda(factors))
-
-    @cached_property
-    def column_characters(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The column characters of the extended matrix as integer linear forms.
-
-        column_characters[i][c][k] is lattice coordinate c of the character
-        of lambda~_{k+1,i+1} (0-based i and k), so coordinate c of the
-        character of column i at rho, prod_k lambda~_{k,i}^{rho_k}, is the dot
-        product of column_characters[i][c] with rho.
-        """
-        m, chars = self.num_generators, self.model.characters
-        table = []
-        for i in range(1, m + 1):
-            rows = []
-            for k in range(1, m + 1):
-                a, b, e = self._tilde_factor(k, i)
-                rows.append(tuple(e * x for x in chars[a - 1][b - 1]))
-            table.append(tuple(zip(*rows)))
-        return tuple(table)
+        return self.model.is_trivial(self.character(factors))
 
     @cached_property
     def block_memo(self) -> dict:
         """Per-spec memo of data decided once per block key (``koszul.bad_columns``)."""
-        return {}
-
-    @cached_property
-    def coefficient_memo(self) -> dict:
-        """Per-spec memo of braided coefficients (``lambda_tilde_power_product``)."""
         return {}
 
     @cached_property
@@ -811,22 +773,13 @@ class AlgebraSpec:
         return self.r == self.n
 
     def is_all_one(self) -> bool:
-        m = self.num_generators
-        return all(
-            self.lambda_tilde(i, j).is_one() for i in range(1, m + 1) for j in range(1, m + 1)
-        )
+        # An entry is 1 exactly when its character has no nonzero coordinate.
+        return not any(any(row.values()) for row in self._tilde_characters.values())
 
     def is_free(self) -> bool:
         return self.model.is_free_of_maximal_rank()
 
     def root_of_unity_order(self, i: int, j: int) -> int | None:
         """Multiplicative order of lambda_{i,j}, or None if infinite."""
-        if isinstance(self.model, CyclotomicModel):
-            e = self.model.exponents[i - 1][j - 1] % self.model.order
-            return self.model.order // gcd(self.model.order, e) if e else 1
-        v = self.model.values[i - 1][j - 1]
-        if v == 1:
-            return 1
-        if v == -1:
-            return 2
-        return None
+        t, ch = self.model.torsion, self.model.characters[i - 1][j - 1]
+        return None if any(ch[1:]) else t // gcd(t, ch[0])

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 from hochhom import koszul
 from hochhom.cli import (
+    _PRIMES,
     MAX_CYCLOTOMIC_ORDER,
+    MAX_GENERATORS,
     MAX_PARAMETER_DIGITS,
     build_parser,
     emit_config,
@@ -360,3 +364,66 @@ def test_hh_window_below_the_lowest_weight_keeps_its_bounds(capsys):
     assert run(["hh", "--config", "weyl(1)", "--wmin", "-9", "--wmax", "-2", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["wmin"], doc["wmax"], doc["entries"]) == (-2, -2, [{"w": -2, "k": 2, "dim": 1}])
+
+
+def test_free_preset_has_a_prime_for_every_pair_up_to_the_bound():
+    assert len(set(_PRIMES)) >= comb(MAX_GENERATORS, 2)
+    assert all(p > 1 and all(p % q for q in range(2, p)) for p in _PRIMES)
+    spec = parse_config(preset_config(f"free({MAX_GENERATORS},0)"))
+    assert spec.is_free()
+
+
+def test_free_preset_at_the_generator_bound_answers(capsys):
+    argv = ["oracle", "--config", "free(6,0)", "--wmin", "-1", "--wmax", "-1", "--format", "json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "config", ["free(7,0)", "weyl(1000000)", "semiclassical(1000000,4,1)", "weyl(-)"]
+)
+def test_preset_past_the_bound_exits_2_before_it_is_built(capsys, config):
+    start = time.perf_counter()
+    code = run(["hh", "--config", config, "--wmin", "0", "--wmax", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "cannot read" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2, "r": 0, "scalar": {"type": "cyclotomic", "order": 4,
+                                    "exponents": [[0, 1.5], [-1.5, 0]]}},
+        {"n": 2, "r": 0, "scalar": {"type": "cyclotomic", "order": 4,
+                                    "exponents": [[0, True], [-1, 0]]}},
+        {"n": 2, "r": 0, "scalar": {"type": "cyclotomic", "order": 4.0,
+                                    "exponents": [[0, 1], [-1, 0]]}},
+        {"n": 2.5, "r": 0, "scalar": {"type": "rational", "values": [["1", "2"], ["1/2", "1"]]}},
+        {"n": 1, "r": True, "scalar": {"type": "rational", "values": [["1"]]}},
+    ],
+    ids=["float-exponent", "bool-exponent", "float-order", "float-n", "bool-r"],
+)
+def test_non_integral_config_number_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert run(["hh", "--config", str(path), "--wmin", "0", "--wmax", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_integer_strings_and_rational_values_still_parse():
+    doc = {"n": "2", "r": "1",
+           "scalar": {"type": "cyclotomic", "order": "3", "exponents": [["0", "-1"], ["1", "0"]]}}
+    assert parse_config(doc) == parse_config(preset_config("mixed-minimal(3)"))
+    # A JSON float among rational values is an exact Fraction, not a truncation.
+    doc = {"n": 2, "r": 0, "scalar": {"type": "rational", "values": [[1, 1.5], ["2/3", 1]]}}
+    assert parse_config(doc).model.values[0][1] == Fraction(3, 2)
+
+
+def test_verify_chainmaps_is_skipped_below_semiclassical(capsys):
+    code = run(["verify", "--config", "free(2,0)", "--suite", "chainmaps", "--format", "json"])
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert (result["status"], result["checked"], result["failures"]) == ("skipped", 0, [])

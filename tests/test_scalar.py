@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochhom import scalar as scalar_module
-from hochhom.errors import DivisionByZero, ModelMismatch
+from hochhom.errors import DivisionByZero, IndexOutOfRange, ModelMismatch
 from hochhom.scalar import (
     AlgebraSpec,
     CyclotomicField,
@@ -243,8 +243,10 @@ def test_lambda_power_product_matches_raw_fractions(model, data):
         raw *= v**e
         sym *= sympy.Rational(v.numerator, v.denominator) ** e
     assert Fraction(int(sym.p), int(sym.q)) == raw
-    assert model.lambda_power_product(factors) == RationalScalar(raw)
-    assert model.lambda_product_is_one(factors) == (raw == 1)
+    # With r = 0 the extended matrix is Lambda itself.
+    spec = AlgebraSpec(model.n, 0, model)
+    assert spec.lambda_tilde_power_product(factors) == RationalScalar(raw)
+    assert spec.monomial_is_one(factors) == (raw == 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,8 +270,9 @@ def test_cyclotomic_lambda_power_product_matches_zeta_powers(order, data):
     raw = model.field.one
     for i, j, e in factors:
         raw = raw * model.field.zeta_power(model.exponents[i - 1][j - 1]) ** e
-    assert model.lambda_power_product(factors) == raw
-    assert model.lambda_product_is_one(factors) == raw.is_one()
+    spec = AlgebraSpec(2, 0, model)
+    assert spec.lambda_tilde_power_product(factors) == raw
+    assert spec.monomial_is_one(factors) == raw.is_one()
 
 
 def test_lambda_tilde_block_structure():
@@ -292,6 +295,56 @@ def test_lambda_tilde_antisymmetry():
             assert spec.lambda_tilde(i, j) * spec.lambda_tilde(j, i) == spec.one()
 
 
+@st.composite
+def _cyclotomic_models(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=1, max_value=12))
+    exponents = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = draw(st.integers(min_value=-30, max_value=30))
+            exponents[i][j], exponents[j][i] = e, -e
+    return CyclotomicModel(order, exponents)
+
+
+def _tilde_entry(spec, k, i):
+    """lambda~_{k,i} from lambda_entry, with the block layout written out.
+
+    [[Lambda_r, Lambda_{r,n}^-1], [Lambda_{n,r}^-1, Lambda]], x generators first.
+    """
+    r, entry = spec.r, spec.model.lambda_entry
+    if k <= r and i <= r:
+        return entry(k, i)
+    if k <= r < i:
+        return entry(k, i - r).inv()
+    if i <= r < k:
+        return entry(k - r, i).inv()
+    return entry(k - r, i - r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.one_of(_lattice_models(), _cyclotomic_models()), data=st.data())
+def test_lambda_tilde_power_product_matches_lambda_entry_reference(model, data):
+    spec = AlgebraSpec(model.n, data.draw(st.integers(min_value=0, max_value=model.n)), model)
+    factors = _factors(data.draw, spec.num_generators)
+    want = spec.one()
+    for k, i, e in factors:
+        want = want * _tilde_entry(spec, k, i) ** e
+    assert spec.lambda_tilde_power_product(factors) == want
+    assert spec.monomial_is_one(factors) == want.is_one()
+
+
+@pytest.mark.parametrize("k,i", [(0, 1), (1, 0), (4, 1), (1, 4), (-1, 2), (2, -3)])
+def test_extended_index_out_of_range(k, i):
+    spec = AlgebraSpec(2, 1, CyclotomicModel(3, [[0, 1], [-1, 0]]))
+    with pytest.raises(IndexOutOfRange):
+        spec.character([(1, 1, 1), (k, i, 2)])
+    with pytest.raises(IndexOutOfRange):
+        spec.lambda_tilde_power_product(iter([(k, i, 0)]))
+    with pytest.raises(IndexOutOfRange):
+        spec.lambda_tilde(k, i)
+
+
 def test_spec_regime_predicates():
     weyl = AlgebraSpec(1, 1, RationalModel([[Fraction(1)]]))
     assert weyl.is_semiclassical() and weyl.is_all_one()
@@ -300,6 +353,13 @@ def test_spec_regime_predicates():
     assert free.root_of_unity_order(2, 1) is None
     mm2 = AlgebraSpec(2, 1, CyclotomicModel(2, [[0, -1], [1, 0]]))
     assert mm2.root_of_unity_order(2, 1) == 2
+    assert not free.is_all_one() and not mm2.is_all_one()
+    signs = AlgebraSpec(2, 0, RationalModel([[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)]]))
+    assert not signs.is_all_one()
+    assert (signs.root_of_unity_order(1, 2), signs.root_of_unity_order(1, 1)) == (2, 1)
+    zeta12 = AlgebraSpec(2, 2, CyclotomicModel(12, [[0, 3], [-3, 0]]))
+    assert [zeta12.root_of_unity_order(i, j) for i, j in ((1, 2), (2, 1), (1, 1))] == [4, 4, 1]
+    assert AlgebraSpec(2, 2, CyclotomicModel(12, [[0, 12], [-12, 0]])).is_all_one()
 
 
 def test_config_round_trip():
@@ -442,10 +502,16 @@ def test_braided_coefficient_memo_hit_equals_fresh_computation(model, data):
     spec = AlgebraSpec(model.n, data.draw(st.integers(min_value=0, max_value=model.n)), model)
     factors = _factors(data.draw, spec.num_generators)
     first = spec.lambda_tilde_power_product(iter(factors))
-    assert tuple(factors) in spec.coefficient_memo
-    fresh = AlgebraSpec(spec.n, spec.r, model).lambda_tilde_power_product(factors)
+    # The value is kept in the model's per-character cache; a new model starts empty.
+    assert spec.character(factors) in model._products
+    fresh = AlgebraSpec(spec.n, spec.r, RationalModel(model.values)).lambda_tilde_power_product(
+        factors
+    )
     assert spec.lambda_tilde_power_product(factors) == first == fresh
-    assert fresh == model.lambda_power_product(spec._over_lambda(factors))
+    raw = Fraction(1)
+    for k, i, e in factors:
+        raw *= _tilde_value(spec, k, i) ** e
+    assert fresh == RationalScalar(raw)
 
 
 # ---------------------------------------------------------------------------
