@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
+from .braiding import braiding_f_prime
 from .cohomology import (
     Cochain,
     cohomology_report,
@@ -46,7 +47,6 @@ from .homology import (
 from .koszul import (
     ChainElement,
     apply_diff,
-    braiding_f_prime,
     chain_generator_str,
     diff_full,
     diff_full_closed,
@@ -59,7 +59,7 @@ from .koszul import (
     weyl_g_map,
     _compositions,
 )
-from .scalar import AlgebraSpec, CyclotomicModel, RationalModel
+from .scalar import AlgebraSpec, CyclotomicModel, RationalModel, as_integer
 
 SCHEMA = "hochhom-report/1"
 MAX_GENERATORS = 6
@@ -82,16 +82,6 @@ _PRESET = re.compile(r"([a-z-]+)\(([-0-9,\s]*)\)")
 # ---------------------------------------------------------------------------
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer or an integer string as an int; a float or a boolean is refused."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
-
-
 def _check_size(n: int, r: int) -> None:
     """Refuse (n, r) outside 0 <= r <= n or past MAX_GENERATORS generators."""
     if not (0 <= r <= n):
@@ -102,7 +92,7 @@ def _check_size(n: int, r: int) -> None:
 
 def parse_config(doc: dict) -> AlgebraSpec:
     try:
-        n, r = _integer(doc["n"], "n"), _integer(doc["r"], "r")
+        n, r = as_integer(doc["n"], "n"), as_integer(doc["r"], "r")
         scalar = doc["scalar"]
         kind = scalar["type"]
     except (KeyError, TypeError) as exc:
@@ -116,13 +106,12 @@ def parse_config(doc: dict) -> AlgebraSpec:
                     _check_parameter_digits(v)
             model = RationalModel([[Fraction(v) for v in row] for row in rows])
         elif kind == "cyclotomic":
-            order = _integer(scalar["order"], "the cyclotomic order")
+            order = as_integer(scalar["order"], "the cyclotomic order")
             if order > MAX_CYCLOTOMIC_ORDER:
                 raise ConfigError(
                     f"cyclotomic order {order} exceeds the supported bound {MAX_CYCLOTOMIC_ORDER}"
                 )
-            exponents = [[_integer(e, "an exponent") for e in row] for row in scalar["exponents"]]
-            model = CyclotomicModel(order, exponents)
+            model = CyclotomicModel(order, scalar["exponents"])
         else:
             raise ConfigError(f"unknown scalar model type {kind!r}")
         return AlgebraSpec(n, r, model)
@@ -161,7 +150,7 @@ def preset_config(name: str) -> dict:
     if not m:
         raise ConfigError(f"not a preset: {name!r}")
     kind = m.group(1)
-    args = [_integer(a, "a preset argument") for a in m.group(2).split(",") if a.strip()]
+    args = [as_integer(a, "a preset argument") for a in m.group(2).split(",") if a.strip()]
     if kind == "weyl" and len(args) == 1:
         n = args[0]
         _check_size(n, n)

@@ -16,10 +16,9 @@ Four differentials live here:
   of the semi-classical comparison maps f and g.
 
 The module also provides the membership test for C, weight-strand
-enumeration, the comparison scalar R with the maps ``weyl_f_map`` and
-``weyl_g_map``, and the braided antisymmetry check (the alternating
-contraction f' that must vanish).  Every coefficient and column product
-is a list of (k, i, e) factors over lambda~, summed by ``AlgebraSpec.character``.
+enumeration, and the comparison scalar R with the maps ``weyl_f_map`` and
+``weyl_g_map``.  Every coefficient and column product is a list of
+(k, i, e) factors over lambda~, summed by ``AlgebraSpec.character``.
 
 A weight strand of K_C is a direct sum of fine blocks.  The small
 differential lowers rho_{x_i} and rho_{y_i} together and never changes
@@ -30,11 +29,15 @@ extended parameter matrix is the entrywise inverse of row y_i, so the column
 characters are constant on a block and membership in C is decided once per
 key: a key whose base point touches a bad column has no point in C, and the
 points in C of any other key raise only the Weyl pairs whose two columns are
-good.  Strands are therefore enumerated key first: for each key with a
-generator in C and each of its points rho of total degree w + 2k, the
-degree-k generators are rho minus a wedge on a k-subset of the support of
-rho.  No generator outside C is built, and a block's basis is a list of
-(mono, wedge) tuples.  Strand matrices come from the lowering formula
+good.  At the base point the column characters are linear in the signed
+key, so when the lattice is Z/t alone (every lambda a root of unity, period
+t) they depend only on the key mod t: keys are walked residue class by
+residue class, and only classes that hold a key are visited.  An exact
+lattice (period 0) is one class, decided key by key.  Strands are built
+key first: for each key with a generator in C and each of its points rho of
+total degree w + 2k, the degree-k generators are rho minus a wedge on a
+k-subset of the support of rho.  No generator outside C is built, and a
+block's basis is a list of (mono, wedge) tuples.  Strand matrices come from the lowering formula
 written once as a kernel on those tuples (``_lowering``), which gives each
 coefficient as a lambda-character and an int, so block matrices are integer
 rows with no scalar per entry; ``diff_small`` and ``diff_full_closed`` wrap
@@ -44,7 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations
+from math import gcd
 from operator import sub
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -55,7 +59,6 @@ from .errors import (
     ModelMismatch,
     NotInSmallComplex,
     NotSemiClassical,
-    WordTooLong,
 )
 from .linalg import SparseMatrix
 from .scalar import AlgebraSpec, Scalar
@@ -222,31 +225,28 @@ def _base_point(spec: AlgebraSpec, key: Exponents) -> Exponents:
 def bad_columns(spec: AlgebraSpec, key: Exponents) -> tuple[int, ...]:
     """The 0-based columns whose character is not 1 on the block with this key.
 
-    The characters are constant on a block, so they are evaluated once, at
-    the base point, as sums over the spec's table of lambda~ characters, and
-    kept in the spec's memo for every later key and strand.  At
-    the base point they are linear in the key, so when the lattice is Z/t
-    alone (no exact coordinates) they depend only on the key mod t, which is
-    what the memo is keyed by then.  Column y_i's character is the inverse of
-    column x_i's, so only x_i is evaluated for a Weyl pair.
+    The characters are constant on a block, and at its base point the
+    character of column x_i (y_i's is its inverse) or y_j is linear in the
+    signed key, summed over ``AlgebraSpec.block_characters``.  When the
+    lattice is Z/t alone (period t), it depends only on the key mod t;
+    ``_strand_keys`` decides whole residue classes that way and calls this
+    only on exact lattices (period 0), key by key.
 
     A rho with this key lies in C exactly when rho_c = 0 for every column c
     returned: a key whose base point touches such a column has no generator
     in C, and otherwise only the Weyl pairs with both columns good can be
     raised.
     """
-    memo, period = spec.block_memo, spec.model.period
-    if period:
-        key = tuple([x % period for x in key])
-    bad = memo.get(key)
-    if bad is None:
-        r, base = spec.r, _base_point(spec, key)
-        pairs = [i for i in range(r) if not _column_is_one(spec, base, i + 1)]
-        quantum = [
-            c for c in range(2 * r, spec.num_generators) if not _column_is_one(spec, base, c + 1)
-        ]
-        bad = memo[key] = tuple(pairs + [r + i for i in pairs] + quantum)
-    return bad
+    model, r = spec.model, spec.r
+    bad = []
+    for j, row in enumerate(spec.block_characters):
+        acc = [0] * model.rank
+        for k, ch in zip(key, row):
+            if k:
+                acc = [a + k * x for a, x in zip(acc, ch)]
+        if not model.is_trivial(acc):
+            bad.append(j)
+    return tuple([j for j in bad if j < r] + [r + j for j in bad])
 
 
 # ---------------------------------------------------------------------------
@@ -449,34 +449,121 @@ def _compositions(total: int, parts: int):
         a[-1] = rest - 1
 
 
+def _values(residue: int, step: int, signed: bool, cap: int) -> list[tuple[int, int]]:
+    """(v, |v|) for every v = residue (mod step) with |v| <= cap, by |v|; v >= 0 unless signed."""
+    ups = range(residue, cap + 1, step)
+    values = sorted(chain(ups, range(residue - step, -cap - 1, -step)), key=abs) if signed else ups
+    return [(v, abs(v)) for v in values]
+
+
+def _residues(t: int, budget: int, signed: bool, start: int = 0, step: int = 1):
+    """(x mod t, |v|) for every x = start (mod step) whose smallest value v has |v| <= budget.
+
+    By |v|; step divides t.
+    """
+    values = _values(start, step, signed, min(budget, t // 2 if signed else t - 1))
+    return [(v % t, c) for v, c in values if 2 * v != -t]
+
+
+def _solve(equations: Iterable[tuple[int, int]], t: int) -> tuple[int, int] | None:
+    """The x with a x = b (mod t) for every (a, b), as (x0, step): x = x0 (mod step), step | t.
+
+    None when there is none.  Each congruence is solved on the solutions
+    x0 + step y of those before it.
+    """
+    x0, step = 0, 1
+    for a, b in equations:
+        g = gcd(a * step, t)
+        rhs = b - a * x0
+        if rhs % g:
+            return None
+        x0 += step * (rhs // g * pow(a * step // g, -1, t // g) % (t // g))
+        step *= t // g
+    return x0 % step, step
+
+
+def _bounded(options: list, budget: int, parity: int | None = None):
+    """(items, cost) for every tuple taking one (item, cost) from each list, each sorted by cost.
+
+    The total cost is at most budget and, when a parity is given, of that parity.
+    """
+    if not options:
+        if budget >= 0 and not parity:
+            yield (), 0
+        return
+    for item, cost in options[0]:
+        if cost > budget:
+            break
+        rest = None if parity is None else (parity - cost) % 2
+        for tail, spent in _bounded(options[1:], budget - cost, rest):
+            yield (item,) + tail, cost + spent
+
+
+def _key_classes(spec: AlgebraSpec, cap: int):
+    """(residues, free) for every class of block keys mod the period t with a key of size <= cap.
+
+    Keys in one class have the same characters, so the same bad columns, and
+    a coordinate is free when its column(s) are good.  A class holds a key
+    of size <= cap exactly when every nonzero residue is free and the
+    smallest values of the residues sum to at most cap.  The first n - 1
+    residues are walked under that bound; given them, the free conditions of
+    the nonzero ones are congruences in the last residue (``_solve``), and a
+    nonzero last residue also needs the last column good (its own entry is
+    0).  An exact lattice (period 0) is one class in which every coordinate
+    is free.
+    """
+    n, r, t = spec.n, spec.r, spec.model.period
+    if not t:
+        yield (0,) * n, (True,) * n
+        return
+    table = [[ch[0] for ch in row] for row in spec.block_characters]
+    last = n - 1
+    for prefix, spent in _bounded([_residues(t, cap, j < r) for j in range(last)], cap):
+        chars = [sum(x * a for x, a in zip(prefix, row)) % t for row in table]
+        solution = _solve(((table[s][last], -chars[s]) for s in range(last) if prefix[s]), t)
+        if solution is None:
+            continue
+        for x, _ in _residues(t, cap - spent if not chars[last] else 0, last < r, *solution):
+            yield prefix + (x,), tuple(not (c + x * row[last]) % t for c, row in zip(chars, table))
+
+
 def _strand_keys(spec: AlgebraSpec, w: int):
     """(key, base point, raisable pairs) for every block of weight w with a generator.
 
-    Keys whose base point b touches a bad column are left out; the pairs
-    listed have both columns good.  Raising b by T along them reaches degree
-    k = (|b| + 2T - w) / 2, and some point there has k columns in its support
-    exactly when T = 0 or a pair is raisable, and k <= |supp b| + 2 min(T, z)
-    + min(T - z, nz) for the z raisable pairs with delta_i = 0 and the nz
-    with delta_i != 0.  As |supp b| <= n, then |b| <= w + n + (n+r).
+    Keys are walked class by class (``_key_classes``): a class's keys set its
+    coordinates that are not free to 0 and give each free one every value of
+    its residue, either sign on a delta coordinate, of total size at most
+    w + n + (n+r) and of the parity of w.  On an exact lattice the one class
+    holds every key, and a key whose base point touches a bad column is left
+    out.  The pairs listed have both columns good.  Raising the base point b
+    by T along them reaches degree k = (|b| + 2T - w) / 2, and some point
+    there has k columns in its support exactly when T = 0 or a pair is
+    raisable, and k <= |supp b| + 2 min(T, z) + min(T - z, nz) for the z
+    raisable pairs with delta_i = 0 and the nz with delta_i != 0.  As
+    |supp b| <= n, then |b| <= w + n + (n+r).
     """
     n, r, m = spec.n, spec.r, spec.num_generators
-    for size in range(w % 2, w + n + m + 1, 2):
-        for parts in _compositions(size, n):
-            quantum = parts[r:]
-            for deltas in product(*[(d, -d) if d else (0,) for d in parts[:r]]):
-                key = deltas + quantum
+    cap, period = w + n + m, spec.model.period
+    for residues, free in _key_classes(spec, cap):
+        pairs = [i for i in range(r) if free[i]]
+        options = [
+            _values(x, period or 1, j < r, cap) if f else [(0, 0)]
+            for j, (x, f) in enumerate(zip(residues, free))
+        ]
+        for key, size in _bounded(options, cap, w % 2):
+            base = _base_point(spec, key)
+            if not period:
                 bad = bad_columns(spec, key)
-                base = _base_point(spec, key)
                 if any(base[c] for c in bad):
                     continue
                 pairs = [i for i in range(r) if i not in bad]
-                z, support = sum(1 for i in pairs if not deltas[i]), m - base.count(0)
-                if any(
-                    k <= support + 2 * min(t, z) + min(max(t - z, 0), len(pairs) - z)
-                    for k, t in ((k, (w + 2 * k - size) // 2) for k in range(m + 1))
-                    if t == 0 or (t > 0 and pairs)
-                ):
-                    yield key, base, pairs
+            z, support = sum(1 for i in pairs if not key[i]), m - base.count(0)
+            if any(
+                k <= support + 2 * min(t, z) + min(max(t - z, 0), len(pairs) - z)
+                for k, t in ((k, (w + 2 * k - size) // 2) for k in range(m + 1))
+                if t == 0 or (t > 0 and pairs)
+            ):
+                yield key, base, pairs
 
 
 Basis = list[tuple[Exponents, Exponents]]
@@ -659,106 +746,3 @@ def weyl_g_map(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     if not is_in_C(spec, g.rho):
         return ChainElement.zero(spec)
     return ChainElement.single(spec, g, weyl_compare_R(spec, g).inv())
-
-
-# ---------------------------------------------------------------------------
-# Braided antisymmetry check.
-# ---------------------------------------------------------------------------
-
-Word = tuple[int, ...]
-WordElement = dict[Word, Scalar]
-
-
-def _braid_at(spec: AlgebraSpec, elem: WordElement, pos: int) -> WordElement:
-    """Apply the braiding at positions (pos, pos+1), 1-based."""
-    out: WordElement = {}
-    for word, c in elem.items():
-        a, b = word[pos - 1], word[pos]
-        if a != b:
-            c = c * spec.lambda_tilde(a, b)
-            word = word[: pos - 1] + (b, a) + word[pos + 1 :]
-        out[word] = out[word] + c if word in out else c
-    return {w: c for w, c in out.items() if not c.is_zero()}
-
-
-def _pi_front(spec: AlgebraSpec, elem: WordElement, i: int) -> WordElement:
-    """Bring letter i to the front: the composite c_1 ... c_{i-1}."""
-    for t in range(i - 1, 0, -1):
-        elem = _braid_at(spec, elem, t)
-    return elem
-
-
-def _pi_back(spec: AlgebraSpec, elem: WordElement, k: int, length: int) -> WordElement:
-    """Bring letter k to the end of a length-`length` prefix: c_{L-1} ... c_k."""
-    for t in range(k, length):
-        elem = _braid_at(spec, elem, t)
-    return elem
-
-
-def _pair_form(spec: AlgebraSpec, a: int, b: int) -> int:
-    """The bilinear form pairing each Weyl generator with its partner."""
-    if a <= spec.r and b == a + spec.r:
-        return 1
-    if b <= spec.r and a == b + spec.r:
-        return -1
-    return 0
-
-
-def braiding_f_prime(
-    spec: AlgebraSpec, word: Word, bound: int = 6
-) -> WordElement:
-    """The alternating contraction f' on a tensor word; expected to vanish.
-
-    f' = sum_{i<j} (-1)^{i+j+1} [ (f (x) I)(I (x) Pi_{j-1}) Pi_i
-                                - (I (x) f)(PiBack_i (x) I) PiBack_j ]
-
-    where Pi_i braids letter i to the front, PiBack_k braids letter k to the
-    end, and f pairs v_i with v_{r+i} (value 1) and v_{r+i} with v_i
-    (value -1).
-    """
-    p = len(word)
-    if p > bound:
-        raise WordTooLong(f"word length {p} exceeds bound {bound}")
-    if p < 2:
-        raise WordTooLong("need a word of length at least 2")
-    for a in word:
-        if not (1 <= a <= spec.num_generators):
-            raise IndexOutOfRange(f"letter {a} out of range")
-    total: WordElement = {}
-
-    def accumulate(elem: WordElement, sign: int, drop_front: bool):
-        for w, c in elem.items():
-            if drop_front:
-                pair = _pair_form(spec, w[0], w[1])
-                rest = w[2:]
-            else:
-                pair = _pair_form(spec, w[-2], w[-1])
-                rest = w[:-2]
-            if pair == 0:
-                continue
-            contrib = c * (pair * sign)
-            total[rest] = total[rest] + contrib if rest in total else contrib
-
-    start: WordElement = {word: spec.one()}
-    for i in range(1, p + 1):
-        for j in range(i + 1, p + 1):
-            sign = (-1) ** (i + j + 1)
-            # (f (x) I) (I_1 (x) Pi_{j-1}) Pi_i
-            elem = _pi_front(spec, start, i)
-            shifted: WordElement = {}
-            for w, c in elem.items():
-                sub = {w[1:]: c}
-                for ww, cc in _pi_front(spec, sub, j - 1).items():
-                    nw = (w[0],) + ww
-                    shifted[nw] = shifted[nw] + cc if nw in shifted else cc
-            accumulate(shifted, sign, drop_front=True)
-            # (I (x) f) (PiBack_i (x) I_1) PiBack_j
-            elem = _pi_back(spec, start, j, p)
-            moved: WordElement = {}
-            for w, c in elem.items():
-                sub = {w[: p - 1]: c}
-                for ww, cc in _pi_back(spec, sub, i, p - 1).items():
-                    nw = ww + (w[-1],)
-                    moved[nw] = moved[nw] + cc if nw in moved else cc
-            accumulate(moved, -sign, drop_front=False)
-    return {w: c for w, c in total.items() if not c.is_zero()}

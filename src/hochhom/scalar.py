@@ -468,6 +468,16 @@ RationalScalar = QQ.from_rational
 # ---------------------------------------------------------------------------
 
 
+def as_integer(value, what: str) -> int:
+    """A JSON integer or an integer string as an int; a float or a boolean is refused."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 class _LatticeModel:
     """The character lattice Z/torsion x Z^(rank-1) shared by the two scalar models.
 
@@ -583,13 +593,16 @@ class RationalModel(_LatticeModel):
 class CyclotomicModel(_LatticeModel):
     """Parameters lambda_{i,j} = zeta_m ^ E_{i,j} for an integer matrix E.
 
-    Lattice: the character of lambda_{i,j} is (E_{i,j} mod m,), in Z/m.
+    Lattice: the character of lambda_{i,j} is (E_{i,j} mod m,), in Z/m.  The
+    order and the exponents are read by ``as_integer``.
     """
 
     def __init__(self, order: int, exponents: Sequence[Sequence[int]]):
-        self.order = order
+        self.order = order = as_integer(order, "the cyclotomic order")
         self.field = CyclotomicField(order)
-        self.exponents = tuple(tuple(int(e) for e in row) for row in exponents)
+        self.exponents = tuple(
+            tuple(as_integer(e, "an exponent") for e in row) for row in exponents
+        )
         self.n = len(self.exponents)
         for row in self.exponents:
             if len(row) != self.n:
@@ -760,9 +773,17 @@ class AlgebraSpec:
         return self.model.is_trivial(self.character(factors))
 
     @cached_property
-    def block_memo(self) -> dict:
-        """Per-spec memo of data decided once per block key (``koszul.bad_columns``)."""
-        return {}
+    def block_characters(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """[j][s]: the character of lambda~ from block-key generator s to block-key generator j.
+
+        The block-key generators are x_1..x_r, then y_{r+1}..y_n, one per
+        coordinate of a ``koszul.block_key``.
+        """
+        n, r = self.n, self.r
+        gen = [s + 1 if s < r else r + s + 1 for s in range(n)]
+        return tuple(
+            tuple(self.character([(gen[s], gen[j], 1)]) for s in range(n)) for j in range(n)
+        )
 
     @cached_property
     def product_table(self) -> dict:

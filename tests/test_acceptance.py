@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hochhom.braiding import braiding_f_prime
 from hochhom.cohomology import (
     all_wedges,
     center_truncated,
@@ -31,7 +32,6 @@ from hochhom.homology import expected_hh_oracle, hh_report, quotient_strand_acyc
 from hochhom.koszul import (
     ChainElement,
     apply_diff,
-    braiding_f_prime,
     chain_generator_str,
     diff_full,
     diff_full_closed,

@@ -29,6 +29,14 @@ CASES = {
     "hh-semiclassical-2-12-5": [
         "hh", "--config", "semiclassical(2,12,5)", "--wmin", "-4", "--wmax", "0"
     ],
+    # Past the wrap-around: block key coordinates reach the order 12, so keys
+    # in one residue class with different values appear.
+    "hh-semiclassical-2-12-5-wrap": [
+        "hh", "--config", "semiclassical(2,12,5)", "--wmin", "8", "--wmax", "12"
+    ],
+    "hh-mixed-minimal-12-wrap": [
+        "hh", "--config", "mixed-minimal(12)", "--wmin", "24", "--wmax", "26"
+    ],
     # Signed rationals sharing the factor 6, so C depends on signs and on the
     # relation between -1/6 and -6.
     "hh-signed-rational-3-1": [

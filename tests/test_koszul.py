@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import ALL_PRESETS, random_specs
 
+from hochhom import koszul
+from hochhom.braiding import braiding_f_prime
 from hochhom.cli import load_config
 from hochhom.errors import (
     IndexOutOfRange,
@@ -21,11 +24,12 @@ from hochhom.errors import (
 from hochhom.koszul import (
     ChainElement,
     ChainGenerator,
+    _base_point,
     _compositions,
+    _strand_keys,
     apply_diff,
     bad_columns,
     block_key,
-    braiding_f_prime,
     chain_generator_str,
     diff_full,
     diff_full_closed,
@@ -380,10 +384,10 @@ def signed_rational_specs(draw):
 
 
 @st.composite
-def cyclotomic_specs(draw):
+def cyclotomic_specs(draw, max_order=8):
     n = draw(st.integers(min_value=1, max_value=3))
     r = draw(st.integers(min_value=0, max_value=n))
-    order = draw(st.integers(min_value=1, max_value=8))
+    order = draw(st.integers(min_value=1, max_value=max_order))
     exponents = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -397,6 +401,103 @@ def cyclotomic_specs(draw):
 def test_enumeration_matches_candidate_filter_on_random_parameters(spec, data):
     w = data.draw(st.integers(min_value=-spec.num_generators, max_value=2))
     assert_strand_matches_candidates(spec, w)
+
+
+def reference_strand_keys(spec, w):
+    """The composition walk that the class walk of ``_strand_keys`` replaced, as its reference.
+
+    Every key of every size of the parity of w up to w + n + (n+r), each
+    checked by ``bad_columns`` at its base point.
+    """
+    n, r, m = spec.n, spec.r, spec.num_generators
+    for size in range(w % 2, w + n + m + 1, 2):
+        for parts in _compositions(size, n):
+            quantum = parts[r:]
+            for deltas in product(*[(d, -d) if d else (0,) for d in parts[:r]]):
+                key = deltas + quantum
+                bad = koszul.bad_columns(spec, key)
+                base = _base_point(spec, key)
+                if any(base[c] for c in bad):
+                    continue
+                pairs = [i for i in range(r) if i not in bad]
+                z, support = sum(1 for i in pairs if not deltas[i]), m - base.count(0)
+                if any(
+                    k <= support + 2 * min(t, z) + min(max(t - z, 0), len(pairs) - z)
+                    for k, t in ((k, (w + 2 * k - size) // 2) for k in range(m + 1))
+                    if t == 0 or (t > 0 and pairs)
+                ):
+                    yield key, base, pairs
+
+
+def walked_keys(walk, spec, w):
+    """The (key, base, pairs) triples of a walk, as a set; no triple may come twice."""
+    found = [(key, base, tuple(pairs)) for key, base, pairs in walk(spec, w)]
+    assert len(found) == len(set(found)), w
+    return set(found)
+
+
+def assert_key_walk_matches_reference(spec, w_max):
+    for w in range(-spec.num_generators, w_max + 1):
+        assert walked_keys(_strand_keys, spec, w) == walked_keys(reference_strand_keys, spec, w), w
+
+
+@pytest.mark.parametrize("name,spec", ALL_PRESETS, ids=[n for n, _ in ALL_PRESETS])
+def test_key_walk_matches_reference_on_presets(name, spec):
+    assert_key_walk_matches_reference(spec, 13)
+
+
+# Up to w = 2 order + 2, so that a coordinate with residue 0 reaches +-order
+# and +-2 order.  With n = 3 a column's character sums two coordinates, so
+# the sign of a delta coordinate changes which columns are good.
+@pytest.mark.parametrize(
+    "config,order",
+    [(config.format(t=t), t)
+     for t in (2, 3, 12)
+     for config in ("mixed-minimal({t})", "semiclassical(2,{t},5)", "semiclassical(3,{t},1)")],
+)
+def test_key_walk_matches_reference_past_the_order(config, order):
+    assert_key_walk_matches_reference(load_config(config), 2 * order + 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(signed_rational_specs(), cyclotomic_specs(max_order=30)), data=st.data())
+def test_key_walk_matches_reference_on_random_parameters(spec, data):
+    # Period 0 (an exact lattice) walks its one class key by key.
+    w_max = min(2 * spec.model.period + 2, 10) if spec.model.period else 6
+    assert_key_walk_matches_reference(spec, data.draw(st.integers(-spec.num_generators, w_max)))
+
+
+@pytest.mark.parametrize(
+    "config,w", [("mixed-minimal(10000)", 40), ("semiclassical(3,10000,1)", 12)]
+)
+def test_key_walk_builds_fewer_candidates_than_the_reference(monkeypatch, config, w):
+    # At a large order each class holds at most one key of size <= cap, so
+    # walking every class would cost as much as walking every key.
+    spec = load_config(config)
+    counts = Counter()
+
+    def counted(name, helper):
+        def wrapper(*args):
+            counts[name] += 1
+            return helper(*args)
+        return wrapper
+
+    def counted_classes(*args, key_classes=koszul._key_classes):
+        for found in key_classes(*args):
+            counts["class"] += 1
+            yield found
+
+    # The reference builds one key per bad_columns call; the class walk
+    # solves one class of the first n - 1 residues per _solve call.
+    for name in ("bad_columns", "_solve", "_base_point"):
+        monkeypatch.setattr(koszul, name, counted(name, getattr(koszul, name)))
+    monkeypatch.setattr(koszul, "_key_classes", counted_classes)
+    reference = walked_keys(reference_strand_keys, spec, w)
+    reference_keys = counts.pop("bad_columns")
+    walked = walked_keys(_strand_keys, spec, w)
+    assert walked == reference
+    assert counts["_solve"] + counts["class"] + counts["_base_point"] <= reference_keys
+    assert "bad_columns" not in counts
 
 
 def assert_every_block_has_a_generator(spec, w):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochhom import scalar as scalar_module
-from hochhom.errors import DivisionByZero, IndexOutOfRange, ModelMismatch
+from hochhom.errors import ConfigError, DivisionByZero, IndexOutOfRange, ModelMismatch
 from hochhom.scalar import (
     AlgebraSpec,
     CyclotomicField,
@@ -141,6 +141,21 @@ def test_cyclotomic_model_validation():
         CyclotomicModel(4, [[0, 1], [1, 0]])
     with pytest.raises(Exception):
         CyclotomicModel(4, [[1, 1], [-1, 0]])
+
+
+@pytest.mark.parametrize(
+    "order,entry",
+    [(4, 1.5), (4, 1.0), (4, True), (4, "1.5"), (4.0, 1), (True, 1), ("four", 1)],
+)
+def test_cyclotomic_model_refuses_non_integers(order, entry):
+    # Read as cli configs are: an int or an integer string, never a float or a bool.
+    with pytest.raises(ConfigError, match="must be an integer"):
+        CyclotomicModel(order, [[0, entry], [-1, 0]])
+
+
+def test_cyclotomic_model_reads_integer_strings():
+    model = CyclotomicModel("4", [[0, "1"], [-1, 0]])
+    assert model.order == 4 and model.exponents == ((0, 1), (-1, 0))
 
 
 def test_free_of_maximal_rank():
