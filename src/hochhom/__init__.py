@@ -4,13 +4,14 @@ The algebras have r Weyl-paired generator pairs and n - r purely
 q-commuting ones, all twisted by a matrix of nonzero scalars.  Everything is
 computed by exact linear algebra over the rationals or a cyclotomic field:
 homology strand by strand on a small weight-homogeneous complex, cohomology
-through windowed cochain systems and a duality comparison.
+through windowed cochain systems and a duality comparison.  One cochain
+type, ``Cochain``, serves both sides of that comparison, so the evaluation
+map Phi_3 between them is the identity.
 """
 from .algebra import PbwElement, generator_name, monomial_str
 from .cohomology import (
     Cochain,
     CohomologyReport,
-    DualChain,
     cohomology_report,
     duality_identity_check,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "Cochain",
     "CohomologyReport",
     "CyclotomicModel",
-    "DualChain",
     "HochhomError",
     "HomologyReport",
     "PbwElement",

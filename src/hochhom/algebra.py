@@ -244,6 +244,8 @@ def commutator_with_generator(
     the cochain differential take their row order from it.
     """
     v = generator_monomial(spec, index)
+    # A coefficient of 1 scales nothing.
+    left, right = (None if c is None or c.is_one() else c for c in (left, right))
 
     def products(coeff: Scalar | None, generator_first: bool) -> dict[Monomial, Scalar]:
         out: dict[Monomial, Scalar] = {}

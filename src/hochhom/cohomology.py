@@ -1,20 +1,23 @@
 """Cochain complexes and the duality comparison.
 
-Two models of the Hochschild cochain complex are built here:
+Hom(wedge^* V, U) and U (x) (wedge^* V)' are the same vector space, so one
+type, ``Cochain`` (a wedge index I mapped to an algebra value), carries both
+models of the Hochschild cochain complex, and the evaluation map Phi_3
+between them is the identity on it:
 
-* (L, D): cochains phi assigning an algebra element to every basis wedge,
-  with the braided Chevalley-style differential D.
-* (U (x) dual wedges, Delta): the dualized chain complex, obtained by
+* (L, D): the braided Chevalley-style differential D (``D_apply``).
+* (U (x) dual wedges, Delta): the dualized chain differential, obtained by
   conjugating the homology differential through the Theta-scaled dualization
-  of wedges; its cohomology in degree * is HH_{n+r-*} by construction.
+  Phi_2 of wedges; its cohomology in degree * is HH_{n+r-*} by construction.
 
-The two are compared through the evaluation map Phi_3.  They agree up to the
-sign (-1)^{*+1} exactly when every row product of the extended parameter
-matrix is 1 — true in the semi-classical case (Poincare duality), false for
-the mixed minimal algebra, and the failure factor is reported.
+D and Delta agree up to the sign (-1)^{*+1} exactly when every row product
+of the extended parameter matrix is 1 — always true when r = n
+(Poincare duality), false for the mixed minimal algebra, and the failure
+factor is reported by ``duality_identity_check``.
 
 Degree-0 and degree-1 cohomology (center and outer derivations) are computed
-directly from (L, D) under a polynomial degree window.
+directly from (L, D) under a polynomial degree window; every matrix there is
+built from ``D_apply``.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ from .linalg import complex_homology, matrix_of, rank_kernel
 from .scalar import AlgebraSpec, Scalar
 
 WedgeIndex = tuple[int, ...]
+# One term c * (v_I -> mono) of a cochain, as ((I, mono), c).
+Term = tuple[tuple[WedgeIndex, Monomial], Scalar]
 
 
 def _check_wedge(spec: AlgebraSpec, I: WedgeIndex):
@@ -69,7 +74,7 @@ def theta_coefficient(spec: AlgebraSpec, I: WedgeIndex) -> Scalar:
 
 @dataclass
 class Cochain:
-    """A Hom(wedge^* V, U) element: one algebra value per basis wedge."""
+    """An element of Hom(wedge^* V, U) = U (x) (wedge^* V)': one algebra value per wedge."""
 
     spec: AlgebraSpec
     degree: int
@@ -81,6 +86,15 @@ class Cochain:
             _check_wedge(self.spec, I)
             if len(I) != self.degree:
                 raise IndexOutOfRange(f"wedge {I} has wrong size for degree {self.degree}")
+
+    @classmethod
+    def from_terms(cls, spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> "Cochain":
+        """The sum of the cochains v_I -> c * mono over ((I, mono), c) pairs."""
+        values: dict[WedgeIndex, dict[Monomial, Scalar]] = {}
+        for (I, mono), c in terms:
+            row = values.setdefault(I, {})
+            row[mono] = row[mono] + c if mono in row else c
+        return cls(spec, degree, {I: PbwElement(spec, row) for I, row in values.items()})
 
     def value(self, I: WedgeIndex) -> PbwElement:
         return self.values.get(tuple(I), PbwElement.zero(self.spec))
@@ -129,68 +143,33 @@ def D_apply(spec: AlgebraSpec, phi: Cochain) -> Cochain:
             val = phi.values.get(I[: k - 1] + I[k:])
             if val is None:
                 continue
-            sign = (-1) ** (k - 1)
             left = spec.lambda_tilde_power_product((I[s - 1], ik, 1) for s in range(1, k))
             right = spec.lambda_tilde_power_product(
                 (ik, I[s - 1], 1) for s in range(k + 1, star + 2)
             )
-            total = total + commutator_with_generator(spec, ik, val, left * sign, right * sign)
+            term = commutator_with_generator(spec, ik, val, left, right)
+            # The sign (-1)^(k-1) goes on the commutator, not on left and right,
+            # which stay plain lambda~ products: 1 is skipped and a root of
+            # unity multiplies fastest.
+            total = total + term if k % 2 else total - term
         if not total.is_zero():
             out[I] = total
     return Cochain(spec, star + 1, out)
 
 
 # ---------------------------------------------------------------------------
-# Dual chains and the differential Delta.
+# The dualized differential Delta, and the dualization of chains.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DualChain:
-    """An element of U (x) (wedge^* V)': scalar combination of a (x) (v_I)'."""
+def Delta_apply(spec: AlgebraSpec, c: Cochain) -> Cochain:
+    """The dualized differential, inserting complement generators with Theta scaling.
 
-    spec: AlgebraSpec
-    degree: int
-    terms: dict[tuple[Monomial, WedgeIndex], Scalar] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {key: c for key, c in self.terms.items() if not c.is_zero()}
-        for _, I in self.terms:
-            _check_wedge(self.spec, I)
-            if len(I) != self.degree:
-                raise IndexOutOfRange(f"wedge {I} has wrong size for degree {self.degree}")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DualChain") -> "DualChain":
-        assert other.degree == self.degree
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return DualChain(self.spec, self.degree, out)
-
-    def __sub__(self, other: "DualChain") -> "DualChain":
-        return self + other.scale(self.spec.scalar(-1))
-
-    def scale(self, coeff: Scalar) -> "DualChain":
-        return DualChain(self.spec, self.degree, {k: c * coeff for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualChain)
-            and other.degree == self.degree
-            and other.terms == self.terms
-        )
-
-
-def Delta_apply(spec: AlgebraSpec, c: DualChain) -> DualChain:
-    """The dualized differential, inserting complement generators with Theta scaling."""
-    star = c.degree
-    m = spec.num_generators
-    out: dict[tuple[Monomial, WedgeIndex], Scalar] = {}
-    for (mono, I), coeff in c.terms.items():
-        a = PbwElement.monomial(spec, mono)
+    The coefficients depend only on the wedge, so each value is commuted
+    with the inserted generator as a whole.
+    """
+    out: dict[WedgeIndex, PbwElement] = {}
+    for I, a in c.values.items():
         J = complement(spec, I)
         theta_inv = theta_coefficient(spec, I).inv()
         for k, jk in enumerate(J, start=1):
@@ -203,22 +182,10 @@ def Delta_apply(spec: AlgebraSpec, c: DualChain) -> DualChain:
             if value.is_zero():
                 continue
             new_I = tuple(sorted(I + (jk,)))
-            factor = (
-                coeff
-                * theta_inv
-                * theta_coefficient(spec, new_I)
-                * spec.scalar((-1) ** (k - 1))
-            )
-            for out_mono, s in value.terms.items():
-                key = (out_mono, new_I)
-                contrib = factor * s
-                out[key] = out[key] + contrib if key in out else contrib
-    return DualChain(spec, star + 1, out)
-
-
-# ---------------------------------------------------------------------------
-# The dualization of chains (conjugation route) and the evaluation map.
-# ---------------------------------------------------------------------------
+            factor = theta_inv * theta_coefficient(spec, new_I) * spec.scalar((-1) ** (k - 1))
+            value = value.scale(factor)
+            out[new_I] = out[new_I] + value if new_I in out else value
+    return Cochain(spec, c.degree + 1, out)
 
 
 def _wedge_to_bits(spec: AlgebraSpec, J: WedgeIndex) -> tuple[int, ...]:
@@ -229,54 +196,33 @@ def _bits_to_wedge(bits: Sequence[int]) -> WedgeIndex:
     return tuple(t + 1 for t, b in enumerate(bits) if b)
 
 
-def phi2(spec: AlgebraSpec, chain: ChainElement) -> DualChain:
-    """Dualize a chain: a (x) v_J becomes Theta(I) a (x) (v_I)' for I = complement(J)."""
-    degree = None
-    terms: dict[tuple[Monomial, WedgeIndex], Scalar] = {}
+def phi2(spec: AlgebraSpec, chain: ChainElement) -> Cochain:
+    """Dualize a chain: a (x) v_J becomes the cochain v_I -> Theta(I) a, for I = complement(J)."""
+    degrees = {spec.num_generators - sum(g.wedge) for g in chain.terms}
+    assert len(degrees) <= 1, "mixed homological degrees"
+    terms = []
     for g, coeff in chain.terms.items():
-        J = _bits_to_wedge(g.wedge)
-        I = complement(spec, J)
-        if degree is None:
-            degree = len(I)
-        assert degree == len(I), "mixed homological degrees"
-        key = (g.mono, I)
-        c = coeff * theta_coefficient(spec, I)
-        terms[key] = terms[key] + c if key in terms else c
-    return DualChain(spec, 0 if degree is None else degree, terms)
+        I = complement(spec, _bits_to_wedge(g.wedge))
+        terms.append(((I, g.mono), coeff * theta_coefficient(spec, I)))
+    return Cochain.from_terms(spec, degrees.pop() if degrees else 0, terms)
 
 
-def phi2_inv(spec: AlgebraSpec, c: DualChain) -> ChainElement:
+def phi2_inv(spec: AlgebraSpec, c: Cochain) -> ChainElement:
     terms: dict[ChainGenerator, Scalar] = {}
-    for (mono, I), coeff in c.terms.items():
-        J = complement(spec, I)
-        g = ChainGenerator(mono, _wedge_to_bits(spec, J))
-        terms[g] = coeff * theta_coefficient(spec, I).inv()
+    for I, elem in c.values.items():
+        bits = _wedge_to_bits(spec, complement(spec, I))
+        theta_inv = theta_coefficient(spec, I).inv()
+        for mono, coeff in elem.terms.items():
+            terms[ChainGenerator(mono, bits)] = coeff * theta_inv
     return ChainElement(spec, terms)
 
 
-def delta_by_conjugation(spec: AlgebraSpec, c: DualChain) -> DualChain:
+def delta_by_conjugation(spec: AlgebraSpec, c: Cochain) -> Cochain:
     """Phi_2 . d . Phi_2^{-1}: the definitional route for Delta."""
     image = apply_diff(spec, diff_full, phi2_inv(spec, c))
     if image.is_zero():
-        return DualChain(spec, c.degree + 1, {})
+        return Cochain(spec, c.degree + 1, {})
     return phi2(spec, image)
-
-
-def phi3(spec: AlgebraSpec, c: DualChain) -> Cochain:
-    """Evaluation: a (x) (v_I)' becomes the cochain sending v_I to a."""
-    values: dict[WedgeIndex, PbwElement] = {}
-    for (mono, I), coeff in c.terms.items():
-        elem = PbwElement.monomial(spec, mono, coeff)
-        values[I] = values[I] + elem if I in values else elem
-    return Cochain(spec, c.degree, values)
-
-
-def phi3_inv(spec: AlgebraSpec, phi: Cochain) -> DualChain:
-    terms: dict[tuple[Monomial, WedgeIndex], Scalar] = {}
-    for I, elem in phi.values.items():
-        for mono, coeff in elem.terms.items():
-            terms[(mono, I)] = coeff
-    return DualChain(spec, phi.degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +284,18 @@ class DualityCheckResult:
 
 
 def duality_identity_check(spec: AlgebraSpec, degree: int, bound: int) -> DualityCheckResult:
-    """Compare D(Phi_3(.)) with (-1)^{degree+1} Phi_3(Delta(.)) on basis dual chains.
+    """Compare D(c) with (-1)^{degree+1} Delta(c) on the basis cochains v_I -> monomial.
 
-    On mismatch, reports the inserted complement index together with the row
-    product of the extended matrix at that index — the exact factor by which
-    the two sides differ.
+    Phi_3 is the identity on ``Cochain``, so the two sides are compared
+    directly.  On mismatch, reports the inserted complement index together
+    with the row product of the extended matrix at that index — the exact
+    factor by which the two sides differ.
     """
     for I in all_wedges(spec, degree):
         for mono in monomials_up_to(spec, bound):
-            c = DualChain(spec, degree, {(mono, I): spec.one()})
-            lhs = D_apply(spec, phi3(spec, c))
-            rhs = phi3(spec, Delta_apply(spec, c)).scale(spec.scalar((-1) ** (degree + 1)))
+            c = Cochain(spec, degree, {I: PbwElement.monomial(spec, mono)})
+            lhs = D_apply(spec, c)
+            rhs = Delta_apply(spec, c).scale(spec.scalar((-1) ** (degree + 1)))
             if lhs != rhs:
                 J = complement(spec, I)
                 bad_k = None
@@ -372,14 +319,10 @@ def duality_identity_check(spec: AlgebraSpec, degree: int, bound: int) -> Dualit
 # ---------------------------------------------------------------------------
 
 
-def _commutators(spec: AlgebraSpec, mono: Monomial) -> list[tuple[tuple[int, Monomial], Scalar]]:
-    """The terms ((i, monomial), coefficient) of [v_i, mono] for every generator v_i."""
-    elem = PbwElement.monomial(spec, mono)
-    terms = []
-    for i in range(1, spec.num_generators + 1):
-        commutator = commutator_with_generator(spec, i, elem)
-        terms.extend(((i, out_mono), c) for out_mono, c in commutator.terms.items())
-    return terms
+def _coboundary(spec: AlgebraSpec, I: WedgeIndex, mono: Monomial) -> list[Term]:
+    """D of the cochain v_I -> mono, as ((wedge, monomial), coefficient) pairs in D's order."""
+    image = D_apply(spec, Cochain(spec, len(I), {I: PbwElement.monomial(spec, mono)}))
+    return [((J, out), c) for J, elem in image.values.items() for out, c in elem.terms.items()]
 
 
 def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
@@ -387,10 +330,11 @@ def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
 
     The commutator system is closed (no window correction needed): every
     output monomial of every commutator is a row of the linear system.  The
-    center is H_0 of the complex monomials -> commutators.
+    center is H_0 of the complex monomials -> D(monomials), D of a 0-cochain
+    being its commutators with the generators.
     """
     basis = list(monomials_up_to(spec, bound))
-    commutators = matrix_of(basis, lambda mono: _commutators(spec, mono))
+    commutators = matrix_of(basis, lambda mono: _coboundary(spec, (), mono))
     _, reps = complex_homology({0: commutators}, spec.one(), representatives=[0])
     return [PbwElement(spec, {basis[j]: c for j, c in vec.items()}) for vec in reps[0]]
 
@@ -412,27 +356,21 @@ def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
     complex (windowed 0-cochains) -> (1-cochains) -> (2-wedge values).
     """
     m = spec.num_generators
-    columns = [(i, mono) for i in range(1, m + 1) for mono in monomials_up_to(spec, bound)]
-
-    def coboundary(column):
-        i, mono = column
-        image = D_apply(spec, Cochain(spec, 1, {(i,): PbwElement.monomial(spec, mono)}))
-        return [((I, out), c) for I, elem in image.values.items() for out, c in elem.terms.items()]
-
-    cocycle_matrix = matrix_of(columns, coboundary)
+    columns = [((i,), mono) for i in range(1, m + 1) for mono in monomials_up_to(spec, bound)]
+    cocycle_matrix = matrix_of(columns, lambda column: _coboundary(spec, *column))
 
     # D of X over monomials of degree <= bound + 1, split into the values
     # inside the window (low) and outside it (high); the windowed X are the
     # kernel of high.
     x_basis = list(monomials_up_to(spec, bound + 1))
-    commutators = {mono: _commutators(spec, mono) for mono in x_basis}
+    images = {mono: _coboundary(spec, (), mono) for mono in x_basis}
     low = matrix_of(
         x_basis,
-        lambda mono: [(key, c) for key, c in commutators[mono] if sum(key[1]) <= bound],
+        lambda mono: [(key, c) for key, c in images[mono] if sum(key[1]) <= bound],
         columns,
     )
     high = matrix_of(
-        x_basis, lambda mono: [(key, c) for key, c in commutators[mono] if sum(key[1]) > bound]
+        x_basis, lambda mono: [(key, c) for key, c in images[mono] if sum(key[1]) > bound]
     )
     _, windowed = rank_kernel(high, one=spec.one())
     inclusion = matrix_of(windowed, dict.items, range(len(x_basis)))
@@ -440,8 +378,7 @@ def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
         {1: cocycle_matrix, 2: low.compose(inclusion)}, spec.one(), representatives=[1]
     )
     rep_cochains = [
-        phi3(spec, DualChain(spec, 1, {(columns[j][1], (columns[j][0],)): c for j, c in vec.items()}))
-        for vec in reps[1]
+        Cochain.from_terms(spec, 1, ((columns[j], c) for j, c in vec.items())) for vec in reps[1]
     ]
     return Hh1Window(bound, dims[1], rep_cochains)
 
@@ -469,13 +406,16 @@ class CohomologyReport:
 def cohomology_report(
     spec: AlgebraSpec, degrees: Iterable[int], bound: int
 ) -> CohomologyReport:
-    """Windowed cohomology dimensions per requested degree.
+    """Windowed cohomology dimensions per requested degree, each computed once.
 
     Degree 0 is the truncated center and degree 1 the windowed cocycle
-    quotient.  For semi-classical specs the remaining degrees come from the
-    duality route HH^k = HH_{2n-k} (only after the duality identity passes);
-    otherwise they are dual-side strand computations of HH_{n+r-k}, with a
-    note that the direct cochain-side value is not computed.
+    quotient, both over values of polynomial degree <= bound.  Degrees
+    k >= 2 are dim HH_{n+r-k} summed over the weight strands -(n+r)..bound.
+    When r = n every row product of the extended matrix is 1, so the duality
+    identity holds and this is HH^k (method ``duality``; the identity is
+    checked by the tests and by ``verify --suite duality``).  Otherwise the
+    entry is labeled ``dual-side``, with a note that the direct cochain-side
+    value is not computed.
     """
     m = spec.num_generators
     degrees = list(degrees)
@@ -483,7 +423,6 @@ def cohomology_report(
         if not (0 <= k <= m):
             raise UnsupportedDegree(f"degree {k} outside [0, {m}]")
     entries = []
-    duality_ok = None
     strand_dims: list[dict[int, int]] = []
 
     def homology_total(j: int) -> int:
@@ -500,27 +439,21 @@ def cohomology_report(
             entries.append(
                 CohomologyEntry(0, len(center_truncated(spec, bound)), "center-kernel")
             )
-            continue
-        if k == 1:
+        elif k == 1:
             entries.append(
                 CohomologyEntry(1, hh1_window(spec, bound).dimension, "cocycle-window")
             )
-            continue
-        if spec.r == spec.n:
-            if duality_ok is None:
-                duality_ok = all(
-                    duality_identity_check(spec, d, min(bound, 3)).passed
-                    for d in range(0, m)
+        elif spec.r == spec.n:
+            # Row k of lambda~ is row k of Lambda next to its inverse, so every
+            # row product is 1 and HH^k = HH_{2n-k} by duality.
+            entries.append(CohomologyEntry(k, homology_total(m - k), "duality"))
+        else:
+            entries.append(
+                CohomologyEntry(
+                    k,
+                    homology_total(m - k),
+                    "dual-side",
+                    "dimension of HH_{n+r-k}; the direct cochain-side value is not computed",
                 )
-            if duality_ok:
-                entries.append(CohomologyEntry(k, homology_total(2 * spec.n - k), "duality"))
-                continue
-        entries.append(
-            CohomologyEntry(
-                k,
-                homology_total(m - k),
-                "dual-side",
-                "dimension of HH_{n+r-k}; the direct cochain-side value is not computed",
             )
-        )
     return CohomologyReport(spec, bound, entries)

@@ -13,7 +13,8 @@ K_C in the first place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import combinations
+from operator import itemgetter, sub
 
 from .errors import RhoInC
 from .koszul import (
@@ -197,7 +198,8 @@ class AcyclicityResult:
 def quotient_strand_acyclicity(spec: AlgebraSpec, rho) -> AcyclicityResult:
     """Verify that the degree-rho quotient strand is exact in every degree.
 
-    The strand collects every splitting mono + wedge = rho and carries the
+    The strand collects every splitting mono + wedge = rho, the wedge of a
+    degree-k generator being k positions of supp rho, and carries the
     symmetric-algebra differential, which preserves rho.  For rho outside C
     this complex must be acyclic including degree 0; a failure returns the
     offending degree together with a non-bounding cycle.
@@ -206,23 +208,21 @@ def quotient_strand_acyclicity(spec: AlgebraSpec, rho) -> AcyclicityResult:
     if is_in_C(spec, rho):
         raise RhoInC(f"rho={rho} lies in C; the quotient strand excludes it")
     m = spec.num_generators
-    generators: dict[int, list[ChainGenerator]] = {k: [] for k in range(m + 1)}
-    for bits in range(1 << m):
-        wedge = tuple((bits >> t) & 1 for t in range(m))
-        if any(b > e for b, e in zip(wedge, rho)):
-            continue
-        mono = tuple(e - b for e, b in zip(rho, wedge))
-        generators[sum(wedge)].append(ChainGenerator(mono, wedge))
-    for k in generators:
-        generators[k].sort(key=lambda g: (g.mono, g.wedge))
+    support = [t for t in range(m) if rho[t]]
+    generators: dict[int, list[ChainGenerator]] = {}
+    for k in range(m + 1):
+        found = []
+        for cols in combinations(support, k):
+            wedge = tuple(int(t in cols) for t in range(m))
+            found.append(ChainGenerator(tuple(map(sub, rho, wedge)), wedge))
+        generators[k] = sorted(found, key=lambda g: (g.mono, g.wedge))
     matrices = {
         k: matrix_of(generators[k], lambda g: diff_symmetric(spec, g).terms.items(), generators[k - 1])
         for k in range(1, m + 1)
     }
-    dims, _ = complex_homology(matrices, spec.one())
+    dims, reps = complex_homology(matrices, spec.one(), representatives=range(m + 1))
     for k in range(m + 1):
         if dims[k]:
-            _, reps = complex_homology(matrices, spec.one(), representatives=[k])
             witness = {generators[k][j]: c for j, c in reps[k][0].items()}
             return AcyclicityResult(rho, False, k, ChainElement(spec, witness))
     return AcyclicityResult(rho, True)

@@ -95,7 +95,10 @@ class SparseMatrix:
         return not self.ints
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        """The transpose, in the same entry order, built from the integer rows."""
+        dens = self.dens
+        cells = {(j, i): (c, dens[i]) for (i, j), c in self.ints.items()}
+        return SparseMatrix.from_cells(self.cols, self.rows, self.field, cells)
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """The product self * other (apply other first), exactly, over integer rows.

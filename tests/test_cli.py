@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from hochhom import koszul
+from hochhom import cli, koszul
 from hochhom.cli import (
     _PRIMES,
     MAX_CYCLOTOMIC_ORDER,
@@ -182,6 +182,22 @@ def test_oracle_command_unsupported_regime_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("wmin,wmax", [(-3, 60), (-9, -5)])
+def test_oracle_refuses_an_unsupported_regime_before_building_strands(
+    wmin, wmax, capsys, monkeypatch
+):
+    # mixed-minimal(1) has lambda = 1 with r < n: no closed answer, whatever the window.
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle built strands")
+
+    monkeypatch.setattr(cli, "hh_report", refuse)
+    argv = ["oracle", "--config", "mixed-minimal(1)", "--wmin", str(wmin), "--wmax", str(wmax)]
+    assert run(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: no closed-answer oracle for this parameter regime\n"
+
+
 def test_verify_duality_failure_exit_code(capsys):
     code = run(["verify", "--config", "mixed-minimal(2)", "--suite", "duality", "--bound", "2"])
     out = capsys.readouterr().out
@@ -258,23 +274,6 @@ def test_cohh_command(capsys):
     doc = json.loads(capsys.readouterr().out)
     dims = {e["degree"]: e["dim"] for e in doc["entries"]}
     assert dims[0] == 1 and dims[1] == 1
-
-
-def test_cochain_text_format():
-    from fractions import Fraction
-
-    from hochhom.algebra import PbwElement
-    from hochhom.cli import cochain_lines
-    from hochhom.cohomology import Cochain
-    from hochhom.scalar import AlgebraSpec, RationalModel
-
-    spec = AlgebraSpec(
-        2, 1, RationalModel([[Fraction(1), Fraction(1, 2)], [Fraction(2), Fraction(1)]])
-    )
-    phi = Cochain(spec, 1, {(3,): PbwElement.monomial(spec, (0, 0, 1))})
-    assert cochain_lines(phi) == ["y2 -> y2"]
-    psi = Cochain(spec, 0, {(): PbwElement.one(spec)})
-    assert cochain_lines(psi) == ["1 -> 1"]
 
 
 def test_parser_is_built_once_and_keeps_no_arguments(capsys):

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hochhom.algebra import PbwElement
@@ -14,7 +13,6 @@ from hochhom.cohomology import (
     Cochain,
     D_apply,
     Delta_apply,
-    DualChain,
     all_wedges,
     center_truncated,
     cohomology_report,
@@ -25,8 +23,6 @@ from hochhom.cohomology import (
     hh1_window,
     omega_coefficients,
     omega_prime_coefficients,
-    phi3,
-    phi3_inv,
     row_product,
     theta_coefficient,
 )
@@ -59,12 +55,12 @@ def semiclassical_spec():
 ALL_SPECS = [weyl_spec, mixed_rational_spec, mixed_root_spec, semiclassical_spec]
 
 
-def basis_dual_chains(spec, degree, max_poly_degree):
+def basis_cochains(spec, degree, max_poly_degree):
     m = spec.num_generators
     for I in all_wedges(spec, degree):
         for p in range(max_poly_degree + 1):
             for mono in _compositions(p, m):
-                yield DualChain(spec, degree, {(mono, I): spec.one()})
+                yield Cochain(spec, degree, {I: PbwElement.monomial(spec, mono)})
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +83,9 @@ def test_complement():
 
 def test_delta_basic_example():
     spec = weyl_spec()
-    c = DualChain(spec, 0, {((0, 1), ()): spec.one()})
+    c = Cochain(spec, 0, {(): PbwElement.monomial(spec, (0, 1))})
     image = Delta_apply(spec, c)
-    assert image == DualChain(spec, 1, {((0, 0), (1,)): spec.scalar(-1)})
+    assert image == Cochain(spec, 1, {(1,): PbwElement.monomial(spec, (0, 0), spec.scalar(-1))})
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
@@ -98,14 +94,14 @@ def test_delta_matches_conjugation_route(make_spec):
     spec = make_spec()
     m = spec.num_generators
     for degree in range(m + 1):
-        for c in basis_dual_chains(spec, degree, 3):
+        for c in basis_cochains(spec, degree, 3):
             assert Delta_apply(spec, c) == delta_by_conjugation(spec, c)
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_delta_squares_to_zero(make_spec):
     spec = make_spec()
-    for c in basis_dual_chains(spec, 0, 2):
+    for c in basis_cochains(spec, 0, 2):
         assert Delta_apply(spec, Delta_apply(spec, c)).is_zero()
 
 
@@ -216,28 +212,8 @@ def test_D_raises_value_degree_by_at_most_one(make_spec):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation map and omega coefficients.
+# Omega coefficients.
 # ---------------------------------------------------------------------------
-
-
-def test_phi3_round_trip():
-    spec = mixed_rational_spec()
-    rng = random.Random(2)
-    for _ in range(10):
-        terms = {}
-        for _ in range(3):
-            mono = tuple(rng.randint(0, 2) for _ in range(3))
-            I = tuple(sorted(rng.sample([1, 2, 3], 2)))
-            terms[(mono, I)] = spec.scalar(rng.randint(1, 5))
-        c = DualChain(spec, 2, terms)
-        assert phi3_inv(spec, phi3(spec, c)) == c
-
-
-def test_phi3_degree_zero():
-    spec = mixed_root_spec(2)
-    c = DualChain(spec, 0, {((0, 0, 1), ()): spec.one()})
-    phi = phi3(spec, c)
-    assert phi.value(()) == PbwElement.monomial(spec, (0, 0, 1))
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
@@ -272,6 +248,36 @@ def test_duality_identity_passes_semiclassical(make_spec):
     spec = make_spec()
     for degree in range(spec.num_generators):
         assert duality_identity_check(spec, degree, 3).passed
+
+
+@st.composite
+def square_specs(draw):
+    """r = n specs with n <= 2: signed rationals, or roots of unity of order <= 12."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    if draw(st.booleans()):
+        values = [[Fraction(1)] * n for _ in range(n)]
+        if n == 2:
+            v = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
+            values[0][1], values[1][0] = v, 1 / v
+        return AlgebraSpec(n, n, RationalModel(values))
+    order = draw(st.integers(min_value=1, max_value=12))
+    exponents = [[0] * n for _ in range(n)]
+    if n == 2:
+        e = draw(st.integers(min_value=0, max_value=order - 1))
+        exponents[0][1], exponents[1][0] = e, -e
+    return AlgebraSpec(n, n, CyclotomicModel(order, exponents))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=square_specs())
+@example(spec=AlgebraSpec(2, 2, CyclotomicModel(4, [[0, 1], [-1, 0]])))
+@example(spec=semiclassical_spec())
+def test_duality_holds_whenever_r_equals_n(spec):
+    """The ``duality`` label of ``cohh``: when r = n every row product is 1, so D = +-Delta."""
+    for t in range(1, spec.num_generators + 1):
+        assert row_product(spec, t).is_one()
+    for degree in range(spec.num_generators):
+        assert duality_identity_check(spec, degree, 2).passed, degree
 
 
 def test_duality_identity_fails_mixed_minimal():
