@@ -19,13 +19,19 @@ each pair (left, right) is computed once per ``AlgebraSpec`` and kept in its
 generic Koszul differential all multiply a monomial by one generator, so
 they meet the same few pairs many times.  Table entries are shared and
 read-only: a caller that needs a mutable result copies the entry.
+
+``Combination`` is the one finite k-linear combination type: ``PbwElement``
+here and the Koszul chains ``koszul.ChainElement`` share it, and every sum of
+(key, scalar) pairs goes through ``Combination.from_terms``, which keeps keys
+in first-appearance order (the row order of the matrices built from them).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import IndexOutOfRange, ModelMismatch
 from .scalar import AlgebraSpec, Scalar
@@ -68,20 +74,71 @@ def monomial_degree(mono: Monomial) -> int:
     return sum(mono)
 
 
-class PbwElement:
-    """A finite k-linear combination of PBW basis monomials."""
+class Combination:
+    """A finite k-linear combination of hashable keys over one ``AlgebraSpec``.
+
+    ``terms`` maps each key to its nonzero scalar, in the order the keys
+    first appeared: matrices built from a combination take their row order
+    from it, so every way of summing terms goes through ``from_terms``.
+    """
 
     __slots__ = ("spec", "terms")
 
-    def __init__(self, spec: AlgebraSpec, terms: dict[Monomial, Scalar] | None = None):
+    def __init__(self, spec: AlgebraSpec, terms: dict | None = None):
         self.spec = spec
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
-
-    # -- constructors -------------------------------------------------------
+        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
-    def zero(cls, spec: AlgebraSpec) -> "PbwElement":
+    def zero(cls, spec: AlgebraSpec):
         return cls(spec)
+
+    @classmethod
+    def from_terms(cls, spec: AlgebraSpec, pairs: Iterable[tuple[Hashable, Scalar]]):
+        """The sum of the (key, scalar) pairs: repeated keys are added, in first-appearance order."""
+        out: dict = {}
+        for k, c in pairs:
+            out[k] = out[k] + c if k in out else c
+        return cls(spec, out)
+
+    def _check(self, other: "Combination"):
+        if other.spec != self.spec:
+            raise ModelMismatch("cannot combine elements over different algebras")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return type(self)(self.spec, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.spec, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, coeff: Union[Scalar, int, Fraction]):
+        if isinstance(coeff, (int, Fraction)):
+            coeff = self.spec.scalar(coeff)
+        return type(self)(self.spec, {k: c * coeff for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class PbwElement(Combination):
+    """A finite k-linear combination of PBW basis monomials."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls, spec: AlgebraSpec) -> "PbwElement":
@@ -99,54 +156,22 @@ class PbwElement:
         """The generator v_index (x_index if index <= r, else y_{index-r})."""
         return cls.monomial(spec, generator_monomial(spec, index))
 
-    # -- linear structure ---------------------------------------------------
-
-    def _check(self, other: "PbwElement"):
-        if other.spec != self.spec:
-            raise ModelMismatch("cannot combine elements over different algebras")
-
-    def __add__(self, other: "PbwElement") -> "PbwElement":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return PbwElement(self.spec, out)
-
-    def __sub__(self, other: "PbwElement") -> "PbwElement":
-        return self + (-other)
-
-    def __neg__(self) -> "PbwElement":
-        return PbwElement(self.spec, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff: Union[Scalar, int, Fraction]) -> "PbwElement":
-        if isinstance(coeff, (int, Fraction)):
-            coeff = self.spec.scalar(coeff)
-        return PbwElement(self.spec, {m: c * coeff for m, c in self.terms.items()})
-
-    # -- multiplication -----------------------------------------------------
-
     def __mul__(self, other: "PbwElement") -> "PbwElement":
         self._check(other)
-        out: dict[Monomial, Scalar] = {}
-        for ml, cl in self.terms.items():
-            for mr, cr in other.terms.items():
-                c = cl * cr
-                for mono, factor in normal_mul_monomials(self.spec, ml, mr).items():
-                    contrib = c * factor
-                    out[mono] = out[mono] + contrib if mono in out else contrib
-        return PbwElement(self.spec, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, PbwElement):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
+        spec = self.spec
+        return PbwElement.from_terms(
+            spec,
+            (
+                (mono, c * factor)
+                for ml, cl in self.terms.items()
+                for mr, cr in other.terms.items()
+                for c in (cl * cr,)
+                for mono, factor in normal_mul_monomials(spec, ml, mr).items()
+            ),
+        )
 
     def __hash__(self):
         return hash((self.spec, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def max_degree(self) -> int:
         return max((monomial_degree(m) for m in self.terms), default=0)
@@ -161,9 +186,6 @@ class PbwElement:
             cs = str(c)
             parts.append(ms if cs == "1" and ms != "1" else (cs if ms == "1" else f"{cs}*{ms}"))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"PbwElement({self})"
 
 
 def normal_mul_monomials(
@@ -247,18 +269,17 @@ def commutator_with_generator(
     # A coefficient of 1 scales nothing.
     left, right = (None if c is None or c.is_one() else c for c in (left, right))
 
-    def products(coeff: Scalar | None, generator_first: bool) -> dict[Monomial, Scalar]:
-        out: dict[Monomial, Scalar] = {}
+    def products(coeff: Scalar | None, generator_first: bool):
+        """The terms of coeff * v * element, or of -coeff * element * v."""
         for mono, c in element.terms.items():
             if coeff is not None:
                 c = c * coeff
+            if not generator_first:
+                c = -c
             pair = (v, mono) if generator_first else (mono, v)
             for prod, factor in normal_mul_monomials(spec, *pair).items():
-                contrib = c * factor
-                out[prod] = out[prod] + contrib if prod in out else contrib
-        return {m: c for m, c in out.items() if not c.is_zero()}
+                yield prod, c * factor
 
-    out = products(left, True)
-    for mono, c in products(right, False).items():
-        out[mono] = out[mono] - c if mono in out else -c
-    return PbwElement(spec, out)
+    # Left-side zeros are dropped before the right side is added, as in that difference.
+    lhs = PbwElement.from_terms(spec, products(left, True)).terms.items()
+    return PbwElement.from_terms(spec, chain(lhs, products(right, False)))

@@ -12,6 +12,9 @@ from .scalar import AlgebraSpec, Scalar
 Word = tuple[int, ...]
 WordElement = dict[Word, Scalar]
 
+# The longest word ``braiding_f_prime`` accepts.
+MAX_WORD_LENGTH = 6
+
 
 def _braid_at(spec: AlgebraSpec, elem: WordElement, pos: int) -> WordElement:
     """Apply the braiding at positions (pos, pos+1), 1-based."""
@@ -48,9 +51,7 @@ def _pair_form(spec: AlgebraSpec, a: int, b: int) -> int:
     return 0
 
 
-def braiding_f_prime(
-    spec: AlgebraSpec, word: Word, bound: int = 6
-) -> WordElement:
+def braiding_f_prime(spec: AlgebraSpec, word: Word) -> WordElement:
     """The alternating contraction f' on a tensor word; expected to vanish.
 
     f' = sum_{i<j} (-1)^{i+j+1} [ (f (x) I)(I (x) Pi_{j-1}) Pi_i
@@ -61,8 +62,8 @@ def braiding_f_prime(
     (value -1).
     """
     p = len(word)
-    if p > bound:
-        raise WordTooLong(f"word length {p} exceeds bound {bound}")
+    if p > MAX_WORD_LENGTH:
+        raise WordTooLong(f"word length {p} exceeds bound {MAX_WORD_LENGTH}")
     if p < 2:
         raise WordTooLong("need a word of length at least 2")
     for a in word:

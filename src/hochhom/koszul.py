@@ -50,13 +50,18 @@ from functools import cached_property
 from itertools import chain, combinations
 from math import gcd
 from operator import sub
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator
 
-from .algebra import generator_monomial, generator_name, monomial_str, normal_mul_monomials
+from .algebra import (
+    Combination,
+    generator_monomial,
+    generator_name,
+    monomial_str,
+    normal_mul_monomials,
+)
 from .errors import (
     ComplexBroken,
     IndexOutOfRange,
-    ModelMismatch,
     NotInSmallComplex,
     NotSemiClassical,
 )
@@ -113,64 +118,18 @@ def chain_generator_str(spec: AlgebraSpec, g: ChainGenerator) -> str:
     return f"{monomial_str(spec, g.mono)} (x) {wedge}"
 
 
-class ChainElement:
+class ChainElement(Combination):
     """A finite scalar combination of chain generators."""
 
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec: AlgebraSpec, terms: dict[ChainGenerator, Scalar] | None = None):
-        self.spec = spec
-        self.terms = {g: c for g, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls, spec: AlgebraSpec) -> "ChainElement":
-        return cls(spec)
+    __slots__ = ()
 
     @classmethod
     def single(cls, spec: AlgebraSpec, g: ChainGenerator, coeff=None) -> "ChainElement":
         return cls(spec, {g: spec.one() if coeff is None else coeff})
 
-    def _check(self, other: "ChainElement"):
-        if other.spec != self.spec:
-            raise ModelMismatch("cannot combine chains over different algebras")
-
-    def __add__(self, other: "ChainElement") -> "ChainElement":
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out[g] + c if g in out else c
-        return ChainElement(self.spec, out)
-
-    def __sub__(self, other: "ChainElement") -> "ChainElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ChainElement":
-        return ChainElement(self.spec, {g: -c for g, c in self.terms.items()})
-
-    def scale(self, coeff: Union[Scalar, int]) -> "ChainElement":
-        if isinstance(coeff, int):
-            coeff = self.spec.scalar(coeff)
-        return ChainElement(self.spec, {g: c * coeff for g, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainElement):
-            return NotImplemented
-        self._check(other)
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for g in sorted(self.terms, key=lambda t: (t.mono, t.wedge)):
-            parts.append(f"{self.terms[g]}*{chain_generator_str(self.spec, g)}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"ChainElement({self})"
+        gens = sorted(self.terms, key=lambda t: (t.mono, t.wedge))
+        return " + ".join(f"{self.terms[g]}*{chain_generator_str(self.spec, g)}" for g in gens) or "0"
 
 
 def _without(vec: Exponents, index0: int) -> Exponents:
@@ -267,14 +226,7 @@ def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     G = g.wedge
     k_total = sum(G)
     poly = g.mono
-    out: dict[ChainGenerator, Scalar] = {}
-
-    def accumulate(product: Mapping[Exponents, Scalar], coeff: Scalar, new_wedge: Exponents):
-        for mono, c in product.items():
-            gen = ChainGenerator(mono, new_wedge)
-            contrib = coeff * c
-            out[gen] = out[gen] + contrib if gen in out else contrib
-
+    terms = []
     for i in range(1, m + 1):
         if not G[i - 1]:
             continue
@@ -284,13 +236,16 @@ def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
         omega = spec.lambda_tilde_power_product(
             (k, i, G[k - 1]) for k in range(1, i) if G[k - 1]
         ) * sign_omega
-        accumulate(normal_mul_monomials(spec, poly, v_i), omega, new_wedge)
         sign_theta = (-1) ** (k_total + sum(G[i:]))
         theta = spec.lambda_tilde_power_product(
             (i, k, G[k - 1]) for k in range(i + 1, m + 1) if G[k - 1]
         ) * sign_theta
-        accumulate(normal_mul_monomials(spec, v_i, poly), theta, new_wedge)
-    return ChainElement(spec, out)
+        for coeff, pair in ((omega, (poly, v_i)), (theta, (v_i, poly))):
+            terms += [
+                (ChainGenerator(mono, new_wedge), coeff * c)
+                for mono, c in normal_mul_monomials(spec, *pair).items()
+            ]
+    return ChainElement.from_terms(spec, terms)
 
 
 def _epsilon_1(wedge: Exponents, i: int) -> int:
@@ -339,20 +294,14 @@ def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
         yield ChainGenerator(mono, wedge), spec.model.value(char) * c
 
 
-def _sum_terms(spec: AlgebraSpec, terms: Iterable[tuple[ChainGenerator, Scalar]]) -> ChainElement:
-    """The chain with the given (generator, scalar) terms, repeated generators added."""
-    out: dict[ChainGenerator, Scalar] = {}
-    for gen, coeff in terms:
-        out[gen] = out[gen] + coeff if gen in out else coeff
-    return ChainElement(spec, out)
-
-
 def diff_full_closed(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     """The full differential by the closed formulas: diff_symmetric plus the lowering terms.
 
     Optimized second path; must agree with diff_full on every generator.
     """
-    return _sum_terms(spec, chain(diff_symmetric(spec, g).terms.items(), _lowering_terms(spec, g)))
+    return ChainElement.from_terms(
+        spec, chain(diff_symmetric(spec, g).terms.items(), _lowering_terms(spec, g))
+    )
 
 
 def diff_small(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
@@ -363,14 +312,14 @@ def diff_small(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     """
     if not is_in_C(spec, g.rho):
         raise NotInSmallComplex(f"rho={g.rho} is not in C")
-    return _sum_terms(spec, _lowering_terms(spec, g))
+    return ChainElement.from_terms(spec, _lowering_terms(spec, g))
 
 
 def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     """The quantum symmetric algebra differential; preserves rho exactly."""
     m = spec.num_generators
     A, G = g.mono, g.wedge
-    out: dict[ChainGenerator, Scalar] = {}
+    terms = []
     for i in range(1, m + 1):
         if not G[i - 1]:
             continue
@@ -388,8 +337,8 @@ def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
         gen = ChainGenerator(
             tuple(a + (1 if t == i - 1 else 0) for t, a in enumerate(A)), _without(G, i - 1)
         )
-        out[gen] = out[gen] + coeff if gen in out else coeff
-    return ChainElement(spec, out)
+        terms.append((gen, coeff))
+    return ChainElement.from_terms(spec, terms)
 
 
 def diff_weyl(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
@@ -399,25 +348,16 @@ def diff_weyl(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     r = spec.r
     alpha, beta = g.mono[:r], g.mono[r:]
     gamma, delta = g.wedge[:r], g.wedge[r:]
-    out: dict[ChainGenerator, Scalar] = {}
-
-    def add(gen: ChainGenerator, c: int):
-        coeff = spec.scalar(c)
-        out[gen] = out[gen] + coeff if gen in out else coeff
-
+    terms = []
     for i in range(1, r + 1):
         if gamma[i - 1] and beta[i - 1]:
-            add(
-                ChainGenerator(alpha + _lower(beta, i - 1), _without(g.wedge, i - 1)),
-                -_epsilon_1(g.wedge, i) * beta[i - 1],
-            )
+            gen = ChainGenerator(alpha + _lower(beta, i - 1), _without(g.wedge, i - 1))
+            terms.append((gen, spec.scalar(-_epsilon_1(g.wedge, i) * beta[i - 1])))
     for j in range(1, r + 1):
         if delta[j - 1] and alpha[j - 1]:
-            add(
-                ChainGenerator(_lower(alpha, j - 1) + beta, _without(g.wedge, r + j - 1)),
-                _epsilon_1(g.wedge, r + j) * alpha[j - 1],
-            )
-    return ChainElement(spec, out)
+            gen = ChainGenerator(_lower(alpha, j - 1) + beta, _without(g.wedge, r + j - 1))
+            terms.append((gen, spec.scalar(_epsilon_1(g.wedge, r + j) * alpha[j - 1])))
+    return ChainElement.from_terms(spec, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +627,9 @@ def apply_diff(
     elem: ChainElement,
 ) -> ChainElement:
     """Extend a differential given on generators linearly to a chain."""
-    out: dict[ChainGenerator, Scalar] = {}
-    for g, c in elem.terms.items():
-        for h, d in diff(spec, g).terms.items():
-            contrib = d * c
-            out[h] = out[h] + contrib if h in out else contrib
-    return ChainElement(spec, out)
+    return ChainElement.from_terms(
+        spec, ((h, d * c) for g, c in elem.terms.items() for h, d in diff(spec, g).terms.items())
+    )
 
 
 # ---------------------------------------------------------------------------

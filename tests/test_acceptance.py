@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -235,20 +236,8 @@ def test_criterion_07_quotient_strand_acyclicity(spec):
 @pytest.mark.parametrize("make_spec", SEMICLASSICAL_N2)
 def test_criterion_08_weyl_comparison_chain_maps(make_spec):
     spec = make_spec()
-
-    def f_map(elem):
-        out = ChainElement.zero(spec)
-        for g, c in elem.terms.items():
-            image = weyl_f_map(spec, g)
-            out = out + image.scale(c)
-        return out
-
-    def g_map(elem):
-        out = ChainElement.zero(spec)
-        for g, c in elem.terms.items():
-            out = out + weyl_g_map(spec, g).scale(c)
-        return out
-
+    f_map = partial(apply_diff, spec, weyl_f_map)
+    g_map = partial(apply_diff, spec, weyl_g_map)
     for g in generators_up_to(spec, 6):
         if not is_in_C(spec, g.rho):
             continue

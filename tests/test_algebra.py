@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,8 @@ from hochhom.algebra import (
 )
 from hochhom.cli import load_config, verify_complex
 from hochhom.cohomology import cohomology_report
+from hochhom.errors import ModelMismatch
+from hochhom.koszul import ChainElement, ChainGenerator
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
 
 
@@ -249,6 +252,46 @@ def test_braided_commutator_matches_element_arithmetic(make_spec):
             want = (v * elem).scale(left) - (elem * v).scale(right)
             got = commutator_with_generator(spec, i, elem, left, right)
             assert list(got.terms.items()) == list(want.terms.items())
+
+
+# Four keys of each combination type over weyl(1), the first the largest
+# under sorting, so a sorted result shows.
+COMBINATION_KEYS = [
+    (PbwElement, [(2, 0), (0, 1), (1, 1), (0, 2)]),
+    (
+        ChainElement,
+        [ChainGenerator((2, 0), (0, 1)), ChainGenerator((0, 1), (1, 0)),
+         ChainGenerator((1, 1), (0, 0)), ChainGenerator((0, 2), (1, 1))],
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,keys", COMBINATION_KEYS, ids=["pbw", "chain"])
+def test_from_terms_sums_repeats_in_first_appearance_order(cls, keys):
+    spec = weyl_spec()
+    a, b, c, d = keys
+    pairs = [(a, 1), (b, 2), (c, 3), (a, 4), (b, -2), (d, 1)]
+    got = cls.from_terms(spec, [(k, spec.scalar(v)) for k, v in pairs])
+    assert type(got) is cls
+    # b sums to zero and is dropped; a, c and d keep the order they first appeared in.
+    assert list(got.terms.items()) == [(a, spec.scalar(5)), (c, spec.scalar(3)), (d, spec.one())]
+    assert cls.from_terms(spec, [(a, spec.one()), (a, spec.scalar(-1))]).is_zero()
+
+
+@pytest.mark.parametrize("cls,keys", COMBINATION_KEYS, ids=["pbw", "chain"])
+def test_combinations_over_different_algebras_do_not_mix(cls, keys):
+    spec, other = weyl_spec(), AlgebraSpec(1, 1, CyclotomicModel(4, [[0]]))
+    assert spec != other
+    # Different keys, so that no two scalars of different fields meet.
+    here = cls.from_terms(spec, [(keys[0], spec.one())])
+    there = cls.from_terms(other, [(keys[1], other.one())])
+    for op in (operator.add, operator.sub, operator.eq):
+        with pytest.raises(ModelMismatch):
+            op(here, there)
+    # The two types never compare equal, even with the same terms.
+    terms = {(1, 0): spec.one()}
+    assert ChainElement(spec, terms) != PbwElement(spec, terms)
+    assert PbwElement(spec, terms) != ChainElement(spec, terms)
 
 
 def test_monomial_text_format():

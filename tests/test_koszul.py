@@ -602,6 +602,6 @@ def test_braiding_pairing_vanishes_on_short_words(make_spec):
 def test_braiding_word_bounds():
     spec = weyl_spec()
     with pytest.raises(WordTooLong):
-        braiding_f_prime(spec, (1,) * 9, bound=4)
+        braiding_f_prime(spec, (1,) * 9)
     with pytest.raises(IndexOutOfRange):
         braiding_f_prime(spec, (1, 5))
