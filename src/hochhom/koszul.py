@@ -17,8 +17,9 @@ Four differentials live here:
 
 The module also provides the membership test for C, weight-strand
 enumeration, and the comparison scalar R with the maps ``weyl_f_map`` and
-``weyl_g_map``.  Every coefficient and column product is a list of
-(k, i, e) factors over lambda~, summed by ``AlgebraSpec.character``.
+``weyl_g_map``.  Every coefficient and column product is a lambda~-character:
+a list of (k, i, e) factors summed by ``AlgebraSpec.character``, or a row of
+the lowering table below.
 
 A weight strand of K_C is a direct sum of fine blocks.  The small
 differential lowers rho_{x_i} and rho_{y_i} together and never changes
@@ -37,11 +38,17 @@ lattice (period 0) is one class, decided key by key.  Strands are built
 key first: for each key with a generator in C and each of its points rho of
 total degree w + 2k, the degree-k generators are rho minus a wedge on a
 k-subset of the support of rho.  No generator outside C is built, and a
-block's basis is a list of (mono, wedge) tuples.  Strand matrices come from the lowering formula
-written once as a kernel on those tuples (``_lowering``), which gives each
-coefficient as a lambda-character and an int, so block matrices are integer
-rows with no scalar per entry; ``diff_small`` and ``diff_full_closed`` wrap
-the same kernel for chain generators.
+block's basis is a list of (mono, wedge) tuples.  Strand matrices come from
+the lowering formula written once as a kernel on those tuples
+(``_lowering``), which gives each coefficient as a lambda-character and an
+int, so block matrices are integer rows with no scalar per entry;
+``diff_small`` and ``diff_full_closed`` wrap the same kernel for chain
+generators.  The kernel reads one table per spec
+(``AlgebraSpec.lowering_table``), a row per lowering term: the wedge
+position it removes (its prefix sets the sign), the exponent it lowers, and
+its lambda~ factors that are not 1.  A term's character is a sparse dot
+product, empty when every lambda is 1, and its image changes one index of
+each tuple.
 """
 from __future__ import annotations
 
@@ -134,10 +141,6 @@ class ChainElement(Combination):
 
 def _without(vec: Exponents, index0: int) -> Exponents:
     return vec[:index0] + (0,) + vec[index0 + 1 :]
-
-
-def _lower(vec: Exponents, index0: int) -> Exponents:
-    return vec[:index0] + (vec[index0] - 1,) + vec[index0 + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -248,44 +251,34 @@ def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     return ChainElement.from_terms(spec, terms)
 
 
-def _epsilon_1(wedge: Exponents, i: int) -> int:
-    """(-1) to the number of wedge factors before position i (1-based)."""
-    return (-1) ** sum(wedge[: i - 1])
-
-
 def _lowering(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
     """The exponent-lowering (Weyl contraction) terms of the differential.
 
     Yields ((mono, wedge), character, int) triples by the closed coefficient
     formulas, the coefficient being the model's value of the reduced
-    lambda~-character times the int: the x_i terms for i <= r, then the y_j
-    terms for j <= r.  They make up the small-complex differential, and with
-    ``diff_symmetric`` the full one.  Their characters are those of
-    prod lambda~_{k,i}^{gamma_k} lambda~_{r+k,i}^{beta_k} (x_i) and
-    prod lambda~_{r+j,r+k}^{delta_k} lambda~_{r+j,k}^{alpha_k} (y_j).
+    lambda~-character times the int, one per row of
+    ``AlgebraSpec.lowering_table``: the x_i terms for i <= r, then the y_j
+    terms.  They make up the small-complex differential, and with
+    ``diff_symmetric`` the full one.
     """
-    r, n = spec.r, spec.n
-    character = spec.character
-
-    for i in range(1, r + 1):
-        beta_i = mono[r + i - 1]
-        if wedge[i - 1] and beta_i:
-            char = character(
-                [(k, i, wedge[k - 1]) for k in range(1, i)]
-                + [(r + k, i, mono[r + k - 1]) for k in range(i + 1, n + 1)]
+    model = spec.model
+    rank, torsion = model.rank, model.torsion
+    vec = mono + wedge
+    for w, e, sign, pairs in spec.lowering_table:
+        top = mono[e]
+        if wedge[w] and top:
+            acc = [0] * rank
+            for p, ch in pairs:
+                f = vec[p]
+                if f:
+                    for c, x in ch:
+                        acc[c] += f * x
+            acc[0] %= torsion
+            yield (
+                (mono[:e] + (top - 1,) + mono[e + 1 :], wedge[:w] + (0,) + wedge[w + 1 :]),
+                tuple(acc),
+                -sign * top if wedge[:w].count(1) % 2 else sign * top,
             )
-            image = _lower(mono, r + i - 1), _without(wedge, i - 1)
-            yield image, char, -_epsilon_1(wedge, i) * beta_i
-
-    for j in range(1, r + 1):
-        alpha_j = mono[j - 1]
-        if wedge[r + j - 1] and alpha_j:
-            char = character(
-                [(r + j, r + k, wedge[r + k - 1]) for k in range(j + 1, n + 1)]
-                + [(r + j, k, mono[k - 1]) for k in range(1, j)]
-            )
-            image = _lower(mono, j - 1), _without(wedge, r + j - 1)
-            yield image, char, _epsilon_1(wedge, r + j) * alpha_j
 
 
 def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
@@ -342,21 +335,19 @@ def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
 
 
 def diff_weyl(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
-    """The classical Weyl-algebra Koszul differential (all parameters 1)."""
+    """The classical Weyl-algebra Koszul differential (all parameters 1).
+
+    Removing wedge x_i lowers beta_i (coefficient -eps beta_i), removing y_j
+    lowers alpha_j (eps alpha_j); eps is (-1)^(wedge factors before it).
+    """
     if spec.r != spec.n:
         raise NotSemiClassical("the Weyl complex needs r = n")
-    r = spec.r
-    alpha, beta = g.mono[:r], g.mono[r:]
-    gamma, delta = g.wedge[:r], g.wedge[r:]
+    r, A, G = spec.r, g.mono, g.wedge
     terms = []
-    for i in range(1, r + 1):
-        if gamma[i - 1] and beta[i - 1]:
-            gen = ChainGenerator(alpha + _lower(beta, i - 1), _without(g.wedge, i - 1))
-            terms.append((gen, spec.scalar(-_epsilon_1(g.wedge, i) * beta[i - 1])))
-    for j in range(1, r + 1):
-        if delta[j - 1] and alpha[j - 1]:
-            gen = ChainGenerator(_lower(alpha, j - 1) + beta, _without(g.wedge, r + j - 1))
-            terms.append((gen, spec.scalar(_epsilon_1(g.wedge, r + j) * alpha[j - 1])))
+    for w, e, sign in [(i, r + i, -1) for i in range(r)] + [(r + j, j, 1) for j in range(r)]:
+        if G[w] and A[e]:
+            gen = ChainGenerator(A[:e] + (A[e] - 1,) + A[e + 1 :], _without(G, w))
+            terms.append((gen, spec.scalar(sign * (-1) ** sum(G[:w]) * A[e])))
     return ChainElement.from_terms(spec, terms)
 
 
@@ -473,17 +464,22 @@ def _strand_keys(spec: AlgebraSpec, w: int):
     Keys are walked class by class (``_key_classes``): a class's keys set its
     coordinates that are not free to 0 and give each free one every value of
     its residue, either sign on a delta coordinate, of total size at most
-    w + n + (n+r) and of the parity of w.  On an exact lattice the one class
-    holds every key, and a key whose base point touches a bad column is left
-    out.  The pairs listed have both columns good.  Raising the base point b
-    by T along them reaches degree k = (|b| + 2T - w) / 2, and some point
-    there has k columns in its support exactly when T = 0 or a pair is
-    raisable, and k <= |supp b| + 2 min(T, z) + min(T - z, nz) for the z
-    raisable pairs with delta_i = 0 and the nz with delta_i != 0.  As
-    |supp b| <= n, then |b| <= w + n + (n+r).
+    w + 2n and of the parity of w.  On an exact lattice the one class holds
+    every key, and a key whose base point touches a bad column is left out.
+    The pairs listed have both columns good.  Raising the base point b by T
+    along them reaches degree k = (|b| + 2T - w) / 2, and some point there
+    has k columns in its support exactly when T = 0 or a pair is raisable,
+    and k <= s + 2 min(T, z) + min(T - z, nz) for s = |supp b|, the z
+    raisable pairs with delta_i = 0 and the nz with delta_i != 0.
+
+    Why |b| <= w + 2n: a Weyl pair with delta_i = 0 has both columns out of
+    supp b, one with delta_i != 0 has one column in it, and each y_j (j > r)
+    adds at most one column, so s + z <= n.  With |b| = w + 2k - 2T, the
+    bound on k gives |b| <= w + 2s + 2T <= w + 2(s + z) when T <= z, and
+    |b| <= w + 2(s + 2z + (T - z)) - 2T = w + 2(s + z) when T > z.
     """
     n, r, m = spec.n, spec.r, spec.num_generators
-    cap, period = w + n + m, spec.model.period
+    cap, period = w + 2 * n, spec.model.period
     for residues, free in _key_classes(spec, cap):
         pairs = [i for i in range(r) if free[i]]
         options = [
@@ -551,11 +547,12 @@ def _lowering_matrix(spec: AlgebraSpec, columns: Basis, rows: Basis) -> SparseMa
     cells = {}
     for j, (mono, wedge) in enumerate(columns):
         for image, char, c in _lowering(spec, mono, wedge):
-            if image not in row_of:
+            i = row_of.get(image)
+            if i is None:
                 raise ComplexBroken(f"the image of {(mono, wedge)} leaves its block at {image}")
             v = value(char)
             nums = c * v.nums[0] if field.degree == 1 else [c * x for x in v.nums]
-            cells[(row_of[image], j)] = nums, v.den
+            cells[(i, j)] = nums, v.den
     return SparseMatrix.from_cells(len(rows), len(columns), field, cells)
 
 
@@ -563,7 +560,7 @@ def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
     """The weight-w strand of K_C, split into its fine blocks.
 
     Enumerated key by key, over the keys with a generator only
-    (``_strand_keys``, whose base points have degree at most w + n + (n+r)):
+    (``_strand_keys``, whose base points have degree at most w + 2n):
     a key's points in C are its base point raised along the pairs it may
     raise, and a point rho of degree w + 2k gives the degree-k generators
     rho - wedge, one per k-subset of the support of rho.  Each block sorts

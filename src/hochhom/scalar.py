@@ -786,6 +786,29 @@ class AlgebraSpec:
         )
 
     @cached_property
+    def lowering_table(self) -> tuple[tuple[int, int, int, tuple], ...]:
+        """(w, e, sign, pairs) per lowering term of ``koszul._lowering``: x_1..x_r, then y_1..y_r.
+
+        The term removes wedge position w and lowers exponent e, with coefficient
+        sign (-1)^(wedge factors before w) mono[e]; its character sums f * ch over
+        the (p, ch) in pairs, f = (mono + wedge)[p], for the factors that are not 1.
+        """
+        n, r, m, chars = self.n, self.r, self.num_generators, self._tilde_characters
+        rows = []
+        for i in range(1, r + 1):  # lambda~_{k,i}^{gamma_k} (k < i), lambda~_{r+k,i}^{beta_k} (k > i)
+            factors = [(m + k - 1, k, i) for k in range(1, i)]
+            factors += [(r + k - 1, r + k, i) for k in range(i + 1, n + 1)]
+            rows.append((i - 1, r + i - 1, -1, factors))
+        for j in range(1, r + 1):  # lambda~_{r+j,r+k}^{delta_k} (k > j), lambda~_{r+j,k}^{alpha_k} (k < j)
+            factors = [(m + r + k - 1, r + j, r + k) for k in range(j + 1, n + 1)]
+            factors += [(k - 1, r + j, k) for k in range(1, j)]
+            rows.append((r + j - 1, j - 1, 1, factors))
+        return tuple(
+            (w, e, sign, tuple((p, chars[k][i]) for p, k, i in factors if chars[k][i]))
+            for w, e, sign, factors in rows
+        )
+
+    @cached_property
     def product_table(self) -> dict:
         """Per-spec table of PBW monomial products (``algebra.normal_mul_monomials``)."""
         return {}

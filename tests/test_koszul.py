@@ -403,6 +403,15 @@ def test_enumeration_matches_candidate_filter_on_random_parameters(spec, data):
     assert_strand_matches_candidates(spec, w)
 
 
+@settings(max_examples=25, deadline=None)
+@given(spec=st.one_of(signed_rational_specs(), cyclotomic_specs()))
+def test_closed_form_agrees_with_generic_on_random_parameters(spec):
+    # diff_full multiplies in the PBW basis and never reads the lowering
+    # table, so this checks every row of the table over random Lambda.
+    for g in generators_up_to(spec, 2):
+        assert diff_full_closed(spec, g) == diff_full(spec, g), chain_generator_str(spec, g)
+
+
 def reference_strand_keys(spec, w):
     """The composition walk that the class walk of ``_strand_keys`` replaced, as its reference.
 
@@ -498,6 +507,22 @@ def test_key_walk_builds_fewer_candidates_than_the_reference(monkeypatch, config
     assert walked == reference
     assert counts["_solve"] + counts["class"] + counts["_base_point"] <= reference_keys
     assert "bad_columns" not in counts
+
+
+def test_key_walk_builds_only_the_keys_it_keeps(monkeypatch):
+    # Under the size cap w + 2n no key fails the reach test on weyl(3):
+    # one base point per key yielded.
+    spec = load_config("weyl(3)")
+    calls = Counter()
+
+    def counted(*args, base_point=koszul._base_point):
+        calls["_base_point"] += 1
+        return base_point(*args)
+
+    monkeypatch.setattr(koszul, "_base_point", counted)
+    kept = sum(1 for w in range(-6, 0) for _ in _strand_keys(spec, w))
+    assert kept == 301
+    assert calls["_base_point"] == kept
 
 
 def assert_every_block_has_a_generator(spec, w):
