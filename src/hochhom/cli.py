@@ -6,9 +6,9 @@ Subcommands:
 * ``cohh``   — windowed cohomology degrees.
 * ``oracle`` — compare computed homology against the closed-answer oracle.
 * ``verify`` — machine checks (differential soundness, comparison chain
-  maps, braiding vanishing, quotient acyclicity, duality identity).  Each
-  suite reports how many cases it checked; a suite that checked none is
-  ``vacuous``, not ``pass``.
+  maps, braiding vanishing, quotient acyclicity, duality identity, and the
+  block count against elimination).  Each suite reports how many cases it
+  checked; a suite that checked none is ``vacuous``, not ``pass``.
 
 Exit codes: 0 success, 1 a verification or oracle failure, 2 a config error,
 a negative ``--trunc``/``--bound`` window or an empty ``--wmin``..``--wmax``
@@ -45,6 +45,8 @@ from .homology import (
 from .koszul import (
     ChainElement,
     apply_diff,
+    block_chain_dimensions,
+    block_homology,
     chain_generator_str,
     diff_full,
     diff_full_closed,
@@ -53,10 +55,13 @@ from .koszul import (
     diff_weyl,
     generators_up_to,
     is_in_C,
+    strand_block,
     weyl_f_map,
     weyl_g_map,
     _compositions,
+    _strand_keys,
 )
+from .linalg import homology_picks
 from .scalar import AlgebraSpec, CyclotomicModel, RationalModel, as_integer
 
 SCHEMA = "hochhom-report/1"
@@ -317,12 +322,32 @@ def verify_duality(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
     return checked, failures
 
 
+def verify_blocks(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
+    """Every block of every strand w in [-(n+r), bound] eliminated and compared with its count."""
+    failures = []
+    checked = 0
+    for w in range(-spec.num_generators, bound + 1):
+        for key, base, pairs in _strand_keys(spec, w):
+            checked += 1
+            block = strand_block(spec, w, key, base, pairs)
+            dims, _ = homology_picks(block.matrices, spec.one())
+            found = {k: dim for k, dim in dims.items() if dim}
+            count = block_homology(spec, w, key, base, pairs)
+            if found != count:
+                failures.append(f"block {key} of weight {w}: homology {found}, count {count}")
+            sizes = {k: len(basis) for k, basis in block.basis.items()}
+            if sizes != block_chain_dimensions(spec, w, key, base, pairs):
+                failures.append(f"block {key} of weight {w}: chain dimensions {sizes} miscounted")
+    return checked, failures
+
+
 SUITES = {
     "complex": verify_complex,
     "chainmaps": verify_chainmaps,
     "braiding": verify_braiding,
     "quotient": verify_quotient,
     "duality": verify_duality,
+    "blocks": verify_blocks,
 }
 
 

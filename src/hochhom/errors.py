@@ -35,7 +35,8 @@ class NotASubspace(HochhomError):
 
 class ComplexBroken(HochhomError):
     """A differential failed d∘d = 0, produced boundaries outside the cycles,
-    or mapped a basis element outside the given target basis (its block)."""
+    mapped a basis element outside the given target basis (its block), or
+    gave a block homology other than the block count."""
 
 
 class RhoInC(HochhomError):

@@ -5,10 +5,14 @@ weight-homogeneous, so each weight strand is an independent finite complex.
 A strand is in turn the direct sum of its fine blocks (see ``koszul``), and
 its homology is computed one block at a time: dimensions add up, and the
 representatives are merged back into the order one elimination of the whole
-strand would give.  The module also carries the theorem-based
-expected-dimension oracles for the regimes with known closed answers, and
-the acyclicity witness for the quotient strands that justifies computing on
-K_C in the first place.
+strand would give.  The printed dimensions come from the proven block count
+(the block lemma of ``koszul``), read off each block key with no block
+built; elimination of every block (``homology_of_strand``) cross-checks it
+in the tests and in ``verify --suite blocks``, and representatives are
+eliminated from the blocks that carry homology only.  The module also
+carries the theorem-based expected-dimension oracles for the regimes with
+known closed answers, and the acyclicity witness for the quotient strands
+that justifies computing on K_C in the first place.
 """
 from __future__ import annotations
 
@@ -16,14 +20,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, sub
 
-from .errors import RhoInC
+from .errors import ComplexBroken, RhoInC
 from .koszul import (
     ChainElement,
     ChainGenerator,
+    StrandBlock,
     StrandComplex,
+    _strand_keys,
+    block_chain_dimensions,
+    block_homology,
     diff_symmetric,
-    enumerate_strand,
     is_in_C,
+    strand_block,
 )
 from .linalg import Vector, complex_homology, homology_picks, matrix_of
 from .scalar import AlgebraSpec
@@ -60,41 +68,79 @@ class HomologyReport:
 def strand_homology(
     spec: AlgebraSpec, w: int, representatives: bool = True
 ) -> StrandHomology:
-    """Per-degree homology dimensions of the weight-w strand of K_C."""
-    strand = enumerate_strand(spec, w)
-    return homology_of_strand(spec, strand, representatives=representatives)
+    """Per-degree homology dimensions of the weight-w strand of K_C, by the block count.
+
+    The dimensions and chain dimensions are counted block key by block key
+    (``koszul.block_homology``, ``koszul.block_chain_dimensions``), with no
+    block built.  Representatives need the blocks with homology: only those
+    are built and eliminated, and each must agree with its count.
+    """
+    degrees = range(spec.num_generators + 1)
+    dims, chains = dict.fromkeys(degrees, 0), dict.fromkeys(degrees, 0)
+    picks: dict[int, list[tuple[tuple, Vector, list]]] = {k: [] for k in degrees}
+    for key, base, pairs in _strand_keys(spec, w):
+        for k, dim in block_chain_dimensions(spec, w, key, base, pairs).items():
+            chains[k] += dim
+        count = block_homology(spec, w, key, base, pairs)
+        for k, dim in count.items():
+            dims[k] += dim
+        if representatives and count:
+            block = strand_block(spec, w, key, base, pairs)
+            block_dims, block_picks = _block_picks(spec, block, count)
+            if {k: dim for k, dim in block_dims.items() if dim} != count:
+                raise ComplexBroken(
+                    f"block {key} of weight {w} has homology {block_dims}, not {count}"
+                )
+            for k, found in block_picks.items():
+                picks[k] += found
+    return StrandHomology(w, dims, _representatives(spec, picks), chains)
 
 
 def homology_of_strand(
     spec: AlgebraSpec, strand: StrandComplex, representatives: bool = True
 ) -> StrandHomology:
-    """Homology of a weight strand, one block at a time.
+    """Homology of a built weight strand, by eliminating every block.
+
+    The route that checks the block count: ``verify --suite blocks`` and the
+    tests compare the two.
+    """
+    degrees = range(spec.num_generators + 1)
+    dims = dict.fromkeys(degrees, 0)
+    picks: dict[int, list[tuple[tuple, Vector, list]]] = {k: [] for k in degrees}
+    for block in strand.blocks:
+        block_dims, block_picks = _block_picks(spec, block, degrees if representatives else ())
+        for k, dim in block_dims.items():
+            dims[k] += dim
+        for k, found in block_picks.items():
+            picks[k] += found
+    return StrandHomology(
+        strand.weight, dims, _representatives(spec, picks), dict(strand.chain_dimensions)
+    )
+
+
+def _block_picks(spec: AlgebraSpec, block: StrandBlock, degrees):
+    """``homology_picks`` of one block, each pick as (generator, vector, basis)."""
+    dims, found = homology_picks(block.matrices, spec.one(), representatives=degrees)
+    return dims, {
+        k: [(block.basis[k][j], v, block.basis[k]) for j, v in picks] for k, picks in found.items()
+    }
+
+
+def _representatives(spec: AlgebraSpec, picks) -> dict[int, list[ChainElement]]:
+    """The picks of a strand's blocks as chain elements, in whole-strand order.
 
     Pivoting never mixes blocks, so each block picks the representatives one
     elimination of the whole strand would pick; sorting the picks by the
     generator of their kernel vector's free column restores that order.
     Chain generators are built only for the representatives.
     """
-    degrees = range(spec.num_generators + 1)
-    dims = dict.fromkeys(degrees, 0)
-    picks: dict[int, list[tuple[tuple, Vector, list]]] = {k: [] for k in degrees}
-    for block in strand.blocks:
-        block_dims, block_picks = homology_picks(
-            block.matrices, spec.one(), representatives=degrees if representatives else ()
-        )
-        for k, dim in block_dims.items():
-            dims[k] += dim
-        for k, found in block_picks.items():
-            basis = block.basis[k]
-            picks[k] += [(basis[j], v, basis) for j, v in found]
-    reps = {
+    return {
         k: [
             ChainElement(spec, {ChainGenerator(*basis[j]): c for j, c in v.items()})
             for _, v, basis in sorted(found, key=itemgetter(0))
         ]
         for k, found in picks.items()
     }
-    return StrandHomology(strand.weight, dims, reps, dict(strand.chain_dimensions))
 
 
 def hh_report(

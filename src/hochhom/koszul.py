@@ -49,13 +49,58 @@ position it removes (its prefix sets the sign), the exponent it lowers, and
 its lambda~ factors that are not 1.  A term's character is a sparse dot
 product, empty when every lambda is 1, and its image changes one index of
 each tuple.
+
+The block lemma (``block_homology``).  Let a block of weight w have key
+delta, base point b with s = |supp b|, and p raisable pairs.  If delta_i != 0
+for some raisable pair i, the block is acyclic.  Otherwise its homology sits
+in the one degree k = (|b| + 2p - w) / 2, with dimension C(s, k - 2p); it is
+0 when k is not an integer or k - 2p lies outside [0, s].
+
+Proof: a twisted Kunneth over the raisable pairs.  The characters are
+trivial on the block, so its points are b + sum_i t_i (x_i + y_i) over the
+raisable pairs with every t_i >= 0; a pair that is not raisable has both
+columns bad, so it has delta_i = 0 and stays at 0.  A generator is a part
+on each raisable pair (its t_i and its wedge on x_i, y_i) times a part on
+the spectators, the columns of supp b outside those pairs, which no term
+changes.  The differential is
+d = sum_i d_i, where d_i removes x_i (y_i) from the wedge and lowers the
+exponent of y_i (x_i), with coefficient that exponent times a sign and a
+lambda-character value: nonzero exactly when the exponent is.  The part of
+d d = 0 that lowers pair i twice is d_i d_i = 0.
+
+One pair, the rest fixed: d_i changes nothing else, and the rest enters its
+coefficients only through nonzero factors.  At a fixed weight its degree-j
+part sits at t_i = t0 + j (j = 0, 1, 2).  For t0 >= 0 the part is
+1 -> 2 -> 1-dimensional, every exponent met is >= 1, so both maps have rank
+1 and it is exact.  For t0 = -1 it is x^{b_x} y^{b_y} (x) x_i y_i in degree
+2 over x^{b_x - 1} (x) x_i or y^{b_y - 1} (x) y_i in degree 1 when
+delta_i != 0, mapped by |delta_i| != 0 (exact), and over nothing when
+delta_i = 0: one class x_i y_i, in degree 2 and weight -2.  For t0 <= -2
+it is 0.
+
+The block: the pieces with sum_{j != i} t_j <= f are subcomplexes, since
+d_i keeps that sum and each other d_j lowers it by one; their quotients are
+sums of one-pair complexes under d_i.  If delta_i != 0 these are exact, so
+by the long exact sequences the block is.  If every delta_i = 0, the span
+B' of the generators with pair i at 1 (x) x_i y_i is a subcomplex (d_i
+needs a positive exponent on pair i), and the block modulo B' is exact by
+the same filtration, so H(block) = H(B').  B' is the block without pair i,
+shifted by degree 2 and weight -2, with a differential of the same kind.
+By induction on p, H is that of the spectators, here all s columns of
+supp b, where d = 0: a wedge on k - 2p of them at weight
+|b| - 2(k - 2p) - 2p = w.  For r = 0 this
+is Wambst's differential-free small complex of a quantum affine space.
+
+A block's chain dimensions (``block_chain_dimensions``) are binomial sums:
+raising b by T = (w + 2k - |b|) / 2 along the pairs, a pair raised by
+t_i > 0 adds two columns to the support when delta_i = 0 and one otherwise.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
-from math import gcd
+from math import comb, gcd
 from operator import sub
 from typing import Callable, Iterable, Iterator
 
@@ -502,6 +547,52 @@ def _strand_keys(spec: AlgebraSpec, w: int):
                 yield key, base, pairs
 
 
+def block_homology(
+    spec: AlgebraSpec, w: int, key: Exponents, base: Exponents, pairs
+) -> dict[int, int]:
+    """{k: dim H_k} of the block of a ``_strand_keys`` triple, by the block lemma; {} if acyclic."""
+    p, s = len(pairs), len(base) - base.count(0)
+    k, odd = divmod(sum(base) + 2 * p - w, 2)
+    if odd or any(key[i] for i in pairs) or not 0 <= k - 2 * p <= s:
+        return {}
+    return {k: comb(s, k - 2 * p)}
+
+
+def block_chain_dimensions(
+    spec: AlgebraSpec, w: int, key: Exponents, base: Exponents, pairs
+) -> dict[int, int]:
+    """{k: dim C_k} of the block of a ``_strand_keys`` triple, for every degree k."""
+    z = sum(1 for i in pairs if not key[i])
+    s = len(base) - base.count(0)
+    dims = _chain_dimensions(spec.num_generators, w - sum(base), s, z, len(pairs) - z)
+    return dict(enumerate(dims))
+
+
+@lru_cache(maxsize=4096)
+def _chain_dimensions(m: int, excess: int, s: int, z: int, nz: int) -> tuple[int, ...]:
+    """dim C_k for k = 0..m of a block with w - |b| = excess, s = |supp b| and z (nz)
+    raisable pairs with delta_i = 0 (!= 0); cached, as most blocks of a strand repeat them.
+
+    With T = (excess + 2k) / 2: C(s, k) when T = 0, else the sum over
+    a + b >= 1 of C(z, a) C(nz, b) C(T - 1, a + b - 1) C(s + 2a + b, k),
+    choosing the a + b pairs raised and a composition of T into them.
+    """
+    dims = []
+    for k in range(m + 1):
+        t, odd = divmod(excess + 2 * k, 2)
+        dims.append(
+            0 if odd or t < 0
+            else comb(s, k) if t == 0
+            else sum(
+                comb(z, a) * comb(nz, b) * comb(t - 1, a + b - 1) * comb(s + 2 * a + b, k)
+                for a in range(z + 1)
+                for b in range(nz + 1)
+                if a + b
+            )
+        )
+    return tuple(dims)
+
+
 Basis = list[tuple[Exponents, Exponents]]
 
 
@@ -556,39 +647,44 @@ def _lowering_matrix(spec: AlgebraSpec, columns: Basis, rows: Basis) -> SparseMa
     return SparseMatrix.from_cells(len(rows), len(columns), field, cells)
 
 
+def strand_block(spec: AlgebraSpec, w: int, key: Exponents, base: Exponents, pairs) -> StrandBlock:
+    """The block of a ``_strand_keys`` triple, with its basis and matrices.
+
+    A key's points in C are its base point raised along the pairs it may
+    raise, and a point rho of degree w + 2k gives the degree-k generators
+    rho - wedge, one per k-subset of the support of rho, sorted.
+    """
+    m, r = spec.num_generators, spec.r
+    basis: dict[int, Basis] = {}
+    for k in range(m + 1):
+        found = basis[k] = []
+        raise_by = w + 2 * k - sum(base)
+        for ts in _compositions(raise_by // 2, len(pairs)):
+            rho = list(base)
+            for i, t in zip(pairs, ts):
+                rho[i] += t
+                rho[r + i] += t
+            for cols in combinations([c for c in range(m) if rho[c]], k):
+                wedge = [0] * m
+                for c in cols:
+                    wedge[c] = 1
+                found.append((tuple(map(sub, rho, wedge)), tuple(wedge)))
+        found.sort()
+    matrices = {k: _lowering_matrix(spec, basis[k], basis[k - 1]) for k in range(1, m + 1)}
+    return StrandBlock(key, basis, matrices)
+
+
 def enumerate_strand(spec: AlgebraSpec, w: int) -> StrandComplex:
     """The weight-w strand of K_C, split into its fine blocks.
 
     Enumerated key by key, over the keys with a generator only
-    (``_strand_keys``, whose base points have degree at most w + 2n):
-    a key's points in C are its base point raised along the pairs it may
-    raise, and a point rho of degree w + 2k gives the degree-k generators
-    rho - wedge, one per k-subset of the support of rho.  Each block sorts
-    its own (mono, wedge) tuples, and blocks are listed by their first
-    generator in strand order.
+    (``_strand_keys``, whose base points have degree at most w + 2n), one
+    ``strand_block`` each; blocks are listed by their first generator in
+    strand order.
     """
-    m, r = spec.num_generators, spec.r
-    blocks = []
-    for key, base, pairs in _strand_keys(spec, w):
-        basis: dict[int, Basis] = {}
-        for k in range(m + 1):
-            found = basis[k] = []
-            raise_by = w + 2 * k - sum(base)
-            for ts in _compositions(raise_by // 2, len(pairs)):
-                rho = list(base)
-                for i, t in zip(pairs, ts):
-                    rho[i] += t
-                    rho[r + i] += t
-                for cols in combinations([c for c in range(m) if rho[c]], k):
-                    wedge = [0] * m
-                    for c in cols:
-                        wedge[c] = 1
-                    found.append((tuple(map(sub, rho, wedge)), tuple(wedge)))
-            found.sort()
-        matrices = {k: _lowering_matrix(spec, basis[k], basis[k - 1]) for k in range(1, m + 1)}
-        blocks.append(StrandBlock(key, basis, matrices))
+    blocks = [strand_block(spec, w, *triple) for triple in _strand_keys(spec, w)]
     blocks.sort(key=lambda b: next((k, found[0]) for k, found in b.basis.items() if found))
-    dims = {k: sum(len(b.basis[k]) for b in blocks) for k in range(m + 1)}
+    dims = {k: sum(len(b.basis[k]) for b in blocks) for k in range(spec.num_generators + 1)}
     return StrandComplex(w, dims, blocks)
 
 

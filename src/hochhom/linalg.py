@@ -59,7 +59,8 @@ class SparseMatrix:
 
     def _store(self, rows: int, cols: int, field: CyclotomicField, cells: dict) -> None:
         rational = field.degree == 1
-        reduced, dens = {}, {}
+        ints, dens, own = {}, {}, {}
+        scaled = False
         for at, (c, den) in cells.items():
             assert 0 <= at[0] < rows and 0 <= at[1] < cols
             if not (c if rational else any(c)):
@@ -67,17 +68,20 @@ class SparseMatrix:
             g = 1 if den == 1 else gcd(c, den) if rational else gcd(den, *c)
             if g != 1:
                 c, den = (c // g if rational else [x // g for x in c]), den // g
-            reduced[at] = c, den
-            d = dens.setdefault(at[0], den)
-            if d % den:
-                dens[at[0]] = lcm(d, den)
-        # Clear each row to its denominator.
-        ints = {}
-        for at, (c, den) in reduced.items():
-            scale = dens[at[0]] // den
-            if scale != 1:
-                c = c * scale if rational else [x * scale for x in c]
+            if den != 1:
+                own[at] = den
             ints[at] = c if rational else tuple(c)
+            d = dens.setdefault(at[0], den)
+            if d != den:
+                scaled = True
+                if d % den:
+                    dens[at[0]] = lcm(d, den)
+        # Clear each row to its denominator, when its entries' denominators differ.
+        if scaled:
+            for at, c in ints.items():
+                scale = dens[at[0]] // own.get(at, 1)
+                if scale != 1:
+                    ints[at] = c * scale if rational else tuple(x * scale for x in c)
         self.rows, self.cols, self.field, self.ints, self.dens = rows, cols, field, ints, dens
 
     @property

@@ -220,7 +220,7 @@ def test_verify_default_suite_passes_every_suite(capsys, extra):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert [r["suite"] for r in doc["results"]] == [
-        "complex", "chainmaps", "braiding", "quotient", "duality"
+        "complex", "chainmaps", "braiding", "quotient", "duality", "blocks"
     ]
     assert all(r["status"] == ("pass" if r["checked"] else "vacuous") for r in doc["results"])
     if extra == ["--config", "weyl(1)"]:
@@ -260,7 +260,10 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
             yield (image_mono, image_wedge[::-1]), char, c
 
     monkeypatch.setattr(koszul, "_lowering", leaky)
-    code = run(["hh", "--config", "weyl(1)", "--wmin", "-1", "--wmax", "-1"])
+    # hh builds only the blocks with homology, for their representatives: at
+    # w = 0 the block of z^2 (x) x^y, whose degree-3 generator has images.
+    code = run(["hh", "--config", "mixed-minimal(2)", "--wmin", "0", "--wmax", "0",
+                "--representatives"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

@@ -5,10 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochhom import homology, koszul
-from hochhom.cli import load_config
-from hochhom.errors import RhoInC
+from hochhom.cli import load_config, run
+from hochhom.errors import ComplexBroken, RhoInC
 from hochhom.homology import (
     detect_regime,
     expected_hh_oracle,
@@ -16,10 +18,26 @@ from hochhom.homology import (
     quotient_strand_acyclicity,
     strand_homology,
 )
-from hochhom.koszul import ChainElement, ChainGenerator, _compositions, enumerate_strand, is_in_C
-from hochhom.linalg import SparseMatrix, complex_homology, rank_kernel, subquotient_dim
+from hochhom.koszul import (
+    ChainElement,
+    ChainGenerator,
+    _compositions,
+    _strand_keys,
+    block_chain_dimensions,
+    block_homology,
+    enumerate_strand,
+    is_in_C,
+    strand_block,
+)
+from hochhom.linalg import (
+    SparseMatrix,
+    complex_homology,
+    homology_picks,
+    rank_kernel,
+    subquotient_dim,
+)
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, CyclotomicScalar, RationalModel
-from test_koszul import strand_matrices
+from test_koszul import cyclotomic_specs, signed_rational_specs, strand_matrices
 
 
 def weyl_spec():
@@ -234,6 +252,88 @@ def test_strand_builds_no_scalar_per_matrix_entry(monkeypatch):
 
     monkeypatch.setattr(koszul, "_lowering", recorded)
     monkeypatch.setattr(CyclotomicScalar, "__init__", counted)
-    result = strand_homology(spec, -1, representatives=False)
+    result = homology.homology_of_strand(spec, enumerate_strand(spec, -1), representatives=False)
     assert sum(result.chain_dimensions.values()) == 2364
     assert characters and len(built) <= len(characters)
+
+
+# ---------------------------------------------------------------------------
+# The block lemma: the count against elimination.
+# ---------------------------------------------------------------------------
+
+
+def assert_blocks_match_their_count(spec, w):
+    """Every block of the strand eliminated and compared with the block lemma and the
+    binomial chain dimensions; the strand's count and representatives with the
+    elimination of the whole strand."""
+    for key, base, pairs in _strand_keys(spec, w):
+        block = strand_block(spec, w, key, base, pairs)
+        dims, _ = homology_picks(block.matrices, spec.one())
+        count = block_homology(spec, w, key, base, pairs)
+        assert {k: d for k, d in dims.items() if d} == count, (w, key)
+        sizes = {k: len(basis) for k, basis in block.basis.items()}
+        assert sizes == block_chain_dimensions(spec, w, key, base, pairs), (w, key)
+    counted = strand_homology(spec, w)
+    eliminated = homology.homology_of_strand(spec, enumerate_strand(spec, w))
+    assert counted == eliminated, w
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    spec=st.one_of(signed_rational_specs(), cyclotomic_specs()).filter(
+        lambda spec: spec.num_generators <= 5
+    )
+)
+def test_block_count_matches_elimination_on_random_parameters(spec):
+    for w in range(-spec.num_generators, 5):
+        assert_blocks_match_their_count(spec, w)
+
+
+@pytest.mark.parametrize(
+    "config,w_min,w_max",
+    [("weyl(3)", -6, 0), ("mixed-minimal(12)", -3, 26), ("semiclassical(2,12,5)", -4, 12),
+     ("free(3,1)", -4, 4), ("free(3,0)", -3, 4), ("mixed-minimal(2)", -3, 10)],
+)
+def test_block_count_matches_elimination_on_presets(config, w_min, w_max):
+    spec = load_config(config)
+    for w in range(w_min, w_max + 1):
+        assert_blocks_match_their_count(spec, w)
+
+
+def test_dimensions_build_no_block(monkeypatch, capsys):
+    # hh, oracle and cohh count; only representatives build blocks, and only
+    # the blocks with homology: on weyl(3) the one block at w = -6.
+    lowering = koszul._lowering_matrix
+
+    def refuse(*args):
+        raise AssertionError("a block matrix was built")
+
+    monkeypatch.setattr(koszul, "_lowering_matrix", refuse)
+    assert run(["hh", "--config", "weyl(3)", "--wmin", "-6", "--wmax", "6"]) == 0
+    assert run(["oracle", "--config", "free(3,1)", "--wmin", "-4", "--wmax", "6"]) == 0
+    assert run(["cohh", "--config", "semiclassical(2,4,1)", "--trunc", "3"]) == 0
+    built = []
+
+    def counted(*args):
+        built.append(1)
+        return lowering(*args)
+
+    monkeypatch.setattr(koszul, "_lowering_matrix", counted)
+    argv = ["hh", "--config", "weyl(3)", "--wmin", "-6", "--wmax", "2", "--representatives"]
+    assert run(argv) == 0
+    assert len(built) == 6
+    capsys.readouterr()
+
+
+def test_representatives_check_each_built_block_against_its_count(monkeypatch):
+    # A count one degree off disagrees with the elimination of the block.
+    count = koszul.block_homology
+
+    def shifted(*args):
+        return {k + 1: dim for k, dim in count(*args).items()}
+
+    monkeypatch.setattr(homology, "block_homology", shifted)
+    spec = load_config("mixed-minimal(3)")
+    assert strand_homology(spec, 1, representatives=False).dimensions[3] == 1
+    with pytest.raises(ComplexBroken, match="has homology"):
+        strand_homology(spec, 1)
