@@ -98,7 +98,7 @@ t_i > 0 adds two columns to the support when delta_i = 0 and one otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb, gcd
 from operator import sub
@@ -561,26 +561,19 @@ def block_homology(
 def block_chain_dimensions(
     spec: AlgebraSpec, w: int, key: Exponents, base: Exponents, pairs
 ) -> dict[int, int]:
-    """{k: dim C_k} of the block of a ``_strand_keys`` triple, for every degree k."""
-    z = sum(1 for i in pairs if not key[i])
-    s = len(base) - base.count(0)
-    dims = _chain_dimensions(spec.num_generators, w - sum(base), s, z, len(pairs) - z)
-    return dict(enumerate(dims))
+    """{k: dim C_k} of the block of a ``_strand_keys`` triple, for every degree k.
 
-
-@lru_cache(maxsize=4096)
-def _chain_dimensions(m: int, excess: int, s: int, z: int, nz: int) -> tuple[int, ...]:
-    """dim C_k for k = 0..m of a block with w - |b| = excess, s = |supp b| and z (nz)
-    raisable pairs with delta_i = 0 (!= 0); cached, as most blocks of a strand repeat them.
-
-    With T = (excess + 2k) / 2: C(s, k) when T = 0, else the sum over
-    a + b >= 1 of C(z, a) C(nz, b) C(T - 1, a + b - 1) C(s + 2a + b, k),
-    choosing the a + b pairs raised and a composition of T into them.
+    With s = |supp b|, z (nz) the raisable pairs with delta_i = 0 (!= 0) and
+    T = (w + 2k - |b|) / 2: C(s, k) when T = 0, else the sum over a + b >= 1
+    of C(z, a) C(nz, b) C(T - 1, a + b - 1) C(s + 2a + b, k), choosing the
+    a + b pairs raised and a composition of T into them.
     """
-    dims = []
-    for k in range(m + 1):
+    z = sum(1 for i in pairs if not key[i])
+    nz, s, excess = len(pairs) - z, len(base) - base.count(0), w - sum(base)
+    dims = {}
+    for k in range(spec.num_generators + 1):
         t, odd = divmod(excess + 2 * k, 2)
-        dims.append(
+        dims[k] = (
             0 if odd or t < 0
             else comb(s, k) if t == 0
             else sum(
@@ -590,7 +583,7 @@ def _chain_dimensions(m: int, excess: int, s: int, z: int, nz: int) -> tuple[int
                 if a + b
             )
         )
-    return tuple(dims)
+    return dims
 
 
 Basis = list[tuple[Exponents, Exponents]]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochhom import homology, koszul
-from hochhom.cli import load_config, run
+from hochhom.cli import load_config, run, verify_blocks
 from hochhom.errors import ComplexBroken, RhoInC
 from hochhom.homology import (
     detect_regime,
@@ -22,17 +22,12 @@ from hochhom.koszul import (
     ChainElement,
     ChainGenerator,
     _compositions,
-    _strand_keys,
-    block_chain_dimensions,
-    block_homology,
     enumerate_strand,
     is_in_C,
-    strand_block,
 )
 from hochhom.linalg import (
     SparseMatrix,
     complex_homology,
-    homology_picks,
     rank_kernel,
     subquotient_dim,
 )
@@ -262,20 +257,16 @@ def test_strand_builds_no_scalar_per_matrix_entry(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def assert_blocks_match_their_count(spec, w):
-    """Every block of the strand eliminated and compared with the block lemma and the
-    binomial chain dimensions; the strand's count and representatives with the
-    elimination of the whole strand."""
-    for key, base, pairs in _strand_keys(spec, w):
-        block = strand_block(spec, w, key, base, pairs)
-        dims, _ = homology_picks(block.matrices, spec.one())
-        count = block_homology(spec, w, key, base, pairs)
-        assert {k: d for k, d in dims.items() if d} == count, (w, key)
-        sizes = {k: len(basis) for k, basis in block.basis.items()}
-        assert sizes == block_chain_dimensions(spec, w, key, base, pairs), (w, key)
-    counted = strand_homology(spec, w)
-    eliminated = homology.homology_of_strand(spec, enumerate_strand(spec, w))
-    assert counted == eliminated, w
+def assert_blocks_match_their_count(spec, w_max):
+    """Every block of every strand w in [-(n+r), w_max] compared by ``verify_blocks``
+    with the block lemma and the binomial chain dimensions; each strand's count and
+    representatives with the elimination of the whole strand."""
+    _, failures = verify_blocks(spec, w_max)
+    assert not failures
+    for w in range(-spec.num_generators, w_max + 1):
+        counted = strand_homology(spec, w)
+        eliminated = homology.homology_of_strand(spec, enumerate_strand(spec, w))
+        assert counted == eliminated, w
 
 
 @settings(max_examples=50, deadline=None)
@@ -285,19 +276,16 @@ def assert_blocks_match_their_count(spec, w):
     )
 )
 def test_block_count_matches_elimination_on_random_parameters(spec):
-    for w in range(-spec.num_generators, 5):
-        assert_blocks_match_their_count(spec, w)
+    assert_blocks_match_their_count(spec, 4)
 
 
 @pytest.mark.parametrize(
-    "config,w_min,w_max",
-    [("weyl(3)", -6, 0), ("mixed-minimal(12)", -3, 26), ("semiclassical(2,12,5)", -4, 12),
-     ("free(3,1)", -4, 4), ("free(3,0)", -3, 4), ("mixed-minimal(2)", -3, 10)],
+    "config,w_max",
+    [("weyl(3)", 0), ("mixed-minimal(12)", 26), ("semiclassical(2,12,5)", 12),
+     ("free(3,1)", 4), ("free(3,0)", 4), ("mixed-minimal(2)", 10)],
 )
-def test_block_count_matches_elimination_on_presets(config, w_min, w_max):
-    spec = load_config(config)
-    for w in range(w_min, w_max + 1):
-        assert_blocks_match_their_count(spec, w)
+def test_block_count_matches_elimination_on_presets(config, w_max):
+    assert_blocks_match_their_count(load_config(config), w_max)
 
 
 def test_dimensions_build_no_block(monkeypatch, capsys):
