@@ -6,8 +6,8 @@ A strand is in turn the direct sum of its fine blocks (see ``koszul``), and
 its homology is computed one block at a time: dimensions add up, and the
 representatives are merged back into the order one elimination of the whole
 strand would give.  The printed dimensions come from the proven block count
-(the block lemma of ``koszul``), read off each block key with no block
-built; elimination of every block (``homology_of_strand``) cross-checks it
+(the block lemma of ``koszul``), read off the keys with delta = 0 with no
+block built; elimination of every block (``homology_of_strand``) checks it
 in the tests and in ``verify --suite blocks``, and representatives are
 eliminated from the blocks that carry homology only.  The module also
 carries the theorem-based expected-dimension oracles for the regimes with
@@ -27,7 +27,6 @@ from .koszul import (
     StrandBlock,
     StrandComplex,
     _strand_keys,
-    block_chain_dimensions,
     block_homology,
     diff_symmetric,
     is_in_C,
@@ -42,7 +41,6 @@ class StrandHomology:
     weight: int
     dimensions: dict[int, int]
     representatives: dict[int, list[ChainElement]]
-    chain_dimensions: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -70,17 +68,15 @@ def strand_homology(
 ) -> StrandHomology:
     """Per-degree homology dimensions of the weight-w strand of K_C, by the block count.
 
-    The dimensions and chain dimensions are counted block key by block key
-    (``koszul.block_homology``, ``koszul.block_chain_dimensions``), with no
-    block built.  Representatives need the blocks with homology: only those
-    are built and eliminated, and each must agree with its count.
+    Only the keys with delta = 0 on every Weyl pair are walked, and each is
+    counted (``koszul.block_homology``) with no block built.  Representatives
+    need the blocks with homology: only those are built and eliminated, and
+    each must agree with its count.
     """
     degrees = range(spec.num_generators + 1)
-    dims, chains = dict.fromkeys(degrees, 0), dict.fromkeys(degrees, 0)
+    dims = dict.fromkeys(degrees, 0)
     picks: dict[int, list[tuple[tuple, Vector, list]]] = {k: [] for k in degrees}
-    for key, base, pairs in _strand_keys(spec, w):
-        for k, dim in block_chain_dimensions(spec, w, key, base, pairs).items():
-            chains[k] += dim
+    for key, base, pairs in _strand_keys(spec, w, delta_zero=True):
         count = block_homology(spec, w, key, base, pairs)
         for k, dim in count.items():
             dims[k] += dim
@@ -93,7 +89,7 @@ def strand_homology(
                 )
             for k, found in block_picks.items():
                 picks[k] += found
-    return StrandHomology(w, dims, _representatives(spec, picks), chains)
+    return StrandHomology(w, dims, _representatives(spec, picks))
 
 
 def homology_of_strand(
@@ -113,9 +109,7 @@ def homology_of_strand(
             dims[k] += dim
         for k, found in block_picks.items():
             picks[k] += found
-    return StrandHomology(
-        strand.weight, dims, _representatives(spec, picks), dict(strand.chain_dimensions)
-    )
+    return StrandHomology(strand.weight, dims, _representatives(spec, picks))
 
 
 def _block_picks(spec: AlgebraSpec, block: StrandBlock, degrees):

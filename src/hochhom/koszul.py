@@ -91,6 +91,10 @@ supp b, where d = 0: a wedge on k - 2p of them at weight
 |b| - 2(k - 2p) - 2p = w.  For r = 0 this
 is Wambst's differential-free small complex of a quantum affine space.
 
+Corollary: a block with homology has delta_i = 0 on every Weyl pair i.
+Proof: by the lemma on a raisable pair; a pair that is not raisable has both
+columns bad, so every key with a generator has delta_i = 0 there.
+
 A block's chain dimensions (``block_chain_dimensions``) are binomial sums:
 raising b by T = (w + 2k - |b|) / 2 along the pairs, a pair raised by
 t_i > 0 adds two columns to the support when delta_i = 0 and one otherwise.
@@ -475,18 +479,18 @@ def _bounded(options: list, budget: int, parity: int | None = None):
             yield (item,) + tail, cost + spent
 
 
-def _key_classes(spec: AlgebraSpec, cap: int):
+def _key_classes(spec: AlgebraSpec, cap: int, caps: list[int]):
     """(residues, free) for every class of block keys mod the period t with a key of size <= cap.
 
     Keys in one class have the same characters, so the same bad columns, and
     a coordinate is free when its column(s) are good.  A class holds a key
-    of size <= cap exactly when every nonzero residue is free and the
-    smallest values of the residues sum to at most cap.  The first n - 1
-    residues are walked under that bound; given them, the free conditions of
-    the nonzero ones are congruences in the last residue (``_solve``), and a
-    nonzero last residue also needs the last column good (its own entry is
-    0).  An exact lattice (period 0) is one class in which every coordinate
-    is free.
+    of size <= cap, each coordinate j within caps[j], exactly when every
+    nonzero residue is free and the smallest values of the residues keep
+    those bounds.  The first n - 1 residues are walked under them; given
+    them, the free conditions of the nonzero ones are congruences in the
+    last residue (``_solve``), and a nonzero last residue also needs the
+    last column good (its own entry is 0).  An exact lattice (period 0) is
+    one class in which every coordinate is free.
     """
     n, r, t = spec.n, spec.r, spec.model.period
     if not t:
@@ -494,16 +498,17 @@ def _key_classes(spec: AlgebraSpec, cap: int):
         return
     table = [[ch[0] for ch in row] for row in spec.block_characters]
     last = n - 1
-    for prefix, spent in _bounded([_residues(t, cap, j < r) for j in range(last)], cap):
+    for prefix, spent in _bounded([_residues(t, caps[j], j < r) for j in range(last)], cap):
         chars = [sum(x * a for x, a in zip(prefix, row)) % t for row in table]
         solution = _solve(((table[s][last], -chars[s]) for s in range(last) if prefix[s]), t)
         if solution is None:
             continue
-        for x, _ in _residues(t, cap - spent if not chars[last] else 0, last < r, *solution):
+        budget = min(cap - spent, caps[last]) if not chars[last] else 0
+        for x, _ in _residues(t, budget, last < r, *solution):
             yield prefix + (x,), tuple(not (c + x * row[last]) % t for c, row in zip(chars, table))
 
 
-def _strand_keys(spec: AlgebraSpec, w: int):
+def _strand_keys(spec: AlgebraSpec, w: int, delta_zero: bool = False):
     """(key, base point, raisable pairs) for every block of weight w with a generator.
 
     Keys are walked class by class (``_key_classes``): a class's keys set its
@@ -511,6 +516,8 @@ def _strand_keys(spec: AlgebraSpec, w: int):
     its residue, either sign on a delta coordinate, of total size at most
     w + 2n and of the parity of w.  On an exact lattice the one class holds
     every key, and a key whose base point touches a bad column is left out.
+    With ``delta_zero`` every delta coordinate is capped at 0: only the
+    blocks that can carry homology (the block lemma's corollary) are walked.
     The pairs listed have both columns good.  Raising the base point b by T
     along them reaches degree k = (|b| + 2T - w) / 2, and some point there
     has k columns in its support exactly when T = 0 or a pair is raisable,
@@ -525,10 +532,11 @@ def _strand_keys(spec: AlgebraSpec, w: int):
     """
     n, r, m = spec.n, spec.r, spec.num_generators
     cap, period = w + 2 * n, spec.model.period
-    for residues, free in _key_classes(spec, cap):
+    caps = [0 if delta_zero and j < r else cap for j in range(n)]
+    for residues, free in _key_classes(spec, cap, caps):
         pairs = [i for i in range(r) if free[i]]
         options = [
-            _values(x, period or 1, j < r, cap) if f else [(0, 0)]
+            _values(x, period or 1, j < r, caps[j]) if f else [(0, 0)]
             for j, (x, f) in enumerate(zip(residues, free))
         ]
         for key, size in _bounded(options, cap, w % 2):

@@ -191,7 +191,7 @@ def test_euler_characteristic_per_block_and_per_strand(config, w_min, w_max):
                 total[k] += d
         got = homology.homology_of_strand(spec, strand, representatives=False)
         assert got.dimensions == total, w
-        assert _euler(got.dimensions) == _euler(got.chain_dimensions), w
+        assert _euler(got.dimensions) == _euler(strand.chain_dimensions), w
 
 
 # On free(3,0) the classes of one (w, k) come from up to three blocks, so the
@@ -247,8 +247,9 @@ def test_strand_builds_no_scalar_per_matrix_entry(monkeypatch):
 
     monkeypatch.setattr(koszul, "_lowering", recorded)
     monkeypatch.setattr(CyclotomicScalar, "__init__", counted)
-    result = homology.homology_of_strand(spec, enumerate_strand(spec, -1), representatives=False)
-    assert sum(result.chain_dimensions.values()) == 2364
+    strand = enumerate_strand(spec, -1)
+    homology.homology_of_strand(spec, strand, representatives=False)
+    assert sum(strand.chain_dimensions.values()) == 2364
     assert characters and len(built) <= len(characters)
 
 
@@ -259,8 +260,8 @@ def test_strand_builds_no_scalar_per_matrix_entry(monkeypatch):
 
 def assert_blocks_match_their_count(spec, w_max):
     """Every block of every strand w in [-(n+r), w_max] compared by ``verify_blocks``
-    with the block lemma and the binomial chain dimensions; each strand's count and
-    representatives with the elimination of the whole strand."""
+    with the block lemma and the binomial chain dimensions; each strand's count
+    (dimensions and representatives) with the elimination of the whole strand."""
     _, failures = verify_blocks(spec, w_max)
     assert not failures
     for w in range(-spec.num_generators, w_max + 1):

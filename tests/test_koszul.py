@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from test_acceptance import ALL_PRESETS, random_specs
 
 from hochhom import koszul
 from hochhom.braiding import braiding_f_prime
-from hochhom.cli import load_config
+from hochhom.cli import load_config, run
 from hochhom.errors import (
     IndexOutOfRange,
     NotInSmallComplex,
@@ -446,8 +447,16 @@ def walked_keys(walk, spec, w):
 
 
 def assert_key_walk_matches_reference(spec, w_max):
+    # The walk with delta = 0 is the full walk's keys with delta = 0, so it
+    # holds every key whose block_homology is nonzero.
+    homology_walk = partial(_strand_keys, delta_zero=True)
     for w in range(-spec.num_generators, w_max + 1):
-        assert walked_keys(_strand_keys, spec, w) == walked_keys(reference_strand_keys, spec, w), w
+        full = walked_keys(_strand_keys, spec, w)
+        assert full == walked_keys(reference_strand_keys, spec, w), w
+        restricted = walked_keys(homology_walk, spec, w)
+        assert restricted == {t for t in full if not any(t[0][: spec.r])}, w
+        carrying = {t for t in full if koszul.block_homology(spec, w, *t)}
+        assert {t for t in restricted if koszul.block_homology(spec, w, *t)} == carrying, w
 
 
 @pytest.mark.parametrize("name,spec", ALL_PRESETS, ids=[n for n, _ in ALL_PRESETS])
@@ -523,6 +532,43 @@ def test_key_walk_builds_only_the_keys_it_keeps(monkeypatch):
     kept = sum(1 for w in range(-6, 0) for _ in _strand_keys(spec, w))
     assert kept == 301
     assert calls["_base_point"] == kept
+
+
+@pytest.mark.parametrize("config", ["weyl(3)", "semiclassical(3,12,1)"])
+def test_hh_builds_one_base_point_per_strand_on_weyl(monkeypatch, capsys, config):
+    # Every coordinate of these keys is a delta: hh walks the zero key alone,
+    # where the full walk builds 301 keys over the same weyl(3) strands.  On
+    # a root-of-unity lattice the last residue is pinned too: one class.
+    calls = Counter()
+
+    def counted(*args, base_point=koszul._base_point):
+        calls["_base_point"] += 1
+        return base_point(*args)
+
+    def counted_classes(*args, key_classes=koszul._key_classes):
+        for found in key_classes(*args):
+            calls["class"] += 1
+            yield found
+
+    monkeypatch.setattr(koszul, "_base_point", counted)
+    monkeypatch.setattr(koszul, "_key_classes", counted_classes)
+    assert run(["hh", "--config", config, "--wmin", "-6", "--wmax", "-1"]) == 0
+    assert calls["_base_point"] <= 6 and calls["class"] <= 6
+    capsys.readouterr()
+
+
+def test_oracle_decides_bad_columns_only_on_keys_with_delta_zero(monkeypatch, capsys):
+    # free(3,1) is an exact lattice, decided key by key.
+    keys = []
+
+    def recorded(spec, key, bad_columns=koszul.bad_columns):
+        keys.append(key)
+        return bad_columns(spec, key)
+
+    monkeypatch.setattr(koszul, "bad_columns", recorded)
+    assert run(["oracle", "--config", "free(3,1)", "--wmin", "-4", "--wmax", "6"]) == 0
+    assert keys and all(key[0] == 0 for key in keys)
+    capsys.readouterr()
 
 
 def assert_every_block_has_a_generator(spec, w):
