@@ -17,7 +17,8 @@ factor is reported by ``duality_identity_check``.
 
 Degree-0 and degree-1 cohomology (center and outer derivations) are computed
 directly from (L, D) under a polynomial degree window; every matrix there is
-built from ``D_apply``.
+built from ``D_apply``.  ``cohomology_report`` reads only their dimensions;
+``center_truncated`` and ``hh1_window`` also return bases.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .algebra import Monomial, PbwElement, commutator_with_generator
 from .errors import IndexOutOfRange, UnsupportedDegree
 from .homology import strand_homology
 from .koszul import ChainElement, ChainGenerator, apply_diff, diff_full, monomials_up_to
-from .linalg import complex_homology, matrix_of, rank_kernel
+from .linalg import SparseMatrix, complex_homology, matrix_of, rank_kernel
 from .scalar import AlgebraSpec, Scalar
 
 WedgeIndex = tuple[int, ...]
@@ -325,6 +326,11 @@ def _coboundary(spec: AlgebraSpec, I: WedgeIndex, mono: Monomial) -> list[Term]:
     return [((J, out), c) for J, elem in image.values.items() for out, c in elem.terms.items()]
 
 
+def _zero_coboundaries(spec: AlgebraSpec, bound: int) -> dict[Monomial, list[Term]]:
+    """D of the 0-cochain mono, for each monomial of degree <= bound."""
+    return {mono: _coboundary(spec, (), mono) for mono in monomials_up_to(spec, bound)}
+
+
 def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
     """Basis of the degree-<=bound part of the center ([g, v_i] = 0 for all i).
 
@@ -334,7 +340,7 @@ def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
     being its commutators with the generators.
     """
     basis = list(monomials_up_to(spec, bound))
-    commutators = matrix_of(basis, lambda mono: _coboundary(spec, (), mono))
+    commutators = matrix_of(basis, _zero_coboundaries(spec, bound).__getitem__)
     _, reps = complex_homology({0: commutators}, spec.one(), representatives=[0])
     return [PbwElement(spec, {basis[j]: c for j, c in vec.items()}) for vec in reps[0]]
 
@@ -346,14 +352,17 @@ class Hh1Window:
     representatives: list[Cochain]
 
 
-def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
-    """Windowed first cohomology of (L, D).
+def _hh1_complex(
+    spec: AlgebraSpec, bound: int, images: dict[Monomial, list[Term]]
+) -> tuple[list[tuple[WedgeIndex, Monomial]], dict[int, SparseMatrix]]:
+    """The 1-cochain columns ((i,), mono) and a complex whose H_1 is the window.
 
-    Cocycles: 1-cochains with values of degree <= bound killed by D (the
-    cocycle equations are evaluated exactly).  Coboundaries: D of degree-0
-    cochains with value degree <= bound + 1, restricted to those whose
-    coboundary stays inside the value window.  This is degree 1 of the
-    complex (windowed 0-cochains) -> (1-cochains) -> (2-wedge values).
+    ``images`` holds ``_zero_coboundaries(spec, bound + 1)``.  Cocycles:
+    1-cochains with values of degree <= bound killed by D (the cocycle
+    equations are evaluated exactly).  Coboundaries: D of degree-0 cochains
+    with value degree <= bound + 1, restricted to those whose coboundary
+    stays inside the value window.  This is degree 1 of the complex
+    (windowed 0-cochains) -> (1-cochains) -> (2-wedge values).
     """
     m = spec.num_generators
     columns = [((i,), mono) for i in range(1, m + 1) for mono in monomials_up_to(spec, bound)]
@@ -363,7 +372,6 @@ def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
     # inside the window (low) and outside it (high); the windowed X are the
     # kernel of high.
     x_basis = list(monomials_up_to(spec, bound + 1))
-    images = {mono: _coboundary(spec, (), mono) for mono in x_basis}
     low = matrix_of(
         x_basis,
         lambda mono: [(key, c) for key, c in images[mono] if sum(key[1]) <= bound],
@@ -374,9 +382,13 @@ def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
     )
     _, windowed = rank_kernel(high, one=spec.one())
     inclusion = matrix_of(windowed, dict.items, range(len(x_basis)))
-    dims, reps = complex_homology(
-        {1: cocycle_matrix, 2: low.compose(inclusion)}, spec.one(), representatives=[1]
-    )
+    return columns, {1: cocycle_matrix, 2: low.compose(inclusion)}
+
+
+def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
+    """Windowed first cohomology of (L, D), as H_1 of ``_hh1_complex``."""
+    columns, d = _hh1_complex(spec, bound, _zero_coboundaries(spec, bound + 1))
+    dims, reps = complex_homology(d, spec.one(), representatives=[1])
     rep_cochains = [
         Cochain.from_terms(spec, 1, ((columns[j], c) for j, c in vec.items())) for vec in reps[1]
     ]
@@ -409,7 +421,9 @@ def cohomology_report(
     """Windowed cohomology dimensions per requested degree, each computed once.
 
     Degree 0 is the truncated center and degree 1 the windowed cocycle
-    quotient, both over values of polynomial degree <= bound.  Degrees
+    quotient, both over values of polynomial degree <= bound, sharing D of
+    each 0-cochain.  Only their dimensions are read, so no representative is
+    picked and the one kernel computed is the window inclusion's.  Degrees
     k >= 2 are dim HH_{n+r-k} summed over the weight strands -(n+r)..bound.
     When r = n every row product of the extended matrix is 1, so the duality
     identity holds and this is HH^k (method ``duality``; the identity is
@@ -434,15 +448,16 @@ def cohomology_report(
             )
         return sum(dims.get(j, 0) for dims in strand_dims)
 
+    if 0 in degrees or 1 in degrees:
+        images = _zero_coboundaries(spec, bound + 1 if 1 in degrees else bound)
     for k in sorted(degrees):
         if k == 0:
-            entries.append(
-                CohomologyEntry(0, len(center_truncated(spec, bound)), "center-kernel")
-            )
+            commutators = matrix_of(list(monomials_up_to(spec, bound)), images.__getitem__)
+            dims, _ = complex_homology({0: commutators}, spec.one())
+            entries.append(CohomologyEntry(0, dims[0], "center-kernel"))
         elif k == 1:
-            entries.append(
-                CohomologyEntry(1, hh1_window(spec, bound).dimension, "cocycle-window")
-            )
+            dims, _ = complex_homology(_hh1_complex(spec, bound, images)[1], spec.one())
+            entries.append(CohomologyEntry(1, dims[1], "cocycle-window"))
         elif spec.r == spec.n:
             # Row k of lambda~ is row k of Lambda next to its inverse, so every
             # row product is 1 and HH^k = HH_{2n-k} by duality.

@@ -9,14 +9,23 @@ elimination with a fill-minimizing pivot heuristic.  Exactness makes the
 pivot order a pure performance choice, except that it fixes which coset
 representatives are reported.
 
+Elimination runs per connected component (rows linked by shared columns),
+as the pivot search rescans every pending entry.  A step and its fill counts
+involve one group only, so each group alone takes the pivots it takes in
+one whole elimination, which picks the least (count, row index) among the
+groups' next ones: that order is a stable sort by each pivot's running
+maximum key in its group.  So echelon rows, kernels (with their key order)
+and representatives are unchanged.
+
 Homology ranks are certified modular ranks.  ``homology_picks`` checks
 d_{k-1} d_k = 0 exactly, as a product of integer rows
 (``SparseMatrix.compose``), then ranks every d_k over GF(p) for the field's
 prime p (``CyclotomicField.residue_map``).  A rank can only drop mod p, and
 d d = 0 gives rank d_k + rank d_{k+1} <= dim C_k, so a degree where the
 modular ranks sum to dim C_k certifies both, as rank_p = min(rows, cols)
-certifies one map.  The other ranks fall back to exact elimination, and
-kernels and representatives are computed only where homology survives.
+certifies one map.  The other ranks fall back to exact elimination, one
+per matrix, and kernels and representatives are computed only where they
+are asked for and homology survives.
 """
 from __future__ import annotations
 
@@ -191,15 +200,40 @@ def _subtract_multiple(row: Vector, factor: Scalar, pivot_row: Vector) -> Vector
     return out
 
 
-def _eliminate(rows: Sequence[Vector]) -> list[tuple[int, Vector]]:
-    """Reduced row echelon form of a list of sparse row vectors.
+def _components(rows: Sequence[Vector]) -> list[tuple[list[int], list[Vector]]]:
+    """The nonzero rows as (indices, rows) groups sharing no column, by union-find on columns."""
+    nonzero = [(index, r) for index, r in enumerate(rows) if r]
+    parent: dict[int, int] = {}
+    for _, r in nonzero:
+        first = None
+        for j in r:
+            root = parent.setdefault(j, j)
+            while root != parent[root]:
+                parent[root] = root = parent[parent[root]]
+            if first is None:
+                first = root
+            elif root != first:
+                parent[root] = first
+    groups: dict[int, tuple[list[int], list[Vector]]] = {}
+    for index, r in nonzero:
+        root = next(iter(r))
+        while root != parent[root]:
+            root = parent[root]
+        indices, group = groups.setdefault(root, ([], []))
+        indices.append(index)
+        group.append(dict(r))
+    return list(groups.values())
 
-    Returns (pivot column, row) pairs; each row is normalized to pivot value 1
-    and its pivot column is cleared from every other returned row.  Pivots are
-    chosen to approximately minimize fill (Markowitz-style count).
+
+def _markowitz(indices: list[int], pending: list[Vector]):
+    """(pivot column, row) pairs of one group's reduced echelon form and each pivot's key.
+
+    Each step pivots on the entry of least Markowitz count (len(row) - 1) *
+    (rows in its column - 1), the first in row order on a tie; its key is
+    (count, row index).
     """
-    pending = [dict(r) for r in rows if r]
     done: list[tuple[int, Vector]] = []
+    keys: list[tuple[int, int]] = []
     while pending:
         col_count: dict[int, int] = {}
         for r in pending:
@@ -211,19 +245,39 @@ def _eliminate(rows: Sequence[Vector]) -> list[tuple[int, Vector]]:
                 score = (len(r) - 1) * (col_count[j] - 1)
                 if best is None or score < best[0]:
                     best = (score, ri, j)
-        _, ri, pj = best
+        score, ri, pj = best
+        keys.append((score, indices.pop(ri)))
         pivot_row = pending.pop(ri)
         inv = pivot_row[pj].inv()
         pivot_row = {j: v * inv for j, v in pivot_row.items()}
-        pending = [
-            _subtract_multiple(r, r[pj], pivot_row) if pj in r else r for r in pending
-        ]
-        pending = [r for r in pending if r]
-        done = [
-            (q, _subtract_multiple(r, r[pj], pivot_row) if pj in r else r) for q, r in done
-        ]
+        pending = [_subtract_multiple(r, r[pj], pivot_row) if pj in r else r for r in pending]
+        if not all(pending):
+            indices = [i for i, r in zip(indices, pending) if r]
+            pending = [r for r in pending if r]
+        done = [(q, _subtract_multiple(r, r[pj], pivot_row) if pj in r else r) for q, r in done]
         done.append((pj, pivot_row))
-    return done
+    return done, keys
+
+
+def _eliminate(rows: Sequence[Vector]) -> list[tuple[int, Vector]]:
+    """Reduced row echelon form of a list of sparse row vectors.
+
+    Returns (pivot column, row) pairs; each row is normalized to pivot value 1
+    and its pivot column is cleared from every other returned row.  Pivots
+    come in the order of one ``_markowitz`` run on all the rows.
+    """
+    groups = _components(rows)
+    if len(groups) == 1:
+        return _markowitz(*groups[0])[0]
+    merged = []
+    for group in groups:
+        done, keys = _markowitz(*group)
+        top = (-1, -1)
+        for key, pivot in zip(keys, done):
+            top = max(top, key)
+            merged.append((top, pivot))
+    merged.sort(key=lambda keyed: keyed[0])
+    return [pivot for _, pivot in merged]
 
 
 def rank_kernel(matrix: SparseMatrix, one: Optional[Scalar] = None) -> tuple[int, list[Vector]]:
@@ -360,7 +414,8 @@ def complex_homology(
     min(differentials) - 1 through max(differentials).  Returns dim H_k =
     dim C_k - rank d_k - rank d_{k+1} for every degree, and coset
     representatives of H_k (coordinate vectors over C_k) for the degrees in
-    ``representatives``; kernels are computed only there and where H_k != 0.
+    ``representatives``; kernels are computed only there, where H_k != 0 or
+    the modular ranks leave rank d_k open.
     Raises ComplexBroken when some d_{k-1} d_k is nonzero.
     """
     dims, picks = homology_picks(differentials, one, representatives)
@@ -385,15 +440,18 @@ def homology_picks(
             raise ComplexBroken(f"d_{k - 1} d_{k} is not zero")
     low = min(differentials) - 1
     d = {low: SparseMatrix(0, differentials[low + 1].rows), **differentials}
-    ranks = {
-        k: span_rank(list(_rows(d[k]).values())) if rank is None else rank
-        for k, rank in _certified_ranks(d).items()
-    }
+    # A rank left open is eliminated once, with its kernel where picks may need it.
+    ranks, kernels = _certified_ranks(d), {}
+    for k, rank in ranks.items():
+        if rank is None and k in representatives:
+            ranks[k], kernels[k] = rank_kernel(d[k], one=one)
+        elif rank is None:
+            ranks[k] = span_rank(list(_rows(d[k]).values()))
     dims = {k: d[k].cols - ranks[k] - ranks.get(k + 1, 0) for k in sorted(d)}
     picks: dict[int, list[tuple[int, Vector]]] = {k: [] for k in d if k in representatives}
     for k in picks:
         if dims[k]:
-            _, kernel = rank_kernel(d[k], one=one)
+            kernel = kernels[k] if k in kernels else rank_kernel(d[k], one=one)[1]
             columns = sorted(_rows(d[k + 1].transpose()).items()) if k + 1 in d else []
             picks[k] = [
                 (next(iter(kernel[index])), rep)

@@ -429,3 +429,59 @@ def test_verify_chainmaps_is_skipped_below_semiclassical(capsys):
     (result,) = json.loads(capsys.readouterr().out)["results"]
     assert code == 0
     assert (result["status"], result["checked"], result["failures"]) == ("skipped", 0, [])
+
+
+# ---------------------------------------------------------------------------
+# verify --suite complex on matrices against the generator-by-generator loop.
+# ---------------------------------------------------------------------------
+
+
+def reference_verify_complex(spec, bound):
+    """The d.d loop over generators by ``apply_diff``, each differential read from ``koszul``."""
+    names = ["diff_full", "diff_small", "diff_symmetric"] + (["diff_weyl"] if spec.r == spec.n else [])
+    failures, checked = [], 0
+    for g in koszul.generators_up_to(spec, bound):
+        checked += 1
+        for name in names:
+            diff = getattr(koszul, name)
+            if name == "diff_small" and not koszul.is_in_C(spec, g.rho):
+                continue
+            if not koszul.apply_diff(spec, diff, diff(spec, g)).is_zero():
+                failures.append(f"{name} squared nonzero on {koszul.chain_generator_str(spec, g)}")
+            if name == "diff_full" and koszul.diff_full_closed(spec, g) != diff(spec, g):
+                failures.append(f"closed form disagrees on {koszul.chain_generator_str(spec, g)}")
+    return checked, failures
+
+
+@pytest.mark.parametrize(
+    "config,bound",
+    [("weyl(1)", 3), ("weyl(2)", 2), ("semiclassical(2,4,1)", 2), ("mixed-minimal(3)", 3),
+     ("free(2,1)", 3), ("free(3,0)", 2)],
+)
+def test_verify_complex_matches_the_generator_loop(config, bound):
+    spec = load_config(config)
+    checked, failures = cli.verify_complex(spec, bound)
+    assert (checked, failures) == reference_verify_complex(spec, bound)
+    assert checked and not failures
+
+
+def _broken(diff):
+    """``diff`` with the image of every generator whose first exponent is odd doubled."""
+    def broken(spec, g):
+        image = diff(spec, g)
+        return image.scale(2) if g.mono[0] % 2 else image
+
+    return broken
+
+
+@pytest.mark.parametrize("name", ["diff_symmetric", "diff_full"])
+@pytest.mark.parametrize("config", ["semiclassical(2,4,1)", "mixed-minimal(3)"])
+def test_verify_complex_reports_a_broken_differential_as_the_loop_does(monkeypatch, name, config):
+    spec = load_config(config)
+    broken = _broken(getattr(koszul, name))
+    monkeypatch.setattr(koszul, name, broken)
+    monkeypatch.setattr(cli, name, broken)
+    checked, failures = cli.verify_complex(spec, 2)
+    assert (checked, failures) == reference_verify_complex(spec, 2)
+    assert any("squared nonzero" in f for f in failures)
+    assert any("closed form disagrees" in f for f in failures)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hochhom import cohomology, linalg
 from hochhom.algebra import PbwElement
+from hochhom.cli import load_config
 from hochhom.cohomology import (
     Cochain,
     D_apply,
@@ -28,7 +30,8 @@ from hochhom.cohomology import (
 )
 from hochhom.errors import UnsupportedDegree
 from hochhom.homology import hh_report
-from hochhom.koszul import _compositions
+from hochhom.koszul import _compositions, monomials_up_to
+from hochhom.linalg import matrix_of
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
 
 
@@ -361,3 +364,36 @@ def test_report_dual_side_is_labeled():
 def test_report_rejects_out_of_range_degree():
     with pytest.raises(UnsupportedDegree):
         cohomology_report(weyl_spec(), [3], 4)
+
+
+@pytest.mark.parametrize(
+    "config,bound", [("weyl(2)", 2), ("semiclassical(2,4,1)", 3), ("mixed-minimal(3)", 5)]
+)
+def test_report_computes_one_kernel_and_picks_no_representative(monkeypatch, config, bound):
+    # The report reads dimensions only: its one kernel is that of the part of
+    # D(0-cochains) leaving the window, which the window inclusion needs.
+    spec = load_config(config)
+    kernels, picks = [], []
+
+    def counted(calls, fn):
+        def wrapper(first, *args, **kwargs):
+            calls.append(first)
+            return fn(first, *args, **kwargs)
+
+        return wrapper
+
+    for module in (linalg, cohomology):
+        monkeypatch.setattr(module, "rank_kernel", counted(kernels, module.rank_kernel))
+    monkeypatch.setattr(linalg, "_pick_cosets", counted(picks, linalg._pick_cosets))
+    report = cohomology_report(spec, range(spec.num_generators + 1), bound)
+    high = matrix_of(
+        list(monomials_up_to(spec, bound + 1)),
+        lambda mono: [
+            (key, c) for key, c in cohomology._coboundary(spec, (), mono) if sum(key[1]) > bound
+        ],
+    )
+    assert kernels == [high] and picks == []
+    assert [e.dimension for e in report.entries[:2]] == [
+        len(center_truncated(spec, bound)),
+        hh1_window(spec, bound).dimension,
+    ]

@@ -500,3 +500,85 @@ def test_kernels_only_where_homology_survives(monkeypatch):
     strand_homology(spec, 2, representatives=True)
     assert kernels == expected
     assert 0 < len(kernels) < sum(len(block.basis) for block in strand.blocks)
+
+
+# ---------------------------------------------------------------------------
+# Elimination per connected component.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _block_diagonal(draw):
+    """(rows, blocks): a block-diagonal matrix's rows and, per block, its (row, column) indices.
+
+    The blocks' rows and columns are interleaved by random permutations, and
+    entries are rational (with denominators) or in Q(zeta_4) or Q(zeta_12).
+    """
+    field = draw(st.sampled_from([QQ, CyclotomicField(4), CyclotomicField(12)]))
+    zeta = field.zeta_power(1)
+    pool = [field.from_rational(c) for c in (1, -1, 2, Fraction(1, 3), Fraction(-5, 6))]
+    pool += [zeta, zeta + 1, zeta * Fraction(2, 3)]
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4))
+    row_at = draw(st.permutations(range(sum(r for r, _ in shapes))))
+    col_at = draw(st.permutations(range(sum(c for _, c in shapes))))
+    rows = [{} for _ in row_at]
+    blocks, r0, c0 = [], 0, 0
+    for nrows, ncols in shapes:
+        block_rows, block_cols = row_at[r0 : r0 + nrows], col_at[c0 : c0 + ncols]
+        cells = draw(st.lists(st.sampled_from([None] * 3 + pool), min_size=nrows * ncols,
+                              max_size=nrows * ncols))
+        for t, v in enumerate(cells):
+            if v is not None:
+                rows[block_rows[t // ncols]][block_cols[t % ncols]] = v
+        blocks.append((block_rows, sorted(block_cols)))
+        r0, c0 = r0 + nrows, c0 + ncols
+    return field, rows, blocks
+
+
+def _restrict(rows, block_rows, block_cols):
+    """The block as its own matrix, rows in global order and columns renumbered in order."""
+    local = {j: t for t, j in enumerate(block_cols)}
+    chosen = [rows[i] for i in sorted(block_rows)]
+    entries = {(t, local[j]): v for t, r in enumerate(chosen) for j, v in r.items()}
+    return SparseMatrix(len(chosen), len(block_cols), entries), chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_block_diagonal())
+def test_elimination_per_component_matches_the_blocks_alone(case):
+    field, rows, blocks = case
+    # One run of the Markowitz loop over every row is the whole-matrix elimination.
+    nonzero = [(i, dict(r)) for i, r in enumerate(rows) if r]
+    whole, _ = linalg._markowitz([i for i, _ in nonzero], [r for _, r in nonzero])
+    assert [(pj, list(r.items())) for pj, r in _eliminate(rows)] == [
+        (pj, list(r.items())) for pj, r in whole
+    ]
+    ncols = sum(len(cols) for _, cols in blocks)
+    matrix = SparseMatrix(
+        len(rows), ncols, {(i, j): v for i, r in enumerate(rows) for j, v in r.items()}
+    )
+    rank, kernel = rank_kernel(matrix, one=field.one)
+    by_free_column = {next(iter(vec)): vec for vec in kernel}
+    assert list(by_free_column) == sorted(by_free_column)
+    total = 0
+    cycles, boundaries, expected_picks = [], [], []
+    for block_rows, block_cols in blocks:
+        block, chosen = _restrict(rows, block_rows, block_cols)
+        block_rank, block_kernel = rank_kernel(block, one=field.one)
+        total += block_rank
+        # Kernel values and key order, column by column.
+        for vec in block_kernel:
+            glob = [(block_cols[j], v) for j, v in vec.items()]
+            assert list(by_free_column.pop(glob[0][0]).items()) == glob
+        # Cosets of the block's kernel modulo its first kernel vector.
+        block_boundaries = block_kernel[:1]
+        base = len(cycles)
+        picks = _pick_cosets(block_kernel, block_boundaries)
+        expected_picks += [
+            (base + index, [(block_cols[j], v) for j, v in rep.items()]) for index, rep in picks
+        ]
+        cycles += [{block_cols[j]: v for j, v in vec.items()} for vec in block_kernel]
+        boundaries += [{block_cols[j]: v for j, v in vec.items()} for vec in block_boundaries]
+    assert rank == total and not by_free_column
+    got = _pick_cosets(cycles, boundaries)
+    assert [(index, list(rep.items())) for index, rep in got] == expected_picks
