@@ -17,8 +17,14 @@ Every product reduces to products of basis monomials, and the normal form of
 each pair (left, right) is computed once per ``AlgebraSpec`` and kept in its
 ``product_table``.  The cochain differential, the duality check and the
 generic Koszul differential all multiply a monomial by one generator, so
-they meet the same few pairs many times.  Table entries are shared and
-read-only: a caller that needs a mutable result copies the entry.
+they meet the same few pairs many times.  An entry is a read-only tuple of
+(monomial, character, int) triples, the coefficient being the model's value
+of the lambda~-character times the int.  This is exact: the rewrite branches
+only at the Weyl reorders, and each pending (g, b) fixes the vector t of
+reorder indices, so its output monomial (alpha + g, b + delta), g = gamma - t,
+appears once.  Its coefficient is a product of lambda~-powers (one
+character) times a product of ``weyl_reorder_coefficient`` values, a nonzero
+int as t_i <= min(b_i, gamma_i).  Callers add their characters to an entry's.
 
 ``Combination`` is the one finite k-linear combination type: ``PbwElement``
 here and the Koszul chains ``koszul.ChainElement`` share it, and every sum of
@@ -30,13 +36,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial
-from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Hashable, Iterable, Union
 
 from .errors import IndexOutOfRange, ModelMismatch
 from .scalar import AlgebraSpec, Scalar
 
 Monomial = tuple[int, ...]
+Product = tuple[Monomial, tuple[int, ...], int]  # monomial, lambda~-character, int
 
 
 def weyl_reorder_coefficient(b: int, c: int, t: int) -> int:
@@ -159,14 +165,15 @@ class PbwElement(Combination):
     def __mul__(self, other: "PbwElement") -> "PbwElement":
         self._check(other)
         spec = self.spec
+        value = spec.model.value
         return PbwElement.from_terms(
             spec,
             (
-                (mono, c * factor)
+                (mono, c * value(char) * k)
                 for ml, cl in self.terms.items()
                 for mr, cr in other.terms.items()
                 for c in (cl * cr,)
-                for mono, factor in normal_mul_monomials(spec, ml, mr).items()
+                for mono, char, k in normal_mul_monomials(spec, ml, mr)
             ),
         )
 
@@ -188,98 +195,103 @@ class PbwElement(Combination):
         return " + ".join(parts)
 
 
-def normal_mul_monomials(
-    spec: AlgebraSpec, left: Monomial, right: Monomial
-) -> Mapping[Monomial, Scalar]:
+def normal_mul_monomials(spec: AlgebraSpec, left: Monomial, right: Monomial) -> tuple[Product, ...]:
     """Normal form of the product of two basis monomials, computed once per spec.
 
-    The first call for a pair (left, right) rewrites the product and stores
-    it in ``spec.product_table``; later calls return the stored entry.  The
-    entry is a read-only view shared by every caller: iterate it, or copy it
-    with ``dict(...)`` to get a mutable result.
+    The triples of ``normal_mul_uncached``: the first call for a pair stores
+    them in ``spec.product_table``, later calls return the same tuple.
     """
     table = spec.product_table
     key = (left, right)
     entry = table.get(key)
     if entry is None:
-        entry = table[key] = MappingProxyType(normal_mul_uncached(spec, left, right))
+        entry = table[key] = normal_mul_uncached(spec, left, right)
     return entry
 
 
-def normal_mul_uncached(spec: AlgebraSpec, left: Monomial, right: Monomial) -> dict[Monomial, Scalar]:
+def normal_mul_uncached(spec: AlgebraSpec, left: Monomial, right: Monomial) -> tuple[Product, ...]:
     """Normal form of the product of two basis monomials, rewritten afresh.
 
-    Returns the resulting exponent vectors with their scalar coefficients.
-    The rewriting proceeds in three stages: move the x-block of the right
-    factor through the y-block of the left factor (Weyl pairs produce the
-    lower-order sum), then merge the two x-blocks and the two y-blocks,
-    which only costs commutation scalars.
+    Returns one (monomial, character, int) triple per output monomial (see
+    the module docstring).  The rewriting proceeds in three stages: move the
+    x-block of the right factor through the y-block of the left factor (Weyl
+    pairs produce the lower-order sum), then merge the two x-blocks and the
+    two y-blocks, which only costs commutation characters.
     """
     r, n = spec.r, spec.n
+    add, model = spec.add_character, spec.model
     beta = left[r:]
     gamma, delta = right[:r], right[r:]
 
-    # Stage 1: y^beta * x^gamma.  Each pending term is (g, b, coeff) where g
-    # holds the x-exponents settled so far (indices 1..i) and b the current
-    # y-exponents.  Moving x_i^{gamma_i} left past y_j costs lambda~_{r+j,i}
-    # per crossing; meeting y_i^{b_i} triggers the Weyl reorder sum.
-    pending: list[tuple[tuple[int, ...], tuple[int, ...], Scalar]] = [((), beta, spec.one())]
+    # Stage 1: y^beta * x^gamma.  Each pending term is (g, b, acc, w) where g
+    # holds the x-exponents settled so far (indices 1..i), b the current
+    # y-exponents, acc the unreduced character and w the int.  Moving
+    # x_i^{gamma_i} left past y_j costs lambda~_{r+j,i} per crossing; meeting
+    # y_i^{b_i} triggers the Weyl reorder sum.
+    pending = [((), beta, [0] * model.rank, 1)]
     for i in range(1, r + 1):
         gi = gamma[i - 1]
         nxt = []
-        for g, b, coeff in pending:
-            outer = [(r + j, i, gi * b[j - 1]) for j in range(i + 1, n + 1) if b[j - 1]]
+        for g, b, outer, w in pending:
+            for j in range(i + 1, n + 1):
+                add(outer, r + j, i, gi * b[j - 1])
             for t in range(0, min(b[i - 1], gi) + 1):
-                inner = [(r + j, i, (gi - t) * b[j - 1]) for j in range(1, i) if b[j - 1]]
-                c = coeff * spec.lambda_tilde_power_product(outer + inner)
-                w = weyl_reorder_coefficient(b[i - 1], gi, t)
-                if w != 1:
-                    c = c * w
+                acc = outer.copy()
+                for j in range(1, i):
+                    add(acc, r + j, i, (gi - t) * b[j - 1])
                 nb = b[: i - 1] + (b[i - 1] - t,) + b[i:]
-                nxt.append((g + (gi - t,), nb, c))
+                nxt.append((g + (gi - t,), nb, acc, w * weyl_reorder_coefficient(b[i - 1], gi, t)))
         pending = nxt
 
     # Stages 2 and 3: x^alpha * x^g and y^b * y^delta.
     alpha = left[:r]
-    out: dict[Monomial, Scalar] = {}
-    for g, b, coeff in pending:
-        xfac = [(j, i, g[i - 1] * alpha[j - 1]) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-        yfac = [(r + j, r + i, delta[i - 1] * b[j - 1]) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        c = coeff * spec.lambda_tilde_power_product(xfac + yfac)
+    out = []
+    for g, b, acc, w in pending:
+        for i in range(1, r + 1):
+            for j in range(i + 1, r + 1):
+                add(acc, j, i, g[i - 1] * alpha[j - 1])
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                add(acc, r + j, r + i, delta[i - 1] * b[j - 1])
         mono = tuple(a + gg for a, gg in zip(alpha, g)) + tuple(bb + d for bb, d in zip(b, delta))
-        out[mono] = out[mono] + c if mono in out else c
-    return {m: c for m, c in out.items() if not c.is_zero()}
+        out.append((mono, model.reduce(acc), w))
+    return tuple(out)
 
 
 def commutator_with_generator(
     spec: AlgebraSpec,
     index: int,
     element: PbwElement,
-    left: Scalar | None = None,
-    right: Scalar | None = None,
+    left: tuple[int, ...] | None = None,
+    right: tuple[int, ...] | None = None,
+    sign: int = 1,
 ) -> PbwElement:
-    """The braided commutator left * v_index * element - right * element * v_index.
+    """The braided commutator sign * (left * v_index * element - right * element * v_index).
 
-    ``left`` and ``right`` default to 1, giving [v_index, element].  The terms
-    keep the order of ``(v * element).scale(left) - (element * v).scale(right)``
+    ``left`` and ``right`` are reduced lambda~-characters (None is 1), so a
+    term costs the value of one character sum times an int, and one scalar
+    multiply more when its element coefficient is not 1.  The terms keep the
+    order of ``(v * element).scale(sign * left) - (element * v).scale(sign * right)``
     for the generator v, without building those elements: matrices built from
     the cochain differential take their row order from it.
     """
     v = generator_monomial(spec, index)
-    # A coefficient of 1 scales nothing.
-    left, right = (None if c is None or c.is_one() else c for c in (left, right))
+    model = spec.model
+    add, value = model.add, model.value
 
-    def products(coeff: Scalar | None, generator_first: bool):
-        """The terms of coeff * v * element, or of -coeff * element * v."""
+    def products(char: tuple[int, ...] | None, sign: int, generator_first: bool):
+        """The terms of sign * char * v * element, or of sign * char * element * v."""
+        char = char if char and any(char) else None
         for mono, c in element.terms.items():
-            if coeff is not None:
-                c = c * coeff
-            if not generator_first:
-                c = -c
+            c = None if c.is_one() else c
             pair = (v, mono) if generator_first else (mono, v)
-            for prod, factor in normal_mul_monomials(spec, *pair).items():
-                yield prod, c * factor
+            for prod, entry, k in normal_mul_monomials(spec, *pair):
+                s = value(entry if char is None else add(char, entry))
+                if c is not None:
+                    s = c * s
+                k *= sign
+                yield prod, s if k == 1 else s * k
 
     # Left-side zeros are dropped before the right side is added, as in that difference.
-    lhs = PbwElement.from_terms(spec, products(left, True)).terms.items()
-    return PbwElement.from_terms(spec, chain(lhs, products(right, False)))
+    lhs = PbwElement.from_terms(spec, products(left, sign, True)).terms.items()
+    return PbwElement.from_terms(spec, chain(lhs, products(right, -sign, False)))

@@ -259,7 +259,7 @@ def verify_complex(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
         for name in diffs:
             if g in nonzero[name]:
                 failures.append(f"{name} squared nonzero on {chain_generator_str(spec, g)}")
-            # diff_full_closed, from the run's diff_symmetric image.
+            # The closed form: the run's diff_symmetric image plus the lowering terms.
             if name == "diff_full" and full[g] != symmetric[g] + ChainElement.from_terms(
                 spec, _lowering_terms(spec, g)
             ):

@@ -128,31 +128,32 @@ def D_apply(spec: AlgebraSpec, phi: Cochain) -> Cochain:
     """The cochain differential: alternating braided commutators with v_{i_k}.
 
     Only the wedges I = sub + {j} with phi(sub) nonzero can have a nonzero
-    value; they are visited in ``all_wedges`` order.
+    value; they are visited in ``all_wedges`` order.  Removing i_k commutes
+    with v_{i_k} under the sign (-1)^(k-1) and the characters of
+    prod_{s<k} lambda~_{i_s,i_k} (left) and prod_{s>k} lambda~_{i_k,i_s} (right).
     """
     star = phi.degree
     m = spec.num_generators
     if star >= m:
         return Cochain(spec, star + 1, {})
+    add, model = spec.add_character, spec.model
     reached = {
         tuple(sorted(sub + (j,))) for sub in phi.values for j in range(1, m + 1) if j not in sub
     }
     out: dict[WedgeIndex, PbwElement] = {}
     for I in sorted(reached):
-        total = PbwElement.zero(spec)
+        total = None  # set below: removing some i_k from a reached I leaves a wedge of phi
         for k, ik in enumerate(I, start=1):
             val = phi.values.get(I[: k - 1] + I[k:])
             if val is None:
                 continue
-            left = spec.lambda_tilde_power_product((I[s - 1], ik, 1) for s in range(1, k))
-            right = spec.lambda_tilde_power_product(
-                (ik, I[s - 1], 1) for s in range(k + 1, star + 2)
-            )
-            term = commutator_with_generator(spec, ik, val, left, right)
-            # The sign (-1)^(k-1) goes on the commutator, not on left and right,
-            # which stay plain lambda~ products: 1 is skipped and a root of
-            # unity multiplies fastest.
-            total = total + term if k % 2 else total - term
+            left, right = [0] * model.rank, [0] * model.rank
+            for s in I:  # I is sorted: left sums the s before i_k, right those after
+                add(left, s, ik, s < ik)
+                add(right, ik, s, s > ik)
+            chars = model.reduce(left), model.reduce(right)
+            term = commutator_with_generator(spec, ik, val, *chars, 1 if k % 2 else -1)
+            total = term if total is None else total + term
         if not total.is_zero():
             out[I] = total
     return Cochain(spec, star + 1, out)
@@ -174,12 +175,10 @@ def Delta_apply(spec: AlgebraSpec, c: Cochain) -> Cochain:
         J = complement(spec, I)
         theta_inv = theta_coefficient(spec, I).inv()
         for k, jk in enumerate(J, start=1):
-            left = spec.lambda_tilde_power_product((J[s - 1], jk, 1) for s in range(1, k))
-            right = spec.lambda_tilde_power_product(
-                (jk, J[s - 1], 1) for s in range(k + 1, len(J) + 1)
-            )
+            left = spec.character((s, jk, 1) for s in J[: k - 1])
+            right = spec.character((jk, s, 1) for s in J[k:])
             # left * a v_jk - right * v_jk a
-            value = commutator_with_generator(spec, jk, a, -right, -left)
+            value = commutator_with_generator(spec, jk, a, right, left, -1)
             if value.is_zero():
                 continue
             new_I = tuple(sorted(I + (jk,)))
@@ -227,51 +226,14 @@ def delta_by_conjugation(spec: AlgebraSpec, c: Cochain) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# Omega coefficients of the duality comparison.
+# The duality comparison.
 # ---------------------------------------------------------------------------
-
-
-def omega_coefficients(spec: AlgebraSpec, I: WedgeIndex, k: int) -> tuple[Scalar, Scalar]:
-    """(omega_1, omega_2) for inserting the k-th complement element into I."""
-    J = complement(spec, I)
-    jk = J[k - 1]
-    new_I = tuple(sorted(I + (jk,)))
-    base = theta_coefficient(spec, I).inv() * theta_coefficient(spec, new_I)
-    w1 = base * spec.lambda_tilde_power_product((J[s - 1], jk, 1) for s in range(1, k))
-    w2 = base * spec.lambda_tilde_power_product(
-        (jk, J[s - 1], 1) for s in range(k + 1, len(J) + 1)
-    )
-    return w1, w2
-
-
-def omega_prime_coefficients(spec: AlgebraSpec, I: WedgeIndex, k: int) -> tuple[Scalar, Scalar]:
-    """(omega'_1, omega'_2): the direct expressions from the evaluation side."""
-    J = complement(spec, I)
-    jk = J[k - 1]
-    below = sum(1 for i in I if i < jk)
-    sign = (-1) ** k * (-1) ** below
-    w1 = spec.lambda_tilde_power_product((jk, i, 1) for i in I if i > jk) * sign
-    w2 = spec.lambda_tilde_power_product((i, jk, 1) for i in I if i < jk) * sign
-    return w1, w2
 
 
 def row_product(spec: AlgebraSpec, row: int) -> Scalar:
     """Product of one full row of the extended parameter matrix."""
     return spec.lambda_tilde_power_product(
         (row, t, 1) for t in range(1, spec.num_generators + 1)
-    )
-
-
-def column_product(spec: AlgebraSpec, col: int) -> Scalar:
-    """Product of one full column of the extended parameter matrix.
-
-    This is the factor relating omega_2 to omega'_2 exactly:
-    omega'_2 = (-1)^{*+1} (prod_t lambda~_{t, j_k}) omega_2.  Rows and columns
-    of the extended matrix have mutually inverse products, so the two coincide
-    precisely when every row product is 1 (the duality case).
-    """
-    return spec.lambda_tilde_power_product(
-        (t, col, 1) for t in range(1, spec.num_generators + 1)
     )
 
 

@@ -4,10 +4,9 @@ Four differentials live here:
 
 * ``diff_full`` — the full complex K on generators x^alpha y^beta (x) wedge,
   computed by the generic coefficient formula driven through PBW
-  multiplication (the authoritative route).  Its closed form
-  ``diff_full_closed`` is ``diff_symmetric`` (the exponent-raising part)
-  plus the exponent-lowering Weyl contraction terms, a second path that must
-  agree term by term.
+  multiplication (the authoritative route).  It equals ``diff_symmetric``
+  (the exponent-raising part) plus the exponent-lowering Weyl contraction
+  terms, a closed form that ``verify --suite complex`` checks term by term.
 * ``diff_small`` — the small complex K_C: only the exponent-lowering terms,
   defined on generators whose total degree rho lies in the set C.
 * ``diff_symmetric`` — the quantum symmetric algebra complex, used for the
@@ -18,8 +17,8 @@ Four differentials live here:
 The module also provides the membership test for C, weight-strand
 enumeration, and the comparison scalar R with the maps ``weyl_f_map`` and
 ``weyl_g_map``.  Every coefficient and column product is a lambda~-character:
-a list of (k, i, e) factors summed by ``AlgebraSpec.character``, or a row of
-the lowering table below.
+entries of the spec's table summed (``AlgebraSpec.character`` or
+``add_character``), or a row of the lowering table below.
 
 A weight strand of K_C is a direct sum of fine blocks.  The small
 differential lowers rho_{x_i} and rho_{y_i} together and never changes
@@ -42,7 +41,7 @@ block's basis is a list of (mono, wedge) tuples.  Strand matrices come from
 the lowering formula written once as a kernel on those tuples
 (``_lowering``), which gives each coefficient as a lambda-character and an
 int, so block matrices are integer rows with no scalar per entry;
-``diff_small`` and ``diff_full_closed`` wrap the same kernel for chain
+``diff_small`` and that closed form wrap the same kernel for chain
 generators.  The kernel reads one table per spec
 (``AlgebraSpec.lowering_table``), a row per lowering term: the wedge
 position it removes (its prefix sets the sign), the exponent it lowers, and
@@ -272,30 +271,30 @@ def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
                    + sum_i Theta(G;i) (v_i . v^A) (x) v^{G-[i]}
 
     with the braided coefficients Omega, Theta over the extended parameter
-    matrix, and both products evaluated through PBW multiplication.
+    matrix, each a character and a sign, and both products evaluated through
+    PBW multiplication: a term's value is that of its summed characters.
     """
     m = spec.num_generators
-    G = g.wedge
+    G, poly = g.wedge, g.mono
+    model = spec.model
     k_total = sum(G)
-    poly = g.mono
     terms = []
     for i in range(1, m + 1):
         if not G[i - 1]:
             continue
         v_i = generator_monomial(spec, i)
         new_wedge = _without(G, i - 1)
+        omega, theta = [0] * model.rank, [0] * model.rank
+        for k in range(1, m + 1):
+            spec.add_character(omega, k, i, G[k - 1] * (k < i))
+            spec.add_character(theta, i, k, G[k - 1] * (k > i))
         sign_omega = (-1) ** sum(G[: i - 1])
-        omega = spec.lambda_tilde_power_product(
-            (k, i, G[k - 1]) for k in range(1, i) if G[k - 1]
-        ) * sign_omega
         sign_theta = (-1) ** (k_total + sum(G[i:]))
-        theta = spec.lambda_tilde_power_product(
-            (i, k, G[k - 1]) for k in range(i + 1, m + 1) if G[k - 1]
-        ) * sign_theta
-        for coeff, pair in ((omega, (poly, v_i)), (theta, (v_i, poly))):
+        for char, sign, pair in ((omega, sign_omega, (poly, v_i)), (theta, sign_theta, (v_i, poly))):
+            char = model.reduce(char)
             terms += [
-                (ChainGenerator(mono, new_wedge), coeff * c)
-                for mono, c in normal_mul_monomials(spec, *pair).items()
+                (ChainGenerator(mono, new_wedge), model.value(model.add(char, entry)) * (sign * k))
+                for mono, entry, k in normal_mul_monomials(spec, *pair)
             ]
     return ChainElement.from_terms(spec, terms)
 
@@ -336,16 +335,6 @@ def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
         yield ChainGenerator(mono, wedge), spec.model.value(char) * c
 
 
-def diff_full_closed(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
-    """The full differential by the closed formulas: diff_symmetric plus the lowering terms.
-
-    Optimized second path; must agree with diff_full on every generator.
-    """
-    return ChainElement.from_terms(
-        spec, chain(diff_symmetric(spec, g).terms.items(), _lowering_terms(spec, g))
-    )
-
-
 def diff_small(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     """The small-complex differential: only the exponent-lowering terms.
 
@@ -358,28 +347,27 @@ def diff_small(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
 
 
 def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
-    """The quantum symmetric algebra differential; preserves rho exactly."""
+    """The quantum symmetric algebra differential; preserves rho exactly.
+
+    Removing wedge i raises A_i by +-base (1 - bracket), for two lambda~-characters.
+    """
     m = spec.num_generators
     A, G = g.mono, g.wedge
+    add, model = spec.add_character, spec.model
+    one, value = spec.one(), model.value
     terms = []
     for i in range(1, m + 1):
         if not G[i - 1]:
             continue
-        sign = (-1) ** sum(G[: i - 1])
-        base = spec.lambda_tilde_power_product(
-            [(k, i, G[k - 1]) for k in range(1, i)]
-            + [(k, i, A[k - 1]) for k in range(i + 1, m + 1)]
-        )
-        bracket = spec.one() - spec.lambda_tilde_power_product(
-            (i, k, A[k - 1] + G[k - 1]) for k in range(1, m + 1)
-        )
-        coeff = base * bracket * sign
-        if coeff.is_zero():
+        base, bracket = [0] * model.rank, [0] * model.rank
+        for k in range(1, m + 1):
+            add(bracket, i, k, A[k - 1] + G[k - 1])
+            add(base, k, i, G[k - 1] if k < i else A[k - 1])  # lambda~_{i,i} = 1
+        if model.is_trivial(bracket):
             continue
-        gen = ChainGenerator(
-            tuple(a + (1 if t == i - 1 else 0) for t, a in enumerate(A)), _without(G, i - 1)
-        )
-        terms.append((gen, coeff))
+        coeff = value(model.reduce(base)) * (one - value(model.reduce(bracket)))
+        gen = ChainGenerator(A[: i - 1] + (A[i - 1] + 1,) + A[i:], _without(G, i - 1))
+        terms.append((gen, -coeff if sum(G[: i - 1]) % 2 else coeff))
     return ChainElement.from_terms(spec, terms)
 
 

@@ -26,6 +26,7 @@ in the lattice, and its value is looked up per sum in the model's cache.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -501,6 +502,15 @@ class _LatticeModel:
         """Whether an unreduced lattice vector is zero, so its product is 1."""
         return vector[0] % self.torsion == 0 and not any(vector[1:])
 
+    def reduce(self, vector: list[int]) -> tuple[int, ...]:
+        """The reduced character of an unreduced lattice vector, which is reduced in place."""
+        vector[0] %= self.torsion
+        return tuple(vector)
+
+    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The reduced sum of two reduced characters: the character of the product."""
+        return ((a[0] + b[0]) % self.torsion, *map(operator.add, a[1:], b[1:]))
+
     def value(self, key: tuple[int, ...]) -> Scalar:
         """The scalar of a reduced character, built once per model."""
         value = self._products.get(key)
@@ -757,8 +767,12 @@ class AlgebraSpec:
         except KeyError:
             self._tilde_factor(k, i)  # raises IndexOutOfRange
             raise
-        acc[0] %= model.torsion
-        return tuple(acc)
+        return model.reduce(acc)
+
+    def add_character(self, acc: list[int], k: int, i: int, e: int = 1) -> None:
+        """Add e times the character of lambda~_{k,i} (1-based) to an unreduced lattice vector."""
+        for c, x in self._tilde_characters[k][i]:
+            acc[c] += e * x
 
     def lambda_tilde(self, k: int, i: int) -> Scalar:
         """Entry of the extended parameter matrix Q(Lambda) (1-based)."""

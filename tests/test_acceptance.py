@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,21 +21,19 @@ from hochhom.cohomology import (
     all_wedges,
     center_truncated,
     cohomology_report,
-    column_product,
     complement,
     duality_identity_check,
     hh1_window,
-    omega_coefficients,
-    omega_prime_coefficients,
     row_product,
+    theta_coefficient,
 )
+from hochhom import koszul
 from hochhom.homology import expected_hh_oracle, hh_report, quotient_strand_acyclicity
 from hochhom.koszul import (
     ChainElement,
     apply_diff,
     chain_generator_str,
     diff_full,
-    diff_full_closed,
     diff_small,
     diff_symmetric,
     diff_weyl,
@@ -46,6 +44,59 @@ from hochhom.koszul import (
     _compositions,
 )
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
+
+
+def diff_full_closed(spec, g):
+    """The full differential by the closed formulas: diff_symmetric plus the lowering terms.
+
+    A second path, which must agree with ``diff_full`` on every generator.  It
+    reads ``diff_symmetric`` from ``koszul`` when called, so a patched one is seen.
+    """
+    return ChainElement.from_terms(
+        spec, chain(koszul.diff_symmetric(spec, g).terms.items(), koszul._lowering_terms(spec, g))
+    )
+
+
+# ---------------------------------------------------------------------------
+# The Omega coefficients of the duality comparison, read only by the tests.
+# ---------------------------------------------------------------------------
+
+
+def omega_coefficients(spec, I, k: int):
+    """(omega_1, omega_2) for inserting the k-th complement element into I."""
+    J = complement(spec, I)
+    jk = J[k - 1]
+    new_I = tuple(sorted(I + (jk,)))
+    base = theta_coefficient(spec, I).inv() * theta_coefficient(spec, new_I)
+    w1 = base * spec.lambda_tilde_power_product((J[s - 1], jk, 1) for s in range(1, k))
+    w2 = base * spec.lambda_tilde_power_product(
+        (jk, J[s - 1], 1) for s in range(k + 1, len(J) + 1)
+    )
+    return w1, w2
+
+
+def omega_prime_coefficients(spec, I, k: int):
+    """(omega'_1, omega'_2): the direct expressions from the evaluation side."""
+    J = complement(spec, I)
+    jk = J[k - 1]
+    below = sum(1 for i in I if i < jk)
+    sign = (-1) ** k * (-1) ** below
+    w1 = spec.lambda_tilde_power_product((jk, i, 1) for i in I if i > jk) * sign
+    w2 = spec.lambda_tilde_power_product((i, jk, 1) for i in I if i < jk) * sign
+    return w1, w2
+
+
+def column_product(spec, col: int):
+    """Product of one full column of the extended parameter matrix.
+
+    This is the factor relating omega_2 to omega'_2 exactly:
+    omega'_2 = (-1)^{*+1} (prod_t lambda~_{t, j_k}) omega_2.  Rows and columns
+    of the extended matrix have mutually inverse products, so the two coincide
+    precisely when every row product is 1 (the duality case).
+    """
+    return spec.lambda_tilde_power_product(
+        (t, col, 1) for t in range(1, spec.num_generators + 1)
+    )
 
 
 def _rational(values):

@@ -114,6 +114,19 @@ def _monomial_to_word(mono):
     return tuple(word)
 
 
+def evaluated(spec, entry):
+    """A product table entry as {monomial: scalar}; no monomial may appear twice."""
+    out = {mono: spec.model.value(char) * k for mono, char, k in entry}
+    assert len(out) == len(entry)
+    return out
+
+
+def naive_monomial_product(spec, left, right):
+    """The naive rewriter's normal form of left * right, keyed by monomial."""
+    words = naive_normal_form(spec, _monomial_to_word(left) + _monomial_to_word(right))
+    return {_word_to_monomial(spec, word): c for word, c in words.items()}
+
+
 def _product_via_implementation(spec, left_word, right_word):
     out = PbwElement.one(spec)
     for t in left_word + right_word:
@@ -146,11 +159,8 @@ def test_monomial_product_matches_naive_rewriter(make_spec):
     for _ in range(40):
         left = tuple(rng.randint(0, 2) for _ in range(m))
         right = tuple(rng.randint(0, 2) for _ in range(m))
-        expected = naive_normal_form(spec, _monomial_to_word(left) + _monomial_to_word(right))
-        got = normal_mul_monomials(spec, left, right)
-        assert {
-            _monomial_to_word(mono): c for mono, c in got.items() if not c.is_zero()
-        } == expected
+        got = evaluated(spec, normal_mul_monomials(spec, left, right))
+        assert got == naive_monomial_product(spec, left, right)
 
 
 @pytest.mark.parametrize("config", ["semiclassical(2,4,1)", "mixed-minimal(3)"])
@@ -173,7 +183,8 @@ def test_product_table_holds_each_pair_once_and_unchanged(config, monkeypatch):
     assert table and set(computed) == set(table)
     assert set(computed.values()) == {1}
     for (left, right), entry in table.items():
-        assert dict(entry) == normal_mul_uncached(spec, left, right)
+        assert entry == normal_mul_uncached(spec, left, right)
+        assert evaluated(spec, entry) == naive_monomial_product(spec, left, right)
 
 
 def test_product_table_entries_are_read_only():
@@ -181,11 +192,15 @@ def test_product_table_entries_are_read_only():
     left, right = (0, 1, 1, 0), (1, 0, 0, 1)
     entry = normal_mul_monomials(spec, left, right)
     assert normal_mul_monomials(spec, left, right) is entry
+    assert type(entry) is tuple and all(type(t) is tuple and type(t[1]) is tuple for t in entry)
     with pytest.raises(TypeError):
-        entry[left] = spec.one()
-    copy = dict(entry)
-    copy[left] = spec.one()
-    assert dict(normal_mul_monomials(spec, left, right)) == normal_mul_uncached(spec, left, right)
+        entry[0] = (left, entry[0][1], 1)
+    with pytest.raises(TypeError):
+        entry[0][1][0] = 1
+    copy = list(entry)
+    copy[0] = (left, entry[0][1], 1)
+    assert normal_mul_monomials(spec, left, right) == normal_mul_uncached(spec, left, right)
+    assert evaluated(spec, entry) == naive_monomial_product(spec, left, right)
 
 
 def test_weyl_defining_relation():
@@ -246,12 +261,17 @@ def test_braided_commutator_matches_element_arithmetic(make_spec):
             tuple(rng.randint(0, 2) for _ in range(m)): spec.scalar(rng.randint(-3, 3))
             for _ in range(3)
         })
-        left, right = spec.scalar(rng.randint(1, 3)), spec.lambda_tilde(1, m)
+        # Characters of lambda~_{1,m}^e (e = 0 is the character of 1) and lambda~_{m,1}.
+        left, right = spec.character([(1, m, rng.randint(0, 3))]), spec.character([(m, 1, 1)])
+        sign = rng.choice([1, -1])
+        scale = [spec.model.value(c) * sign for c in (left, right)]
         for i in range(1, m + 1):
             v = PbwElement.generator(spec, i)
-            want = (v * elem).scale(left) - (elem * v).scale(right)
-            got = commutator_with_generator(spec, i, elem, left, right)
+            want = (v * elem).scale(scale[0]) - (elem * v).scale(scale[1])
+            got = commutator_with_generator(spec, i, elem, left, right, sign)
             assert list(got.terms.items()) == list(want.terms.items())
+            plain = commutator_with_generator(spec, i, elem)
+            assert list(plain.terms.items()) == list((v * elem - elem * v).terms.items())
 
 
 # Four keys of each combination type over weyl(1), the first the largest

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from hochhom.cli import (
     run,
 )
 from hochhom.errors import ConfigError
+from test_acceptance import diff_full_closed
 
 
 def test_config_round_trip_rational():
@@ -448,7 +453,7 @@ def reference_verify_complex(spec, bound):
                 continue
             if not koszul.apply_diff(spec, diff, diff(spec, g)).is_zero():
                 failures.append(f"{name} squared nonzero on {koszul.chain_generator_str(spec, g)}")
-            if name == "diff_full" and koszul.diff_full_closed(spec, g) != diff(spec, g):
+            if name == "diff_full" and diff_full_closed(spec, g) != diff(spec, g):
                 failures.append(f"closed form disagrees on {koszul.chain_generator_str(spec, g)}")
     return checked, failures
 
@@ -485,3 +490,47 @@ def test_verify_complex_reports_a_broken_differential_as_the_loop_does(monkeypat
     assert (checked, failures) == reference_verify_complex(spec, 2)
     assert any("squared nonzero" in f for f in failures)
     assert any("closed form disagrees" in f for f in failures)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's tracer and micro job against the package.
+# ---------------------------------------------------------------------------
+
+
+def test_traced_benchmark_worker_runs_on_the_package(tmp_path, capsys):
+    # perfbench/spans.py wraps every name in its TRACED table by getattr on
+    # the hochhom modules, and the worker's micro job calls
+    # algebra.normal_mul_monomials(spec, a, b): a rename of either would make
+    # every traced benchmark run fail.  Both jobs run in the real worker.
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps(
+        {"n": 3, "r": 1, "scalar": {"type": "rational", "values": [
+            ["1", "1/7", "1/11"], ["7", "1", "1/13"], ["11", "13", "1"]]}}
+    ))
+    op = ["cohh", "--config", "weyl(2)", "--trunc", "2", "--format", "json"]
+    jobs = {
+        "pass": {"kind": "pass", "src": src, "configs": ["weyl(2)"], "ops": [op],
+                 "defect_ops": [], "trace": True},
+        "micro": {"kind": "micro", "src": src, "free_config": str(free)},
+    }
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    results = {}
+    for kind, job in jobs.items():
+        job_path, result_path = tmp_path / f"{kind}.json", tmp_path / f"{kind}-result.json"
+        job_path.write_text(json.dumps(job))
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "worker.py"), str(job_path), str(result_path)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        results[kind] = json.loads(result_path.read_text())
+    (ran,) = results["pass"]["ops"]
+    assert cli.run(op) == ran["code"] == 0
+    assert ran["stdout"] == capsys.readouterr().out
+    layers = results["pass"]["layers"]
+    assert layers["cli.run.calls"] == 1 and layers["cohomology.cohomology_report.calls"] == 1
+    assert layers["algebra.normal_mul_monomials.calls"] > 0
+    assert results["micro"]["algebra.pbw_mul_us"] > 0

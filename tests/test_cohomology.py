@@ -18,13 +18,10 @@ from hochhom.cohomology import (
     all_wedges,
     center_truncated,
     cohomology_report,
-    column_product,
     complement,
     delta_by_conjugation,
     duality_identity_check,
     hh1_window,
-    omega_coefficients,
-    omega_prime_coefficients,
     row_product,
     theta_coefficient,
 )
@@ -33,6 +30,7 @@ from hochhom.homology import hh_report
 from hochhom.koszul import _compositions, monomials_up_to
 from hochhom.linalg import matrix_of
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
+from test_acceptance import column_product, omega_coefficients, omega_prime_coefficients
 
 
 def weyl_spec():

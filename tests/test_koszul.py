@@ -11,10 +11,20 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import ALL_PRESETS, random_specs
+from test_acceptance import ALL_PRESETS, diff_full_closed, random_specs
+from test_algebra import (
+    _letter_lambda,
+    _monomial_to_word,
+    _word_to_monomial,
+    evaluated,
+    naive_monomial_product,
+    naive_normal_form,
+)
 
 from hochhom import koszul
+from hochhom.algebra import PbwElement, normal_mul_monomials, normal_mul_uncached
 from hochhom.braiding import braiding_f_prime
+from hochhom.cohomology import Cochain, D_apply, _zero_coboundaries, all_wedges
 from hochhom.cli import load_config, run
 from hochhom.errors import (
     IndexOutOfRange,
@@ -33,19 +43,19 @@ from hochhom.koszul import (
     block_key,
     chain_generator_str,
     diff_full,
-    diff_full_closed,
     diff_small,
     diff_symmetric,
     diff_weyl,
     enumerate_strand,
     generators_up_to,
     is_in_C,
+    monomials_up_to,
     weyl_f_map,
     weyl_g_map,
     _lowering_terms,
 )
 from hochhom.linalg import matrix_of
-from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
+from hochhom.scalar import AlgebraSpec, CyclotomicModel, CyclotomicScalar, RationalModel
 
 
 def weyl_spec():
@@ -411,6 +421,98 @@ def test_closed_form_agrees_with_generic_on_random_parameters(spec):
     # table, so this checks every row of the table over random Lambda.
     for g in generators_up_to(spec, 2):
         assert diff_full_closed(spec, g) == diff_full(spec, g), chain_generator_str(spec, g)
+
+
+# ---------------------------------------------------------------------------
+# PBW products as (monomial, character, int) triples, and the cochain
+# differential built on them, against the naive one-step rewriter.
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(signed_rational_specs(), cyclotomic_specs()), data=st.data())
+def test_product_triples_match_the_naive_rewriter_on_random_parameters(spec, data):
+    monomials = st.sampled_from(list(monomials_up_to(spec, 3)))
+    pairs = data.draw(st.lists(st.tuples(monomials, monomials), min_size=1, max_size=8))
+    for left, right in pairs:
+        entry = normal_mul_monomials(spec, left, right)
+        assert evaluated(spec, entry) == naive_monomial_product(spec, left, right), (left, right)
+
+
+def naive_D(spec, I, mono, coeff):
+    """D of the cochain v_I -> coeff * mono as {J: {monomial: scalar}}, each
+    braided commutator written out with the naive rewriter and lambda~ entries."""
+    out = {}
+    word = _monomial_to_word(mono)
+    for j in range(1, spec.num_generators + 1):
+        if j in I:
+            continue
+        J = tuple(sorted(I + (j,)))
+        k = J.index(j)
+        left, right = spec.one(), spec.one()
+        for s in J[:k]:
+            left = left * _letter_lambda(spec, s, j)
+        for s in J[k + 1 :]:
+            right = right * _letter_lambda(spec, j, s)
+        value = {}
+        for factor, product_word in ((left, (j,) + word), (-right, word + (j,))):
+            for w, c in naive_normal_form(spec, product_word).items():
+                value[w] = value.get(w, spec.scalar(0)) + c * factor
+        scale = coeff * (-1) ** k
+        value = {_word_to_monomial(spec, w): c * scale for w, c in value.items() if not c.is_zero()}
+        if value:
+            out[J] = value
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(signed_rational_specs(), cyclotomic_specs()), data=st.data())
+def test_D_matches_naive_commutators_on_random_parameters(spec, data):
+    m = spec.num_generators
+    for _ in range(4):
+        I = data.draw(st.sampled_from(all_wedges(spec, data.draw(st.integers(0, min(2, m - 1))))))
+        mono = data.draw(st.sampled_from(list(monomials_up_to(spec, 2))))
+        coeff = spec.scalar(data.draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)])))
+        image = D_apply(spec, Cochain(spec, len(I), {I: PbwElement.monomial(spec, mono, coeff)}))
+        got = {J: elem.terms for J, elem in image.values.items()}
+        assert got == naive_D(spec, I, mono, coeff), (I, mono)
+
+
+def test_generic_differentials_sum_characters_and_build_one_scalar_per_term(monkeypatch):
+    # Braided coefficients are sums of lambda~ table entries, never factor
+    # lists, and each output term of diff_full and of D on a monomial cochain
+    # is one character's value times an int: no two scalars are multiplied.
+    spec = load_config("semiclassical(2,4,1)")
+    calls = Counter()
+    character, power_product, mul = (
+        AlgebraSpec.character, AlgebraSpec.lambda_tilde_power_product, CyclotomicScalar.__mul__
+    )
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if name != "mul" or isinstance(args[1], CyclotomicScalar):
+                calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(AlgebraSpec, "character", counted("character", character))
+    monkeypatch.setattr(AlgebraSpec, "lambda_tilde_power_product", counted("power", power_product))
+    monkeypatch.setattr(CyclotomicScalar, "__mul__", counted("mul", mul))
+    generators = list(generators_up_to(spec, 3))
+    terms = sum(len(diff_full(spec, g).terms) for g in generators)
+    monomials = list(monomials_up_to(spec, 3))
+    for size in range(3):
+        for I in all_wedges(spec, size):
+            for mono in monomials:
+                terms += len(D_apply(spec, Cochain(spec, size, {I: PbwElement.monomial(spec, mono)})).values)
+    assert terms and calls["mul"] == 0
+    for g in generators:
+        diff_symmetric(spec, g)
+    for left in monomials:
+        for right in monomials[::5]:
+            normal_mul_uncached(spec, left, right)
+    _zero_coboundaries(spec, 4)
+    assert calls["character"] == calls["power"] == 0
 
 
 def reference_strand_keys(spec, w):
