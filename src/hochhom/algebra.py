@@ -76,10 +76,6 @@ def monomial_str(spec: AlgebraSpec, mono: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 class Combination:
     """A finite k-linear combination of hashable keys over one ``AlgebraSpec``.
 
@@ -179,9 +175,6 @@ class PbwElement(Combination):
 
     def __hash__(self):
         return hash((self.spec, frozenset(self.terms.items())))
-
-    def max_degree(self) -> int:
-        return max((monomial_degree(m) for m in self.terms), default=0)
 
     def __str__(self):
         if not self.terms:

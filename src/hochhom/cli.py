@@ -332,18 +332,23 @@ def verify_duality(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
 
 
 def verify_blocks(spec: AlgebraSpec, bound: int) -> tuple[int, list[str]]:
-    """Every block of every strand w in [-(n+r), bound] eliminated and compared with its count."""
+    """Every block of every strand w in [-(n+r), bound] eliminated and compared with its closed form."""
     failures = []
-    checked = 0
+    checked, one = 0, spec.one()
     for w in range(-spec.num_generators, bound + 1):
         for key, base, pairs in _strand_keys(spec, w):
             checked += 1
             block = strand_block(spec, w, key, base, pairs)
-            dims, _ = homology_picks(block.matrices, spec.one())
+            classes = block_homology(spec, w, key, base, pairs)
+            dims, picks = homology_picks(block.matrices, spec.one(), representatives=classes)
             found = {k: dim for k, dim in dims.items() if dim}
-            count = block_homology(spec, w, key, base, pairs)
+            count = {k: len(basis) for k, basis in classes.items()}
+            # Each pick must be one generator with coefficient 1.
+            picked = {k: [block.basis[k][j] for j, v in ps if v == {j: one}] for k, ps in picks.items()}
             if found != count:
                 failures.append(f"block {key} of weight {w}: homology {found}, count {count}")
+            elif picked != classes:
+                failures.append(f"block {key} of weight {w}: classes {picked}, closed form {classes}")
             sizes = {k: len(basis) for k, basis in block.basis.items()}
             if sizes != block_chain_dimensions(spec, w, key, base, pairs):
                 failures.append(f"block {key} of weight {w}: chain dimensions {sizes} miscounted")

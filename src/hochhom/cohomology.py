@@ -6,9 +6,10 @@ models of the Hochschild cochain complex, and the evaluation map Phi_3
 between them is the identity on it:
 
 * (L, D): the braided Chevalley-style differential D (``D_apply``).
-* (U (x) dual wedges, Delta): the dualized chain differential, obtained by
-  conjugating the homology differential through the Theta-scaled dualization
-  Phi_2 of wedges; its cohomology in degree * is HH_{n+r-*} by construction.
+* (U (x) dual wedges, Delta): the dualized chain differential, the homology
+  differential conjugated through the Theta-scaled dualization Phi_2 of
+  wedges, written out in closed form (``Delta_apply``); its cohomology in
+  degree * is HH_{n+r-*} by construction.
 
 D and Delta agree up to the sign (-1)^{*+1} exactly when every row product
 of the extended parameter matrix is 1 — always true when r = n
@@ -23,12 +24,12 @@ built from ``D_apply``.  ``cohomology_report`` reads only their dimensions;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .algebra import Monomial, PbwElement, commutator_with_generator
 from .errors import IndexOutOfRange, UnsupportedDegree
 from .homology import strand_homology
-from .koszul import ChainElement, ChainGenerator, apply_diff, diff_full, monomials_up_to
+from .koszul import monomials_up_to
 from .linalg import SparseMatrix, complex_homology, matrix_of, rank_kernel
 from .scalar import AlgebraSpec, Scalar
 
@@ -186,43 +187,6 @@ def Delta_apply(spec: AlgebraSpec, c: Cochain) -> Cochain:
             value = value.scale(factor)
             out[new_I] = out[new_I] + value if new_I in out else value
     return Cochain(spec, c.degree + 1, out)
-
-
-def _wedge_to_bits(spec: AlgebraSpec, J: WedgeIndex) -> tuple[int, ...]:
-    return tuple(1 if t in set(J) else 0 for t in range(1, spec.num_generators + 1))
-
-
-def _bits_to_wedge(bits: Sequence[int]) -> WedgeIndex:
-    return tuple(t + 1 for t, b in enumerate(bits) if b)
-
-
-def phi2(spec: AlgebraSpec, chain: ChainElement) -> Cochain:
-    """Dualize a chain: a (x) v_J becomes the cochain v_I -> Theta(I) a, for I = complement(J)."""
-    degrees = {spec.num_generators - sum(g.wedge) for g in chain.terms}
-    assert len(degrees) <= 1, "mixed homological degrees"
-    terms = []
-    for g, coeff in chain.terms.items():
-        I = complement(spec, _bits_to_wedge(g.wedge))
-        terms.append(((I, g.mono), coeff * theta_coefficient(spec, I)))
-    return Cochain.from_terms(spec, degrees.pop() if degrees else 0, terms)
-
-
-def phi2_inv(spec: AlgebraSpec, c: Cochain) -> ChainElement:
-    terms: dict[ChainGenerator, Scalar] = {}
-    for I, elem in c.values.items():
-        bits = _wedge_to_bits(spec, complement(spec, I))
-        theta_inv = theta_coefficient(spec, I).inv()
-        for mono, coeff in elem.terms.items():
-            terms[ChainGenerator(mono, bits)] = coeff * theta_inv
-    return ChainElement(spec, terms)
-
-
-def delta_by_conjugation(spec: AlgebraSpec, c: Cochain) -> Cochain:
-    """Phi_2 . d . Phi_2^{-1}: the definitional route for Delta."""
-    image = apply_diff(spec, diff_full, phi2_inv(spec, c))
-    if image.is_zero():
-        return Cochain(spec, c.degree + 1, {})
-    return phi2(spec, image)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,13 @@
 Homology is computed only on the small complex K_C, whose differential is
 weight-homogeneous, so each weight strand is an independent finite complex.
 A strand is in turn the direct sum of its fine blocks (see ``koszul``), and
-its homology is computed one block at a time: dimensions add up, and the
-representatives are merged back into the order one elimination of the whole
-strand would give.  The printed dimensions come from the proven block count
-(the block lemma of ``koszul``), read off the keys with delta = 0 with no
-block built; elimination of every block (``homology_of_strand``) checks it
-in the tests and in ``verify --suite blocks``, and representatives are
-eliminated from the blocks that carry homology only.  The module also
-carries the theorem-based expected-dimension oracles for the regimes with
-known closed answers, and the acyclicity witness for the quotient strands
-that justifies computing on K_C in the first place.
+its homology is the sum of theirs: the block lemma of ``koszul`` gives each
+block's classes in closed form, read off the keys with delta = 0 with no
+block built.  Elimination of every block (``homology_of_strand``) checks it
+in the tests and in ``verify --suite blocks``.  The module also carries the
+theorem-based expected-dimension oracles for the regimes with known closed
+answers, and the acyclicity witness for the quotient strands that justifies
+computing on K_C in the first place.
 """
 from __future__ import annotations
 
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, sub
 
-from .errors import ComplexBroken, RhoInC
+from .errors import RhoInC
 from .koszul import (
     ChainElement,
     ChainGenerator,
@@ -30,7 +27,6 @@ from .koszul import (
     block_homology,
     diff_symmetric,
     is_in_C,
-    strand_block,
 )
 from .linalg import Vector, complex_homology, homology_picks, matrix_of
 from .scalar import AlgebraSpec
@@ -66,30 +62,21 @@ class HomologyReport:
 def strand_homology(
     spec: AlgebraSpec, w: int, representatives: bool = True
 ) -> StrandHomology:
-    """Per-degree homology dimensions of the weight-w strand of K_C, by the block count.
+    """Per-degree homology of the weight-w strand of K_C, by the block lemma.
 
-    Only the keys with delta = 0 on every Weyl pair are walked, and each is
-    counted (``koszul.block_homology``) with no block built.  Representatives
-    need the blocks with homology: only those are built and eliminated, and
-    each must agree with its count.
+    The keys with delta = 0 on every Weyl pair are walked and their blocks'
+    classes read off ``koszul.block_homology``; no block is built.
     """
-    degrees = range(spec.num_generators + 1)
-    dims = dict.fromkeys(degrees, 0)
-    picks: dict[int, list[tuple[tuple, Vector, list]]] = {k: [] for k in degrees}
+    classes: dict[int, list] = {k: [] for k in range(spec.num_generators + 1)}
     for key, base, pairs in _strand_keys(spec, w, delta_zero=True):
-        count = block_homology(spec, w, key, base, pairs)
-        for k, dim in count.items():
-            dims[k] += dim
-        if representatives and count:
-            block = strand_block(spec, w, key, base, pairs)
-            block_dims, block_picks = _block_picks(spec, block, count)
-            if {k: dim for k, dim in block_dims.items() if dim} != count:
-                raise ComplexBroken(
-                    f"block {key} of weight {w} has homology {block_dims}, not {count}"
-                )
-            for k, found in block_picks.items():
-                picks[k] += found
-    return StrandHomology(w, dims, _representatives(spec, picks))
+        for k, found in block_homology(spec, w, key, base, pairs).items():
+            classes[k] += found
+    reps = {
+        k: [ChainElement.single(spec, ChainGenerator(*g)) for g in sorted(found)]
+        if representatives else []
+        for k, found in classes.items()
+    }
+    return StrandHomology(w, {k: len(found) for k, found in classes.items()}, reps)
 
 
 def homology_of_strand(
@@ -97,8 +84,7 @@ def homology_of_strand(
 ) -> StrandHomology:
     """Homology of a built weight strand, by eliminating every block.
 
-    The route that checks the block count: ``verify --suite blocks`` and the
-    tests compare the two.
+    The tests compare ``strand_homology`` with it.
     """
     degrees = range(spec.num_generators + 1)
     dims = dict.fromkeys(degrees, 0)

@@ -50,10 +50,11 @@ product, empty when every lambda is 1, and its image changes one index of
 each tuple.
 
 The block lemma (``block_homology``).  Let a block of weight w have key
-delta, base point b with s = |supp b|, and p raisable pairs.  If delta_i != 0
-for some raisable pair i, the block is acyclic.  Otherwise its homology sits
-in the one degree k = (|b| + 2p - w) / 2, with dimension C(s, k - 2p); it is
-0 when k is not an integer or k - 2p lies outside [0, s].
+delta, base point b with s = |supp b|, and p raisable pairs P.  If
+delta_i != 0 for some i in P, the block is acyclic.  Otherwise its homology
+sits in the degree k = (|b| + 2p - w) / 2 (none if k is not an integer),
+with basis x^{b - 1_S} (x) (wedge_{i in P} x_i y_i) wedge v_S, coefficient
+1, one class for each of the C(s, k - 2p) (k - 2p)-subsets S of supp b.
 
 Proof: a twisted Kunneth over the raisable pairs.  The characters are
 trivial on the block, so its points are b + sum_i t_i (x_i + y_i) over the
@@ -86,9 +87,11 @@ needs a positive exponent on pair i), and the block modulo B' is exact by
 the same filtration, so H(block) = H(B').  B' is the block without pair i,
 shifted by degree 2 and weight -2, with a differential of the same kind.
 By induction on p, H is that of the spectators, here all s columns of
-supp b, where d = 0: a wedge on k - 2p of them at weight
-|b| - 2(k - 2p) - 2p = w.  For r = 0 this
-is Wambst's differential-free small complex of a quantum affine space.
+supp b, where d = 0: a wedge v_S on k - 2p of them at weight
+|b| - 2(k - 2p) - 2p = w.  For r = 0 this is Wambst's differential-free
+small complex of a quantum affine space.  The classes are cycles, as d
+lowers only exponents on P, which are 0 in them, and bound nothing, as they
+are the generators of the innermost B' at weight w.
 
 Corollary: a block with homology has delta_i = 0 on every Weyl pair i.
 Proof: by the lemma on a raisable pair; a pair that is not raisable has both
@@ -124,6 +127,7 @@ from .linalg import SparseMatrix
 from .scalar import AlgebraSpec, Scalar
 
 Exponents = tuple[int, ...]
+Basis = list[tuple[Exponents, Exponents]]
 
 
 @dataclass(frozen=True)
@@ -160,11 +164,6 @@ class ChainGenerator:
     def rho(self) -> Exponents:
         """Total multidegree (alpha + gamma, beta + delta)."""
         return tuple(a + g for a, g in zip(self.mono, self.wedge))
-
-    def quantum_degree(self, spec: AlgebraSpec) -> Exponents:
-        """The purely-quantum part (beta_j + delta_j) for j > r."""
-        t = 2 * spec.r
-        return tuple(self.rho[t:])
 
 
 def chain_generator_str(spec: AlgebraSpec, g: ChainGenerator) -> str:
@@ -545,13 +544,20 @@ def _strand_keys(spec: AlgebraSpec, w: int, delta_zero: bool = False):
 
 def block_homology(
     spec: AlgebraSpec, w: int, key: Exponents, base: Exponents, pairs
-) -> dict[int, int]:
-    """{k: dim H_k} of the block of a ``_strand_keys`` triple, by the block lemma; {} if acyclic."""
-    p, s = len(pairs), len(base) - base.count(0)
+) -> dict[int, Basis]:
+    """{k: sorted classes of H_k} of the block of a ``_strand_keys`` triple; {} if acyclic."""
+    p, support = len(pairs), [c for c, e in enumerate(base) if e]
     k, odd = divmod(sum(base) + 2 * p - w, 2)
-    if odd or any(key[i] for i in pairs) or not 0 <= k - 2 * p <= s:
+    if odd or any(key[i] for i in pairs) or not 0 <= k - 2 * p <= len(support):
         return {}
-    return {k: comb(s, k - 2 * p)}
+    paired = {*pairs, *(spec.r + i for i in pairs)}
+    # Subsets S in lexicographic order give their tuples in sorted order.
+    classes = [
+        (tuple(e - (c in cols) for c, e in enumerate(base)),
+         tuple(int(c in paired or c in cols) for c in range(len(base))))
+        for cols in combinations(support, k - 2 * p)
+    ]
+    return {k: classes}
 
 
 def block_chain_dimensions(
@@ -580,9 +586,6 @@ def block_chain_dimensions(
             )
         )
     return dims
-
-
-Basis = list[tuple[Exponents, Exponents]]
 
 
 @dataclass(frozen=True)

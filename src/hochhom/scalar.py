@@ -103,10 +103,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return num
 
 
-def euler_phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
-
-
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
     if n < 11:
@@ -826,13 +822,6 @@ class AlgebraSpec:
     def product_table(self) -> dict:
         """Per-spec table of PBW monomial products (``algebra.normal_mul_monomials``)."""
         return {}
-
-    def is_semiclassical(self) -> bool:
-        return self.r == self.n
-
-    def is_all_one(self) -> bool:
-        # An entry is 1 exactly when its character has no nonzero coordinate.
-        return not any(any(row.values()) for row in self._tilde_characters.values())
 
     def is_free(self) -> bool:
         return self.model.is_free_of_maximal_rank()

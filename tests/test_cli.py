@@ -28,6 +28,7 @@ from hochhom.cli import (
 )
 from hochhom.errors import ConfigError
 from test_acceptance import diff_full_closed
+from test_scalar import is_all_one
 
 
 def test_config_round_trip_rational():
@@ -49,11 +50,11 @@ def test_config_round_trip_cyclotomic():
 
 def test_presets():
     weyl = parse_config(preset_config("weyl(2)"))
-    assert weyl.n == weyl.r == 2 and weyl.is_all_one()
+    assert weyl.n == weyl.r == 2 and is_all_one(weyl)
     free = parse_config(preset_config("free(2,1)"))
     assert free.model.is_free_of_maximal_rank()
     sc = parse_config(preset_config("semiclassical(2,4,1)"))
-    assert sc.is_semiclassical()
+    assert sc.n == sc.r == 2
     with pytest.raises(ConfigError):
         preset_config("nonsense(1)")
 
@@ -265,10 +266,8 @@ def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
             yield (image_mono, image_wedge[::-1]), char, c
 
     monkeypatch.setattr(koszul, "_lowering", leaky)
-    # hh builds only the blocks with homology, for their representatives: at
-    # w = 0 the block of z^2 (x) x^y, whose degree-3 generator has images.
-    code = run(["hh", "--config", "mixed-minimal(2)", "--wmin", "0", "--wmax", "0",
-                "--representatives"])
+    # Only verify --suite blocks builds blocks.
+    code = run(["verify", "--config", "mixed-minimal(2)", "--suite", "blocks", "--bound", "0"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -501,7 +500,9 @@ def test_traced_benchmark_worker_runs_on_the_package(tmp_path, capsys):
     # perfbench/spans.py wraps every name in its TRACED table by getattr on
     # the hochhom modules, and the worker's micro job calls
     # algebra.normal_mul_monomials(spec, a, b): a rename of either would make
-    # every traced benchmark run fail.  Both jobs run in the real worker.
+    # every traced benchmark run fail.  Its hook on homology.strand_homology
+    # reads the spec and the weight as the first two positional arguments.
+    # Both jobs run in the real worker.
     root = Path(__file__).resolve().parents[1]
     src = str(root / "src")
     free = tmp_path / "free.json"
@@ -509,10 +510,14 @@ def test_traced_benchmark_worker_runs_on_the_package(tmp_path, capsys):
         {"n": 3, "r": 1, "scalar": {"type": "rational", "values": [
             ["1", "1/7", "1/11"], ["7", "1", "1/13"], ["11", "13", "1"]]}}
     ))
-    op = ["cohh", "--config", "weyl(2)", "--trunc", "2", "--format", "json"]
+    ops = [
+        ["cohh", "--config", "weyl(2)", "--trunc", "2", "--format", "json"],
+        ["hh", "--config", "mixed-minimal(12)", "--wmin", "2", "--wmax", "2",
+         "--representatives", "--format", "json"],
+    ]
     jobs = {
-        "pass": {"kind": "pass", "src": src, "configs": ["weyl(2)"], "ops": [op],
-                 "defect_ops": [], "trace": True},
+        "pass": {"kind": "pass", "src": src, "configs": ["weyl(2)", "mixed-minimal(12)"],
+                 "ops": ops, "defect_ops": [], "trace": True},
         "micro": {"kind": "micro", "src": src, "free_config": str(free)},
     }
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -527,10 +532,13 @@ def test_traced_benchmark_worker_runs_on_the_package(tmp_path, capsys):
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         results[kind] = json.loads(result_path.read_text())
-    (ran,) = results["pass"]["ops"]
-    assert cli.run(op) == ran["code"] == 0
-    assert ran["stdout"] == capsys.readouterr().out
+    for op, ran in zip(ops, results["pass"]["ops"], strict=True):
+        assert cli.run(op) == ran["code"] == 0
+        assert ran["stdout"] == capsys.readouterr().out
     layers = results["pass"]["layers"]
-    assert layers["cli.run.calls"] == 1 and layers["cohomology.cohomology_report.calls"] == 1
+    assert layers["cli.run.calls"] == 2 and layers["cohomology.cohomology_report.calls"] == 1
+    # Each (spec, weight) of the two ops is asked once: the hook read them.
+    assert layers["homology.strand_homology.calls"] > 1
+    assert layers["homology.strand_unique_ratio"] == 1
     assert layers["algebra.normal_mul_monomials.calls"] > 0
     assert results["micro"]["algebra.pbw_mul_us"] > 0

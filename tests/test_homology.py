@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochhom import homology, koszul
+from hochhom import cli, homology, koszul, linalg
 from hochhom.cli import load_config, run, verify_blocks
-from hochhom.errors import ComplexBroken, RhoInC
+from hochhom.errors import RhoInC
 from hochhom.homology import (
     detect_regime,
     expected_hh_oracle,
@@ -33,6 +35,8 @@ from hochhom.linalg import (
 )
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, CyclotomicScalar, RationalModel
 from test_koszul import cyclotomic_specs, signed_rational_specs, strand_matrices
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def weyl_spec():
@@ -280,49 +284,66 @@ def test_block_count_matches_elimination_on_random_parameters(spec):
     assert_blocks_match_their_count(spec, 4)
 
 
+# The signed config is the only one here with blocks of several classes
+# (at w = 0 and w = 4), so it pins their order.
 @pytest.mark.parametrize(
     "config,w_max",
     [("weyl(3)", 0), ("mixed-minimal(12)", 26), ("semiclassical(2,12,5)", 12),
-     ("free(3,1)", 4), ("free(3,0)", 4), ("mixed-minimal(2)", 10)],
+     ("free(3,1)", 4), ("free(3,0)", 4), ("mixed-minimal(2)", 10),
+     pytest.param(str(GOLDEN / "hh-signed-rational-3-1.json"), 4, id="signed-rational-3-1")],
 )
 def test_block_count_matches_elimination_on_presets(config, w_max):
     assert_blocks_match_their_count(load_config(config), w_max)
 
 
 def test_dimensions_build_no_block(monkeypatch, capsys):
-    # hh, oracle and cohh count; only representatives build blocks, and only
-    # the blocks with homology: on weyl(3) the one block at w = -6.
-    lowering = koszul._lowering_matrix
-
-    def refuse(*args):
-        raise AssertionError("a block matrix was built")
+    # hh, oracle and cohh read dimensions, and hh its representatives, off the
+    # block lemma's closed form: no block matrix is built, and hh and oracle
+    # eliminate nothing.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was built or eliminated")
 
     monkeypatch.setattr(koszul, "_lowering_matrix", refuse)
+    assert run(["cohh", "--config", "semiclassical(2,4,1)", "--trunc", "3"]) == 0
+    for module in (linalg, homology, cli):
+        monkeypatch.setattr(module, "homology_picks", refuse)
     assert run(["hh", "--config", "weyl(3)", "--wmin", "-6", "--wmax", "6"]) == 0
     assert run(["oracle", "--config", "free(3,1)", "--wmin", "-4", "--wmax", "6"]) == 0
-    assert run(["cohh", "--config", "semiclassical(2,4,1)", "--trunc", "3"]) == 0
-    built = []
-
-    def counted(*args):
-        built.append(1)
-        return lowering(*args)
-
-    monkeypatch.setattr(koszul, "_lowering_matrix", counted)
-    argv = ["hh", "--config", "weyl(3)", "--wmin", "-6", "--wmax", "2", "--representatives"]
-    assert run(argv) == 0
-    assert len(built) == 6
     capsys.readouterr()
+    argv = ["hh", "--config", "weyl(3)", "--wmin", "-6", "--wmax", "2", "--representatives",
+            "--format", "json"]
+    assert run(argv) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries == [
+        {"w": -6, "k": 6, "dim": 1, "representatives": ["1*1 (x) x1^x2^x3^y1^y2^y3"]}
+    ]
 
 
-def test_representatives_check_each_built_block_against_its_count(monkeypatch):
-    # A count one degree off disagrees with the elimination of the block.
-    count = koszul.block_homology
+def _shifted(classes):
+    """The closed form one degree up."""
+    return {k + 1: found for k, found in classes.items()}
 
-    def shifted(*args):
-        return {k + 1: dim for k, dim in count(*args).items()}
 
-    monkeypatch.setattr(homology, "block_homology", shifted)
+def _one_wedge_changed(classes):
+    """The closed form with the wedge of its first class that a rotation moves rotated."""
+    for found in classes.values():
+        for j, (mono, wedge) in enumerate(found):
+            if len(set(wedge)) > 1:
+                found[j] = (mono, wedge[1:] + wedge[:1])
+                return classes
+    return classes
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [(_shifted, "count"), (_one_wedge_changed, "closed form")],
+    ids=["shifted", "wedge-changed"],
+)
+def test_verify_blocks_reports_a_wrong_closed_form(monkeypatch, mutate, message):
+    # Elimination checks both the dimensions and the classes of each block.
     spec = load_config("mixed-minimal(3)")
-    assert strand_homology(spec, 1, representatives=False).dimensions[3] == 1
-    with pytest.raises(ComplexBroken, match="has homology"):
-        strand_homology(spec, 1)
+    assert verify_blocks(spec, 6)[1] == []
+    closed_form = koszul.block_homology
+    monkeypatch.setattr(cli, "block_homology", lambda *args: mutate(closed_form(*args)))
+    _, failures = verify_blocks(spec, 6)
+    assert failures and all(message in f for f in failures)

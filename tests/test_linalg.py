@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hochhom import linalg
 from hochhom.cli import load_config
 from hochhom.errors import ComplexBroken, NotASubspace
-from hochhom.homology import strand_homology
+from hochhom.homology import homology_of_strand
 from hochhom.koszul import enumerate_strand
 from hochhom.linalg import (
     SparseMatrix,
@@ -497,7 +497,7 @@ def test_kernels_only_where_homology_survives(monkeypatch):
         if dim
     ]
     kernels = _count_calls(monkeypatch, "rank_kernel")
-    strand_homology(spec, 2, representatives=True)
+    homology_of_strand(spec, strand)
     assert kernels == expected
     assert 0 < len(kernels) < sum(len(block.basis) for block in strand.blocks)
 
