@@ -6,7 +6,9 @@ computed by exact linear algebra over the rationals or a cyclotomic field:
 homology strand by strand on a small weight-homogeneous complex, cohomology
 through windowed cochain systems and a duality comparison.  One cochain
 type, ``Cochain``, serves both sides of that comparison, so the evaluation
-map Phi_3 between them is the identity.
+map Phi_3 between them is the identity.  Chains, cochains and algebra
+elements are one combination type over their own basis keys, and each
+differential is given on one basis element and extended linearly.
 """
 from .algebra import PbwElement, generator_name, monomial_str
 from .cohomology import (

@@ -27,16 +27,16 @@ character) times a product of ``weyl_reorder_coefficient`` values, a nonzero
 int as t_i <= min(b_i, gamma_i).  Callers add their characters to an entry's.
 
 ``Combination`` is the one finite k-linear combination type: ``PbwElement``
-here and the Koszul chains ``koszul.ChainElement`` share it, and every sum of
-(key, scalar) pairs goes through ``Combination.from_terms``, which keeps keys
-in first-appearance order (the row order of the matrices built from them).
+here, the Koszul chains ``koszul.ChainElement`` and the cochains
+``cohomology.Cochain`` share it, and every sum of (key, scalar) pairs goes
+through ``Combination.from_terms``, which keeps keys in first-appearance
+order (the row order of the matrices built from them).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import comb, factorial
-from typing import Hashable, Iterable, Union
+from typing import Hashable, Iterable, Iterator, Union
 
 from .errors import IndexOutOfRange, ModelMismatch
 from .scalar import AlgebraSpec, Scalar
@@ -254,37 +254,25 @@ def normal_mul_uncached(spec: AlgebraSpec, left: Monomial, right: Monomial) -> t
 def commutator_with_generator(
     spec: AlgebraSpec,
     index: int,
-    element: PbwElement,
-    left: tuple[int, ...] | None = None,
-    right: tuple[int, ...] | None = None,
-    sign: int = 1,
-) -> PbwElement:
-    """The braided commutator sign * (left * v_index * element - right * element * v_index).
+    mono: Monomial,
+    left: tuple[int, ...],
+    right: tuple[int, ...],
+    sign: int,
+) -> Iterator[tuple[Monomial, Scalar]]:
+    """The terms of the braided commutator sign * (left * v_index mono - right * mono v_index).
 
-    ``left`` and ``right`` are reduced lambda~-characters (None is 1), so a
-    term costs the value of one character sum times an int, and one scalar
-    multiply more when its element coefficient is not 1.  The terms keep the
-    order of ``(v * element).scale(sign * left) - (element * v).scale(sign * right)``
-    for the generator v, without building those elements: matrices built from
-    the cochain differential take their row order from it.
+    ``left`` and ``right`` are reduced lambda~-characters, so a term costs
+    the value of one character sum times an int.  The terms of v_index mono
+    come first, then those of mono v_index, each side's monomials distinct
+    and in the product table's order: summed by ``Combination.from_terms``
+    they keep the order of ``(v * m).scale(sign * left) - (m * v).scale(sign * right)``
+    for the generator v and the monomial m.  Matrices built from the
+    cochain differential take their row order from it.
     """
     v = generator_monomial(spec, index)
-    model = spec.model
-    add, value = model.add, model.value
-
-    def products(char: tuple[int, ...] | None, sign: int, generator_first: bool):
-        """The terms of sign * char * v * element, or of sign * char * element * v."""
-        char = char if char and any(char) else None
-        for mono, c in element.terms.items():
-            c = None if c.is_one() else c
-            pair = (v, mono) if generator_first else (mono, v)
-            for prod, entry, k in normal_mul_monomials(spec, *pair):
-                s = value(entry if char is None else add(char, entry))
-                if c is not None:
-                    s = c * s
-                k *= sign
-                yield prod, s if k == 1 else s * k
-
-    # Left-side zeros are dropped before the right side is added, as in that difference.
-    lhs = PbwElement.from_terms(spec, products(left, sign, True)).terms.items()
-    return PbwElement.from_terms(spec, chain(lhs, products(right, -sign, False)))
+    add, value = spec.model.add, spec.model.value
+    for char, s, pair in ((left, sign, (v, mono)), (right, -sign, (mono, v))):
+        trivial = not any(char)
+        for prod, entry, k in normal_mul_monomials(spec, *pair):
+            c = value(entry if trivial else add(char, entry))
+            yield prod, c if s * k == 1 else c * (s * k)

@@ -1,9 +1,14 @@
 """Cochain complexes and the duality comparison.
 
 Hom(wedge^* V, U) and U (x) (wedge^* V)' are the same vector space, so one
-type, ``Cochain`` (a wedge index I mapped to an algebra value), carries both
-models of the Hochschild cochain complex, and the evaluation map Phi_3
-between them is the identity on it:
+type, ``Cochain``, carries both models of the Hochschild cochain complex, and
+the evaluation map Phi_3 between them is the identity on it.  A cochain is a
+``Combination`` of basis cochains (I, mono), the map v_I -> mono for a sorted
+wedge index I and a PBW monomial, as a chain is one of chain generators.
+Both differentials are given on one basis cochain, like ``diff_full`` on one
+generator, and ``koszul.apply_diff`` extends either linearly.  They are one
+insertion routine: for each j not in I, the braided commutator of mono with
+v_j, a lambda~-character on each side, placed at the wedge I + {j}.
 
 * (L, D): the braided Chevalley-style differential D (``D_apply``).
 * (U (x) dual wedges, Delta): the dualized chain differential, the homology
@@ -23,10 +28,10 @@ built from ``D_apply``.  ``cohomology_report`` reads only their dimensions;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import Monomial, PbwElement, commutator_with_generator
+from .algebra import Combination, Monomial, PbwElement, commutator_with_generator, monomial_str
 from .errors import IndexOutOfRange, UnsupportedDegree
 from .homology import strand_homology
 from .koszul import monomials_up_to
@@ -34,18 +39,12 @@ from .linalg import SparseMatrix, complex_homology, matrix_of, rank_kernel
 from .scalar import AlgebraSpec, Scalar
 
 WedgeIndex = tuple[int, ...]
-# One term c * (v_I -> mono) of a cochain, as ((I, mono), c).
-Term = tuple[tuple[WedgeIndex, Monomial], Scalar]
-
-
-def _check_wedge(spec: AlgebraSpec, I: WedgeIndex):
-    m = spec.num_generators
-    if list(I) != sorted(set(I)) or any(not (1 <= i <= m) for i in I):
-        raise IndexOutOfRange(f"bad wedge index {I}")
+# A basis cochain (I, mono): the map v_I -> mono.
+Basis = tuple[WedgeIndex, Monomial]
+Term = tuple[Basis, Scalar]
 
 
 def complement(spec: AlgebraSpec, I: WedgeIndex) -> WedgeIndex:
-    _check_wedge(spec, I)
     return tuple(j for j in range(1, spec.num_generators + 1) if j not in I)
 
 
@@ -55,138 +54,84 @@ def all_wedges(spec: AlgebraSpec, size: int) -> list[WedgeIndex]:
     return [tuple(c) for c in combinations(range(1, spec.num_generators + 1), size)]
 
 
-def theta_coefficient(spec: AlgebraSpec, I: WedgeIndex) -> Scalar:
-    """Theta_*(I): product over s of prod_{k < i_s, k not in I} (-lambda~_{i_s,k})."""
-    _check_wedge(spec, I)
-    in_I = set(I)
-    sign = 1
-    factors = []
-    for i in I:
-        for k in range(1, i):
-            if k not in in_I:
-                sign = -sign
-                factors.append((i, k, 1))
-    return spec.lambda_tilde_power_product(factors) * sign
+class Cochain(Combination):
+    """An element of Hom(wedge^* V, U) = U (x) (wedge^* V)': a combination of basis cochains."""
 
-
-# ---------------------------------------------------------------------------
-# Cochains and the differential D.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Cochain:
-    """An element of Hom(wedge^* V, U) = U (x) (wedge^* V)': one algebra value per wedge."""
-
-    spec: AlgebraSpec
-    degree: int
-    values: dict[WedgeIndex, PbwElement] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = {I: v for I, v in self.values.items() if not v.is_zero()}
-        for I in self.values:
-            _check_wedge(self.spec, I)
-            if len(I) != self.degree:
-                raise IndexOutOfRange(f"wedge {I} has wrong size for degree {self.degree}")
-
-    @classmethod
-    def from_terms(cls, spec: AlgebraSpec, degree: int, terms: Iterable[Term]) -> "Cochain":
-        """The sum of the cochains v_I -> c * mono over ((I, mono), c) pairs."""
-        values: dict[WedgeIndex, dict[Monomial, Scalar]] = {}
-        for (I, mono), c in terms:
-            row = values.setdefault(I, {})
-            row[mono] = row[mono] + c if mono in row else c
-        return cls(spec, degree, {I: PbwElement(spec, row) for I, row in values.items()})
+    __slots__ = ()
 
     def value(self, I: WedgeIndex) -> PbwElement:
-        return self.values.get(tuple(I), PbwElement.zero(self.spec))
+        """The algebra value on v_I."""
+        return PbwElement(self.spec, {mono: c for (J, mono), c in self.terms.items() if J == I})
 
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        assert other.degree == self.degree
-        out = dict(self.values)
-        for I, v in other.values.items():
-            out[I] = out[I] + v if I in out else v
-        return Cochain(self.spec, self.degree, out)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(self.spec.scalar(-1))
-
-    def scale(self, coeff: Scalar) -> "Cochain":
-        return Cochain(self.spec, self.degree, {I: v.scale(coeff) for I, v in self.values.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and other.degree == self.degree
-            and other.values == self.values
-        )
+    def __str__(self):
+        terms = sorted(self.terms.items())  # keys are distinct, so no scalars are compared
+        parts = [f"{c}*(v{I} -> {monomial_str(self.spec, m)})" for (I, m), c in terms]
+        return " + ".join(parts) or "0"
 
 
-def D_apply(spec: AlgebraSpec, phi: Cochain) -> Cochain:
-    """The cochain differential: alternating braided commutators with v_{i_k}.
+def _insertion(spec: AlgebraSpec, basis: Basis, dual: bool) -> Cochain:
+    """D, or Delta when ``dual``, of the basis cochain (I, mono).
 
-    Only the wedges I = sub + {j} with phi(sub) nonzero can have a nonzero
-    value; they are visited in ``all_wedges`` order.  Removing i_k commutes
-    with v_{i_k} under the sign (-1)^(k-1) and the characters of
-    prod_{s<k} lambda~_{i_s,i_k} (left) and prod_{s>k} lambda~_{i_k,i_s} (right).
+    Each j not in I, in increasing order, places the braided commutator
+    sign * (left * v_j mono - right * mono v_j) at the wedge I + {j}.  Over a
+    set S, let a = sum_{s in S, s < j} lambda~_{s,j} and
+    b = sum_{s in S, s > j} lambda~_{j,s} as characters:
+
+    * D: S = I, left = a, right = b, and sign (-1)^(number of i in I below
+      j), the position of j in I + {j} counted from 0.
+    * Delta: S = J, the complement of I; left = b and right = a, each shifted
+      by the character of Theta(I + {j}) / Theta(I), which is
+      prod_{k in J, k < j} (-lambda~_{j,k}) / prod_{i in I, i > j} (-lambda~_{i,j}),
+      and sign -(-1)^(number of i in I above j): Theta's sign
+      (-1)^(number of k in J below j + number of i in I above j) times
+      Delta's own (-1)^(number of k in J below j), and -1 as Delta's
+      commutator is the reverse one, with mono v_j first.
+
+    The wedge and the exponents are checked here, at the entry of both.
     """
-    star = phi.degree
-    m = spec.num_generators
-    if star >= m:
-        return Cochain(spec, star + 1, {})
-    add, model = spec.add_character, spec.model
-    reached = {
-        tuple(sorted(sub + (j,))) for sub in phi.values for j in range(1, m + 1) if j not in sub
-    }
-    out: dict[WedgeIndex, PbwElement] = {}
-    for I in sorted(reached):
-        total = None  # set below: removing some i_k from a reached I leaves a wedge of phi
-        for k, ik in enumerate(I, start=1):
-            val = phi.values.get(I[: k - 1] + I[k:])
-            if val is None:
-                continue
-            left, right = [0] * model.rank, [0] * model.rank
-            for s in I:  # I is sorted: left sums the s before i_k, right those after
-                add(left, s, ik, s < ik)
-                add(right, ik, s, s > ik)
-            chars = model.reduce(left), model.reduce(right)
-            term = commutator_with_generator(spec, ik, val, *chars, 1 if k % 2 else -1)
-            total = term if total is None else total + term
-        if not total.is_zero():
-            out[I] = total
-    return Cochain(spec, star + 1, out)
+    I, mono = basis
+    m, model = spec.num_generators, spec.model
+    if len(mono) != m or min(mono, default=0) < 0 or not all(
+        a < b for a, b in zip((0,) + I, I + (m + 1,))
+    ):
+        raise IndexOutOfRange(f"bad basis cochain {basis}")
+    add = spec.add_character
+    J = complement(spec, I)
+    terms = []
+    for p, j in enumerate(J):
+        below = sum(1 for i in I if i < j)
+        shift = [0] * model.rank  # the character of Theta(I + {j}) / Theta(I), for Delta
+        if dual:
+            for k in J[:p]:
+                add(shift, j, k)
+            for i in I[below:]:
+                add(shift, i, j, -1)
+        a, b = shift, shift.copy()
+        for s in J if dual else I:
+            if s < j:
+                add(a, s, j)
+            elif s > j:
+                add(b, j, s)
+        left, right = (b, a) if dual else (a, b)
+        sign = -(-1) ** (len(I) - below) if dual else (-1) ** below
+        wedge = I[:below] + (j,) + I[below:]
+        terms += [
+            ((wedge, prod), c)
+            for prod, c in commutator_with_generator(
+                spec, j, mono, model.reduce(left), model.reduce(right), sign
+            )
+        ]
+    return Cochain.from_terms(spec, terms)
 
 
-# ---------------------------------------------------------------------------
-# The dualized differential Delta, and the dualization of chains.
-# ---------------------------------------------------------------------------
+def D_apply(spec: AlgebraSpec, basis: Basis) -> Cochain:
+    """The cochain differential on the basis cochain (I, mono): braided commutators with v_j."""
+    return _insertion(spec, basis, dual=False)
 
 
-def Delta_apply(spec: AlgebraSpec, c: Cochain) -> Cochain:
-    """The dualized differential, inserting complement generators with Theta scaling.
-
-    The coefficients depend only on the wedge, so each value is commuted
-    with the inserted generator as a whole.
-    """
-    out: dict[WedgeIndex, PbwElement] = {}
-    for I, a in c.values.items():
-        J = complement(spec, I)
-        theta_inv = theta_coefficient(spec, I).inv()
-        for k, jk in enumerate(J, start=1):
-            left = spec.character((s, jk, 1) for s in J[: k - 1])
-            right = spec.character((jk, s, 1) for s in J[k:])
-            # left * a v_jk - right * v_jk a
-            value = commutator_with_generator(spec, jk, a, right, left, -1)
-            if value.is_zero():
-                continue
-            new_I = tuple(sorted(I + (jk,)))
-            factor = theta_inv * theta_coefficient(spec, new_I) * spec.scalar((-1) ** (k - 1))
-            value = value.scale(factor)
-            out[new_I] = out[new_I] + value if new_I in out else value
-    return Cochain(spec, c.degree + 1, out)
+def Delta_apply(spec: AlgebraSpec, basis: Basis) -> Cochain:
+    """The dualized differential on the basis cochain (I, mono), inserting complement generators."""
+    return _insertion(spec, basis, dual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +141,10 @@ def Delta_apply(spec: AlgebraSpec, c: Cochain) -> Cochain:
 
 def row_product(spec: AlgebraSpec, row: int) -> Scalar:
     """Product of one full row of the extended parameter matrix."""
-    return spec.lambda_tilde_power_product(
-        (row, t, 1) for t in range(1, spec.num_generators + 1)
-    )
+    acc = [0] * spec.model.rank
+    for t in range(1, spec.num_generators + 1):
+        spec.add_character(acc, row, t)
+    return spec.model.value(spec.model.reduce(acc))
 
 
 @dataclass(frozen=True)
@@ -214,30 +160,20 @@ def duality_identity_check(spec: AlgebraSpec, degree: int, bound: int) -> Dualit
     """Compare D(c) with (-1)^{degree+1} Delta(c) on the basis cochains v_I -> monomial.
 
     Phi_3 is the identity on ``Cochain``, so the two sides are compared
-    directly.  On mismatch, reports the inserted complement index together
-    with the row product of the extended matrix at that index — the exact
-    factor by which the two sides differ.
+    directly.  On mismatch, reports the first inserted complement index
+    where they differ, together with the row product of the extended
+    matrix at that index — the exact factor by which the two sides differ.
     """
     for I in all_wedges(spec, degree):
         for mono in monomials_up_to(spec, bound):
-            c = Cochain(spec, degree, {I: PbwElement.monomial(spec, mono)})
-            lhs = D_apply(spec, c)
-            rhs = Delta_apply(spec, c).scale(spec.scalar((-1) ** (degree + 1)))
+            lhs, rhs = D_apply(spec, (I, mono)), Delta_apply(spec, (I, mono))
+            if degree % 2 == 0:
+                rhs = -rhs
             if lhs != rhs:
-                J = complement(spec, I)
-                bad_k = None
-                for k, jk in enumerate(J, start=1):
-                    new_I = tuple(sorted(I + (jk,)))
-                    if lhs.value(new_I) != rhs.value(new_I):
-                        bad_k = jk
-                        break
-                return DualityCheckResult(
-                    False,
-                    degree,
-                    I,
-                    bad_k,
-                    row_product(spec, bad_k) if bad_k else None,
-                )
+                # Wedges I + {j} sort as j does, so the first one that differs is the least.
+                wedge = min(J for J, _ in (lhs - rhs).terms)
+                bad = next(j for j in wedge if j not in I)
+                return DualityCheckResult(False, degree, I, bad, row_product(spec, bad))
     return DualityCheckResult(True, degree)
 
 
@@ -246,15 +182,9 @@ def duality_identity_check(spec: AlgebraSpec, degree: int, bound: int) -> Dualit
 # ---------------------------------------------------------------------------
 
 
-def _coboundary(spec: AlgebraSpec, I: WedgeIndex, mono: Monomial) -> list[Term]:
-    """D of the cochain v_I -> mono, as ((wedge, monomial), coefficient) pairs in D's order."""
-    image = D_apply(spec, Cochain(spec, len(I), {I: PbwElement.monomial(spec, mono)}))
-    return [((J, out), c) for J, elem in image.values.items() for out, c in elem.terms.items()]
-
-
-def _zero_coboundaries(spec: AlgebraSpec, bound: int) -> dict[Monomial, list[Term]]:
-    """D of the 0-cochain mono, for each monomial of degree <= bound."""
-    return {mono: _coboundary(spec, (), mono) for mono in monomials_up_to(spec, bound)}
+def _zero_coboundaries(spec: AlgebraSpec, bound: int) -> dict[Monomial, Iterable[Term]]:
+    """The terms of D of the 0-cochain mono, for each monomial of degree <= bound."""
+    return {mono: D_apply(spec, ((), mono)).terms.items() for mono in monomials_up_to(spec, bound)}
 
 
 def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
@@ -279,8 +209,8 @@ class Hh1Window:
 
 
 def _hh1_complex(
-    spec: AlgebraSpec, bound: int, images: dict[Monomial, list[Term]]
-) -> tuple[list[tuple[WedgeIndex, Monomial]], dict[int, SparseMatrix]]:
+    spec: AlgebraSpec, bound: int, images: dict[Monomial, Iterable[Term]]
+) -> tuple[list[Basis], dict[int, SparseMatrix]]:
     """The 1-cochain columns ((i,), mono) and a complex whose H_1 is the window.
 
     ``images`` holds ``_zero_coboundaries(spec, bound + 1)``.  Cocycles:
@@ -292,7 +222,7 @@ def _hh1_complex(
     """
     m = spec.num_generators
     columns = [((i,), mono) for i in range(1, m + 1) for mono in monomials_up_to(spec, bound)]
-    cocycle_matrix = matrix_of(columns, lambda column: _coboundary(spec, *column))
+    cocycle_matrix = matrix_of(columns, lambda column: D_apply(spec, column).terms.items())
 
     # D of X over monomials of degree <= bound + 1, split into the values
     # inside the window (low) and outside it (high); the windowed X are the
@@ -316,9 +246,11 @@ def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
     columns, d = _hh1_complex(spec, bound, _zero_coboundaries(spec, bound + 1))
     dims, reps = complex_homology(d, spec.one(), representatives=[1])
     rep_cochains = [
-        Cochain.from_terms(spec, 1, ((columns[j], c) for j, c in vec.items())) for vec in reps[1]
+        Cochain.from_terms(spec, ((columns[j], c) for j, c in vec.items())) for vec in reps[1]
     ]
     return Hh1Window(bound, dims[1], rep_cochains)
+
+
 
 
 # ---------------------------------------------------------------------------

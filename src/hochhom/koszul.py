@@ -108,7 +108,7 @@ from functools import cached_property
 from itertools import chain, combinations
 from math import comb, gcd
 from operator import sub
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .algebra import (
     Combination,
@@ -273,20 +273,20 @@ def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
     matrix, each a character and a sign, and both products evaluated through
     PBW multiplication: a term's value is that of its summed characters.
     """
-    m = spec.num_generators
     G, poly = g.wedge, g.mono
-    model = spec.model
+    add, model = spec.add_character, spec.model
     k_total = sum(G)
+    wedge = [k for k, e in enumerate(G, 1) if e]
     terms = []
-    for i in range(1, m + 1):
-        if not G[i - 1]:
-            continue
+    for i in wedge:
         v_i = generator_monomial(spec, i)
         new_wedge = _without(G, i - 1)
         omega, theta = [0] * model.rank, [0] * model.rank
-        for k in range(1, m + 1):
-            spec.add_character(omega, k, i, G[k - 1] * (k < i))
-            spec.add_character(theta, i, k, G[k - 1] * (k > i))
+        for k in wedge:
+            if k < i:
+                add(omega, k, i)
+            elif k > i:
+                add(theta, i, k)
         sign_omega = (-1) ** sum(G[: i - 1])
         sign_theta = (-1) ** (k_total + sum(G[i:]))
         for char, sign, pair in ((omega, sign_omega, (poly, v_i)), (theta, sign_theta, (v_i, poly))):
@@ -350,18 +350,20 @@ def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
 
     Removing wedge i raises A_i by +-base (1 - bracket), for two lambda~-characters.
     """
-    m = spec.num_generators
     A, G = g.mono, g.wedge
     add, model = spec.add_character, spec.model
     one, value = spec.one(), model.value
+    support = [(k, a, e) for k, (a, e) in enumerate(zip(A, G), 1) if a or e]
     terms = []
-    for i in range(1, m + 1):
+    for i in range(1, spec.num_generators + 1):
         if not G[i - 1]:
             continue
         base, bracket = [0] * model.rank, [0] * model.rank
-        for k in range(1, m + 1):
-            add(bracket, i, k, A[k - 1] + G[k - 1])
-            add(base, k, i, G[k - 1] if k < i else A[k - 1])  # lambda~_{i,i} = 1
+        for k, a, e in support:
+            add(bracket, i, k, a + e)
+            f = e if k < i else a  # lambda~_{i,i} = 1
+            if f:
+                add(base, k, i, f)
         if model.is_trivial(bracket):
             continue
         coeff = value(model.reduce(base)) * (one - value(model.reduce(bracket)))
@@ -706,13 +708,9 @@ def generators_up_to(spec: AlgebraSpec, bound: int) -> Iterator[ChainGenerator]:
             yield ChainGenerator(mono, wedge)
 
 
-def apply_diff(
-    spec: AlgebraSpec,
-    diff: Callable[[AlgebraSpec, ChainGenerator], ChainElement],
-    elem: ChainElement,
-) -> ChainElement:
-    """Extend a differential given on generators linearly to a chain."""
-    return ChainElement.from_terms(
+def apply_diff(spec: AlgebraSpec, diff: Callable[[AlgebraSpec, Hashable], Combination], elem):
+    """Extend a differential given on basis elements linearly to a chain or a cochain."""
+    return type(elem).from_terms(
         spec, ((h, d * c) for g, c in elem.terms.items() for h, d in diff(spec, g).terms.items())
     )
 

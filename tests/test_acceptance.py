@@ -25,7 +25,6 @@ from hochhom.cohomology import (
     duality_identity_check,
     hh1_window,
     row_product,
-    theta_coefficient,
 )
 from hochhom import koszul
 from hochhom.homology import expected_hh_oracle, hh_report, quotient_strand_acyclicity
@@ -58,8 +57,25 @@ def diff_full_closed(spec, g):
 
 
 # ---------------------------------------------------------------------------
-# The Omega coefficients of the duality comparison, read only by the tests.
+# Theta and the Omega coefficients of the duality comparison, read only by the tests.
 # ---------------------------------------------------------------------------
+
+
+def theta_coefficient(spec, I):
+    """Theta_*(I): product over s of prod_{k < i_s, k not in I} (-lambda~_{i_s,k}).
+
+    Built from a factor list, independently of the characters that
+    ``cohomology.Delta_apply`` adds for Theta(I + {j}) / Theta(I).
+    """
+    in_I = set(I)
+    sign = 1
+    factors = []
+    for i in I:
+        for k in range(1, i):
+            if k not in in_I:
+                sign = -sign
+                factors.append((i, k, 1))
+    return spec.lambda_tilde_power_product(factors) * sign
 
 
 def omega_coefficients(spec, I, k: int):

@@ -22,7 +22,7 @@ from hochhom.algebra import (
     weyl_reorder_coefficient,
 )
 from hochhom.cli import load_config, verify_complex
-from hochhom.cohomology import cohomology_report
+from hochhom.cohomology import Cochain, cohomology_report
 from hochhom.errors import ModelMismatch
 from hochhom.koszul import ChainElement, ChainGenerator
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
@@ -246,9 +246,14 @@ def test_associativity_on_random_elements(make_spec):
 
 def test_commutator_with_generator():
     spec = weyl_spec()
-    y = PbwElement.generator(spec, 2)
-    assert commutator_with_generator(spec, 1, y) == PbwElement.one(spec)
-    assert commutator_with_generator(spec, 2, y).is_zero()
+    one = spec.character([])
+
+    def commutator(index, mono):
+        terms = commutator_with_generator(spec, index, mono, one, one, 1)
+        return PbwElement.from_terms(spec, terms)
+
+    assert commutator(1, (0, 1)) == PbwElement.one(spec)
+    assert commutator(2, (0, 1)).is_zero()
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
@@ -256,11 +261,10 @@ def test_braided_commutator_matches_element_arithmetic(make_spec):
     spec = make_spec()
     rng = random.Random(5)
     m = spec.num_generators
+    one = spec.character([])
     for _ in range(10):
-        elem = PbwElement(spec, {
-            tuple(rng.randint(0, 2) for _ in range(m)): spec.scalar(rng.randint(-3, 3))
-            for _ in range(3)
-        })
+        mono = tuple(rng.randint(0, 2) for _ in range(m))
+        elem = PbwElement.monomial(spec, mono)
         # Characters of lambda~_{1,m}^e (e = 0 is the character of 1) and lambda~_{m,1}.
         left, right = spec.character([(1, m, rng.randint(0, 3))]), spec.character([(m, 1, 1)])
         sign = rng.choice([1, -1])
@@ -268,10 +272,12 @@ def test_braided_commutator_matches_element_arithmetic(make_spec):
         for i in range(1, m + 1):
             v = PbwElement.generator(spec, i)
             want = (v * elem).scale(scale[0]) - (elem * v).scale(scale[1])
-            got = commutator_with_generator(spec, i, elem, left, right, sign)
-            assert list(got.terms.items()) == list(want.terms.items())
-            plain = commutator_with_generator(spec, i, elem)
-            assert list(plain.terms.items()) == list((v * elem - elem * v).terms.items())
+            got = commutator_with_generator(spec, i, mono, left, right, sign)
+            assert list(PbwElement.from_terms(spec, got).terms.items()) == list(want.terms.items())
+            plain = commutator_with_generator(spec, i, mono, one, one, 1)
+            assert list(PbwElement.from_terms(spec, plain).terms.items()) == list(
+                (v * elem - elem * v).terms.items()
+            )
 
 
 # Four keys of each combination type over weyl(1), the first the largest
@@ -283,10 +289,11 @@ COMBINATION_KEYS = [
         [ChainGenerator((2, 0), (0, 1)), ChainGenerator((0, 1), (1, 0)),
          ChainGenerator((1, 1), (0, 0)), ChainGenerator((0, 2), (1, 1))],
     ),
+    (Cochain, [((2,), (2, 0)), ((1,), (0, 1)), ((1, 2), (1, 1)), ((), (0, 2))]),
 ]
 
 
-@pytest.mark.parametrize("cls,keys", COMBINATION_KEYS, ids=["pbw", "chain"])
+@pytest.mark.parametrize("cls,keys", COMBINATION_KEYS, ids=["pbw", "chain", "cochain"])
 def test_from_terms_sums_repeats_in_first_appearance_order(cls, keys):
     spec = weyl_spec()
     a, b, c, d = keys
@@ -298,7 +305,7 @@ def test_from_terms_sums_repeats_in_first_appearance_order(cls, keys):
     assert cls.from_terms(spec, [(a, spec.one()), (a, spec.scalar(-1))]).is_zero()
 
 
-@pytest.mark.parametrize("cls,keys", COMBINATION_KEYS, ids=["pbw", "chain"])
+@pytest.mark.parametrize("cls,keys", COMBINATION_KEYS, ids=["pbw", "chain", "cochain"])
 def test_combinations_over_different_algebras_do_not_mix(cls, keys):
     spec, other = weyl_spec(), AlgebraSpec(1, 1, CyclotomicModel(4, [[0]]))
     assert spec != other

@@ -22,9 +22,8 @@ from hochhom.cohomology import (
     duality_identity_check,
     hh1_window,
     row_product,
-    theta_coefficient,
 )
-from hochhom.errors import UnsupportedDegree
+from hochhom.errors import IndexOutOfRange, UnsupportedDegree
 from hochhom.homology import hh_report
 from hochhom.koszul import (
     ChainElement,
@@ -36,7 +35,12 @@ from hochhom.koszul import (
 )
 from hochhom.linalg import matrix_of
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
-from test_acceptance import column_product, omega_coefficients, omega_prime_coefficients
+from test_acceptance import (
+    column_product,
+    omega_coefficients,
+    omega_prime_coefficients,
+    theta_coefficient,
+)
 
 
 def weyl_spec():
@@ -63,11 +67,15 @@ ALL_SPECS = [weyl_spec, mixed_rational_spec, mixed_root_spec, semiclassical_spec
 
 
 def basis_cochains(spec, degree, max_poly_degree):
-    m = spec.num_generators
+    """The basis cochains (I, mono) with |I| = degree and |mono| <= max_poly_degree."""
     for I in all_wedges(spec, degree):
-        for p in range(max_poly_degree + 1):
-            for mono in _compositions(p, m):
-                yield Cochain(spec, degree, {I: PbwElement.monomial(spec, mono)})
+        for mono in monomials_up_to(spec, max_poly_degree):
+            yield I, mono
+
+
+def single(spec, basis):
+    """The cochain of one basis cochain with coefficient 1."""
+    return Cochain(spec, {basis: spec.one()})
 
 
 # ---------------------------------------------------------------------------
@@ -90,39 +98,49 @@ def test_complement():
 
 def test_delta_basic_example():
     spec = weyl_spec()
-    c = Cochain(spec, 0, {(): PbwElement.monomial(spec, (0, 1))})
-    image = Delta_apply(spec, c)
-    assert image == Cochain(spec, 1, {(1,): PbwElement.monomial(spec, (0, 0), spec.scalar(-1))})
+    image = Delta_apply(spec, ((), (0, 1)))
+    assert image == Cochain(spec, {((1,), (0, 0)): spec.scalar(-1)})
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ((2, 1), (0, 0, 0)),  # unsorted
+        ((1, 1), (0, 0, 0)),  # repeated
+        ((0,), (0, 0, 0)),  # index 0
+        ((4,), (0, 0, 0)),  # index n + r + 1
+        ((1,), (0, -1, 0)),  # negative exponent
+        ((1,), (0, 0)),  # too few exponents
+    ],
+)
+def test_bad_basis_cochain_raises_at_the_entry_of_D_and_Delta(basis):
+    spec = mixed_rational_spec()
+    for apply in (D_apply, Delta_apply):
+        with pytest.raises(IndexOutOfRange):
+            apply(spec, basis)
 
 
 def phi2(spec, chain):
     """Dualize a chain: a (x) v_J becomes the cochain v_I -> Theta(I) a, for I = complement(J)."""
-    degrees = {spec.num_generators - sum(g.wedge) for g in chain.terms}
-    assert len(degrees) <= 1, "mixed homological degrees"
     terms = []
     for g, coeff in chain.terms.items():
         I = complement(spec, tuple(t + 1 for t, b in enumerate(g.wedge) if b))
         terms.append(((I, g.mono), coeff * theta_coefficient(spec, I)))
-    return Cochain.from_terms(spec, degrees.pop() if degrees else 0, terms)
+    return Cochain.from_terms(spec, terms)
 
 
 def phi2_inv(spec, c):
     terms = {}
-    for I, elem in c.values.items():
+    for (I, mono), coeff in c.terms.items():
         J = complement(spec, I)
         bits = tuple(int(t in J) for t in range(1, spec.num_generators + 1))
-        theta_inv = theta_coefficient(spec, I).inv()
-        for mono, coeff in elem.terms.items():
-            terms[ChainGenerator(mono, bits)] = coeff * theta_inv
+        terms[ChainGenerator(mono, bits)] = coeff * theta_coefficient(spec, I).inv()
     return ChainElement(spec, terms)
 
 
 def delta_by_conjugation(spec, c):
     """Phi_2 . d . Phi_2^{-1}: the definitional route for Delta."""
-    image = apply_diff(spec, diff_full, phi2_inv(spec, c))
-    if image.is_zero():
-        return Cochain(spec, c.degree + 1, {})
-    return phi2(spec, image)
+    return phi2(spec, apply_diff(spec, diff_full, phi2_inv(spec, c)))
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
@@ -131,15 +149,15 @@ def test_delta_matches_conjugation_route(make_spec):
     spec = make_spec()
     m = spec.num_generators
     for degree in range(m + 1):
-        for c in basis_cochains(spec, degree, 3):
-            assert Delta_apply(spec, c) == delta_by_conjugation(spec, c)
+        for basis in basis_cochains(spec, degree, 3):
+            assert Delta_apply(spec, basis) == delta_by_conjugation(spec, single(spec, basis))
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_delta_squares_to_zero(make_spec):
     spec = make_spec()
-    for c in basis_cochains(spec, 0, 2):
-        assert Delta_apply(spec, Delta_apply(spec, c)).is_zero()
+    for basis in basis_cochains(spec, 0, 2):
+        assert apply_diff(spec, Delta_apply, Delta_apply(spec, basis)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +168,20 @@ def test_delta_squares_to_zero(make_spec):
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_D_squares_to_zero(make_spec):
     spec = make_spec()
-    m = spec.num_generators
-    for mono in _compositions(2, m):
-        phi = Cochain(spec, 0, {(): PbwElement.monomial(spec, mono)})
-        assert D_apply(spec, D_apply(spec, phi)).is_zero()
+    for mono in _compositions(2, spec.num_generators):
+        assert apply_diff(spec, D_apply, D_apply(spec, ((), mono))).is_zero()
 
 
 def test_D_degree_zero_is_commutator():
     spec = mixed_rational_spec()
-    z = PbwElement.monomial(spec, (0, 0, 1))
-    image = D_apply(spec, Cochain(spec, 0, {(): z}))
+    image = D_apply(spec, ((), (0, 0, 1)))
     # [x1, z] = (1 - lambda_{1,2}) x1 z with lambda_{1,2} = 1/2
     assert image.value((1,)) == PbwElement.monomial(spec, (1, 0, 1), spec.scalar(Fraction(1, 2)))
 
 
-def D_apply_all_wedges(spec, phi):
-    """Reference D: every (degree+1)-wedge and every removal, zero values included."""
-    star = phi.degree
-    out = {}
+def D_apply_all_wedges(spec, phi, star):
+    """Reference D of a degree-``star`` cochain: every (star+1)-wedge and every removal."""
+    out = []
     for I in all_wedges(spec, star + 1):
         total = PbwElement.zero(spec)
         for k, ik in enumerate(I, start=1):
@@ -182,9 +196,8 @@ def D_apply_all_wedges(spec, phi):
             )
             sign = spec.scalar((-1) ** (k - 1))
             total = total + ((v * val).scale(left) - (val * v).scale(right)).scale(sign)
-        if not total.is_zero():
-            out[I] = total
-    return Cochain(spec, star + 1, out)
+        out += [((I, mono), c) for mono, c in total.terms.items()]
+    return Cochain.from_terms(spec, out)
 
 
 # One rational spec and one over Q(zeta_4) (lambda_{1,2} = zeta_4), both with n + r = 4.
@@ -203,7 +216,7 @@ def random_cochains(draw, spec, degree):
         st.lists(st.sampled_from(wedges), min_size=min(3, len(wedges)), max_size=4, unique=True)
     )
     zeta = spec.lambda_tilde(1, 2)
-    values = {}
+    values = []
     for I in chosen:
         terms = draw(
             st.dictionaries(
@@ -217,8 +230,8 @@ def random_cochains(draw, spec, degree):
             spec, {mono: spec.scalar(a) + zeta * spec.scalar(b) for mono, (a, b) in terms.items()}
         )
         assume(len(value.terms) >= 2)
-        values[I] = value
-    return Cochain(spec, degree, values)
+        values += [((I, mono), c) for mono, c in value.terms.items()]
+    return Cochain.from_terms(spec, values)
 
 
 @pytest.mark.parametrize("name", sorted(D_SPECS))
@@ -228,24 +241,27 @@ def test_sparse_D_matches_the_all_wedges_loop(name, data):
     spec = D_SPECS[name]
     for degree in range(spec.num_generators):
         phi = data.draw(random_cochains(spec, degree))
-        got, want = D_apply(spec, phi), D_apply_all_wedges(spec, phi)
-        assert got == want
-        # Same wedge order and the same term order within each value, so the
-        # matrices built from D have the same rows in the same order.
-        assert list(got.values) == list(want.values)
-        for I, value in want.values.items():
-            assert list(got.values[I].terms.items()) == list(value.terms.items())
+        assert apply_diff(spec, D_apply, phi) == D_apply_all_wedges(spec, phi, degree)
+
+
+@pytest.mark.parametrize(
+    "spec", [make() for make in ALL_SPECS] + [D_SPECS[name] for name in sorted(D_SPECS)],
+    ids=[make.__name__ for make in ALL_SPECS] + sorted(D_SPECS),
+)
+def test_D_on_basis_cochains_keeps_the_all_wedges_term_order(spec):
+    # The window matrices take their rows from D of basis cochains, in this order.
+    for degree in range(spec.num_generators):
+        for basis in basis_cochains(spec, degree, 3):
+            got = D_apply(spec, basis).terms.items()
+            want = D_apply_all_wedges(spec, single(spec, basis), degree).terms.items()
+            assert list(got) == list(want), basis
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_D_raises_value_degree_by_at_most_one(make_spec):
     spec = make_spec()
-    m = spec.num_generators
-    for mono in _compositions(3, m):
-        phi = Cochain(spec, 1, {(1,): PbwElement.monomial(spec, mono)})
-        image = D_apply(spec, phi)
-        for elem in image.values.values():
-            assert max(map(sum, elem.terms), default=0) <= 4
+    for mono in _compositions(3, spec.num_generators):
+        assert all(sum(out) <= 4 for _, out in D_apply(spec, ((1,), mono)).terms)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +439,9 @@ def test_report_computes_one_kernel_and_picks_no_representative(monkeypatch, con
     high = matrix_of(
         list(monomials_up_to(spec, bound + 1)),
         lambda mono: [
-            (key, c) for key, c in cohomology._coboundary(spec, (), mono) if sum(key[1]) > bound
+            (key, c)
+            for key, c in cohomology.D_apply(spec, ((), mono)).terms.items()
+            if sum(key[1]) > bound
         ],
     )
     assert kernels == [high] and picks == []

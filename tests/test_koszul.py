@@ -22,9 +22,16 @@ from test_algebra import (
 )
 
 from hochhom import koszul
-from hochhom.algebra import PbwElement, normal_mul_monomials, normal_mul_uncached
+from hochhom.algebra import normal_mul_monomials, normal_mul_uncached
 from hochhom.braiding import braiding_f_prime
-from hochhom.cohomology import Cochain, D_apply, _zero_coboundaries, all_wedges
+from hochhom.cohomology import (
+    Cochain,
+    D_apply,
+    Delta_apply,
+    _zero_coboundaries,
+    all_wedges,
+    duality_identity_check,
+)
 from hochhom.cli import load_config, run
 from hochhom.errors import (
     IndexOutOfRange,
@@ -474,15 +481,18 @@ def test_D_matches_naive_commutators_on_random_parameters(spec, data):
         I = data.draw(st.sampled_from(all_wedges(spec, data.draw(st.integers(0, min(2, m - 1))))))
         mono = data.draw(st.sampled_from(list(monomials_up_to(spec, 2))))
         coeff = spec.scalar(data.draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)])))
-        image = D_apply(spec, Cochain(spec, len(I), {I: PbwElement.monomial(spec, mono, coeff)}))
-        got = {J: elem.terms for J, elem in image.values.items()}
+        got = {}
+        image = apply_diff(spec, D_apply, Cochain(spec, {(I, mono): coeff}))
+        for (J, out), c in image.terms.items():
+            got.setdefault(J, {})[out] = c
         assert got == naive_D(spec, I, mono, coeff), (I, mono)
 
 
 def test_generic_differentials_sum_characters_and_build_one_scalar_per_term(monkeypatch):
     # Braided coefficients are sums of lambda~ table entries, never factor
-    # lists, and each output term of diff_full and of D on a monomial cochain
-    # is one character's value times an int: no two scalars are multiplied.
+    # lists, and each output term of diff_full and of D and Delta on a basis
+    # cochain is one character's value times an int: no two scalars are
+    # multiplied, in the duality check either.
     spec = load_config("semiclassical(2,4,1)")
     calls = Counter()
     character, power_product, mul = (
@@ -505,7 +515,11 @@ def test_generic_differentials_sum_characters_and_build_one_scalar_per_term(monk
     for size in range(3):
         for I in all_wedges(spec, size):
             for mono in monomials:
-                terms += len(D_apply(spec, Cochain(spec, size, {I: PbwElement.monomial(spec, mono)})).values)
+                for apply in (D_apply, Delta_apply):
+                    terms += len(apply(spec, (I, mono)).terms)
+    assert all(duality_identity_check(spec, size, 2).passed for size in range(spec.num_generators))
+    # The mixed minimal algebra fails the check, which then reports a row product.
+    assert duality_identity_check(load_config("mixed-minimal(3)"), 0, 2).discrepancy is not None
     assert terms and calls["mul"] == 0
     for g in generators:
         diff_symmetric(spec, g)
