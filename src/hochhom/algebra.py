@@ -28,9 +28,10 @@ int as t_i <= min(b_i, gamma_i).  Callers add their characters to an entry's.
 
 ``Combination`` is the one finite k-linear combination type: ``PbwElement``
 here, the Koszul chains ``koszul.ChainElement`` and the cochains
-``cohomology.Cochain`` share it, and every sum of (key, scalar) pairs goes
-through ``Combination.from_terms``, which keeps keys in first-appearance
-order (the row order of the matrices built from them).
+``cohomology.Cochain`` share it.  A sum of (key, scalar) pairs goes through
+``Combination.from_terms`` and one of (key, character, int) triples through
+``from_triples``; both keep keys in first-appearance order, the row order of
+the matrices built from the same triples.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from math import comb, factorial
 from typing import Hashable, Iterable, Iterator, Union
 
 from .errors import IndexOutOfRange, ModelMismatch
+from .linalg import cells_of
 from .scalar import AlgebraSpec, Scalar
 
 Monomial = tuple[int, ...]
@@ -63,7 +65,7 @@ def generator_monomial(spec: AlgebraSpec, index: int) -> Monomial:
     """The exponent vector of the generator v_index (1-based)."""
     if not (1 <= index <= spec.num_generators):
         raise IndexOutOfRange(f"generator index {index} out of range")
-    return tuple(1 if k == index - 1 else 0 for k in range(spec.num_generators))
+    return spec.generator_monomials[index - 1]
 
 
 def monomial_str(spec: AlgebraSpec, mono: Monomial) -> str:
@@ -80,8 +82,9 @@ class Combination:
     """A finite k-linear combination of hashable keys over one ``AlgebraSpec``.
 
     ``terms`` maps each key to its nonzero scalar, in the order the keys
-    first appeared: matrices built from a combination take their row order
-    from it, so every way of summing terms goes through ``from_terms``.
+    first appeared, which is the row order of the matrices built from the
+    same terms: every way of summing them goes through ``from_terms`` or
+    ``from_triples``.
     """
 
     __slots__ = ("spec", "terms")
@@ -101,6 +104,13 @@ class Combination:
         for k, c in pairs:
             out[k] = out[k] + c if k in out else c
         return cls(spec, out)
+
+    @classmethod
+    def from_triples(cls, spec: AlgebraSpec, triples: Iterable[tuple[Hashable, tuple[int, ...], int]]):
+        """The sum of (key, lambda~-character, int) triples, summed as ``linalg.cells_of`` does."""
+        make, rational = spec.model.field._make, spec.model.field.degree == 1
+        cells = cells_of(spec.model, triples)
+        return cls(spec, {key: make([c] if rational else c, den) for key, (c, den) in cells.items()})
 
     def _check(self, other: "Combination"):
         if other.spec != self.spec:
@@ -227,11 +237,13 @@ def normal_mul_uncached(spec: AlgebraSpec, left: Monomial, right: Monomial) -> t
         nxt = []
         for g, b, outer, w in pending:
             for j in range(i + 1, n + 1):
-                add(outer, r + j, i, gi * b[j - 1])
+                if gi and b[j - 1]:
+                    add(outer, r + j, i, gi * b[j - 1])
             for t in range(0, min(b[i - 1], gi) + 1):
                 acc = outer.copy()
                 for j in range(1, i):
-                    add(acc, r + j, i, (gi - t) * b[j - 1])
+                    if gi - t and b[j - 1]:
+                        add(acc, r + j, i, (gi - t) * b[j - 1])
                 nb = b[: i - 1] + (b[i - 1] - t,) + b[i:]
                 nxt.append((g + (gi - t,), nb, acc, w * weyl_reorder_coefficient(b[i - 1], gi, t)))
         pending = nxt
@@ -242,10 +254,12 @@ def normal_mul_uncached(spec: AlgebraSpec, left: Monomial, right: Monomial) -> t
     for g, b, acc, w in pending:
         for i in range(1, r + 1):
             for j in range(i + 1, r + 1):
-                add(acc, j, i, g[i - 1] * alpha[j - 1])
+                if g[i - 1] and alpha[j - 1]:
+                    add(acc, j, i, g[i - 1] * alpha[j - 1])
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                add(acc, r + j, r + i, delta[i - 1] * b[j - 1])
+                if delta[i - 1] and b[j - 1]:
+                    add(acc, r + j, r + i, delta[i - 1] * b[j - 1])
         mono = tuple(a + gg for a, gg in zip(alpha, g)) + tuple(bb + d for bb, d in zip(b, delta))
         out.append((mono, model.reduce(acc), w))
     return tuple(out)
@@ -258,21 +272,19 @@ def commutator_with_generator(
     left: tuple[int, ...],
     right: tuple[int, ...],
     sign: int,
-) -> Iterator[tuple[Monomial, Scalar]]:
-    """The terms of the braided commutator sign * (left * v_index mono - right * mono v_index).
+) -> Iterator[Product]:
+    """The (monomial, character, int) triples of sign * (left * v_index mono - right * mono v_index).
 
-    ``left`` and ``right`` are reduced lambda~-characters, so a term costs
-    the value of one character sum times an int.  The terms of v_index mono
+    ``left`` and ``right`` are reduced lambda~-characters, added to each
+    product triple's; ``index`` is not checked.  The triples of v_index mono
     come first, then those of mono v_index, each side's monomials distinct
-    and in the product table's order: summed by ``Combination.from_terms``
-    they keep the order of ``(v * m).scale(sign * left) - (m * v).scale(sign * right)``
-    for the generator v and the monomial m.  Matrices built from the
-    cochain differential take their row order from it.
+    and in the product table's order: summed they keep the order of
+    ``(v * m).scale(sign * left) - (m * v).scale(sign * right)`` for the
+    generator v and the monomial m, the row order of the cochain matrices.
     """
-    v = generator_monomial(spec, index)
-    add, value = spec.model.add, spec.model.value
+    v = spec.generator_monomials[index - 1]
+    add = spec.model.add
     for char, s, pair in ((left, sign, (v, mono)), (right, -sign, (mono, v))):
         trivial = not any(char)
         for prod, entry, k in normal_mul_monomials(spec, *pair):
-            c = value(entry if trivial else add(char, entry))
-            yield prod, c if s * k == 1 else c * (s * k)
+            yield prod, entry if trivial else add(char, entry), s * k

@@ -7,8 +7,9 @@ the evaluation map Phi_3 between them is the identity on it.  A cochain is a
 wedge index I and a PBW monomial, as a chain is one of chain generators.
 Both differentials are given on one basis cochain, like ``diff_full`` on one
 generator, and ``koszul.apply_diff`` extends either linearly.  They are one
-insertion routine: for each j not in I, the braided commutator of mono with
-v_j, a lambda~-character on each side, placed at the wedge I + {j}.
+insertion routine (``_insertion``), a kernel that yields ((wedge, monomial),
+lambda~-character, int) triples: for each j not in I, the braided commutator
+of mono with v_j, a character on each side, placed at the wedge I + {j}.
 
 * (L, D): the braided Chevalley-style differential D (``D_apply``).
 * (U (x) dual wedges, Delta): the dualized chain differential, the homology
@@ -23,25 +24,28 @@ factor is reported by ``duality_identity_check``.
 
 Degree-0 and degree-1 cohomology (center and outer derivations) are computed
 directly from (L, D) under a polynomial degree window; every matrix there is
-built from ``D_apply``.  ``cohomology_report`` reads only their dimensions;
-``center_truncated`` and ``hh1_window`` also return bases.
+built from D's triples by ``linalg.matrix_of``.  ``cohomology_report`` reads
+only their dimensions; ``center_truncated`` and ``hh1_window`` also return
+bases.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .algebra import Combination, Monomial, PbwElement, commutator_with_generator, monomial_str
 from .errors import IndexOutOfRange, UnsupportedDegree
 from .homology import strand_homology
 from .koszul import monomials_up_to
-from .linalg import SparseMatrix, complex_homology, matrix_of, rank_kernel
+from .linalg import SparseMatrix, cells_of, complex_homology, matrix_of, rank_kernel
 from .scalar import AlgebraSpec, Scalar
 
 WedgeIndex = tuple[int, ...]
 # A basis cochain (I, mono): the map v_I -> mono.
 Basis = tuple[WedgeIndex, Monomial]
-Term = tuple[Basis, Scalar]
+Triple = tuple[Basis, tuple[int, ...], int]  # basis cochain, lambda~-character, int
 
 
 def complement(spec: AlgebraSpec, I: WedgeIndex) -> WedgeIndex:
@@ -49,8 +53,6 @@ def complement(spec: AlgebraSpec, I: WedgeIndex) -> WedgeIndex:
 
 
 def all_wedges(spec: AlgebraSpec, size: int) -> list[WedgeIndex]:
-    from itertools import combinations
-
     return [tuple(c) for c in combinations(range(1, spec.num_generators + 1), size)]
 
 
@@ -69,8 +71,18 @@ class Cochain(Combination):
         return " + ".join(parts) or "0"
 
 
-def _insertion(spec: AlgebraSpec, basis: Basis, dual: bool) -> Cochain:
-    """D, or Delta when ``dual``, of the basis cochain (I, mono).
+def check_basis(spec: AlgebraSpec, basis: Basis) -> None:
+    """Raise IndexOutOfRange unless I is strictly increasing in 1..n+r and mono has n+r exponents >= 0."""
+    I, mono = basis
+    m = spec.num_generators
+    if len(mono) != m or min(mono, default=0) < 0 or not all(
+        a < b for a, b in zip((0,) + I, I + (m + 1,))
+    ):
+        raise IndexOutOfRange(f"bad basis cochain {basis}")
+
+
+def _insertion(spec: AlgebraSpec, basis: Basis, dual: bool):
+    """The ((wedge, monomial), character, int) triples of D, or Delta when ``dual``, on (I, mono).
 
     Each j not in I, in increasing order, places the braided commutator
     sign * (left * v_j mono - right * mono v_j) at the wedge I + {j}.  Over a
@@ -87,17 +99,12 @@ def _insertion(spec: AlgebraSpec, basis: Basis, dual: bool) -> Cochain:
       Delta's own (-1)^(number of k in J below j), and -1 as Delta's
       commutator is the reverse one, with mono v_j first.
 
-    The wedge and the exponents are checked here, at the entry of both.
+    The basis cochain is checked at the entry of both (``check_basis``).
     """
+    check_basis(spec, basis)
     I, mono = basis
-    m, model = spec.num_generators, spec.model
-    if len(mono) != m or min(mono, default=0) < 0 or not all(
-        a < b for a, b in zip((0,) + I, I + (m + 1,))
-    ):
-        raise IndexOutOfRange(f"bad basis cochain {basis}")
-    add = spec.add_character
+    add, model = spec.add_character, spec.model
     J = complement(spec, I)
-    terms = []
     for p, j in enumerate(J):
         below = sum(1 for i in I if i < j)
         shift = [0] * model.rank  # the character of Theta(I + {j}) / Theta(I), for Delta
@@ -115,23 +122,20 @@ def _insertion(spec: AlgebraSpec, basis: Basis, dual: bool) -> Cochain:
         left, right = (b, a) if dual else (a, b)
         sign = -(-1) ** (len(I) - below) if dual else (-1) ** below
         wedge = I[:below] + (j,) + I[below:]
-        terms += [
-            ((wedge, prod), c)
-            for prod, c in commutator_with_generator(
-                spec, j, mono, model.reduce(left), model.reduce(right), sign
-            )
-        ]
-    return Cochain.from_terms(spec, terms)
+        for prod, char, k in commutator_with_generator(
+            spec, j, mono, model.reduce(left), model.reduce(right), sign
+        ):
+            yield (wedge, prod), char, k
 
 
 def D_apply(spec: AlgebraSpec, basis: Basis) -> Cochain:
     """The cochain differential on the basis cochain (I, mono): braided commutators with v_j."""
-    return _insertion(spec, basis, dual=False)
+    return Cochain.from_triples(spec, _insertion(spec, basis, dual=False))
 
 
 def Delta_apply(spec: AlgebraSpec, basis: Basis) -> Cochain:
     """The dualized differential on the basis cochain (I, mono), inserting complement generators."""
-    return _insertion(spec, basis, dual=True)
+    return Cochain.from_triples(spec, _insertion(spec, basis, dual=True))
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +164,19 @@ def duality_identity_check(spec: AlgebraSpec, degree: int, bound: int) -> Dualit
     """Compare D(c) with (-1)^{degree+1} Delta(c) on the basis cochains v_I -> monomial.
 
     Phi_3 is the identity on ``Cochain``, so the two sides are compared
-    directly.  On mismatch, reports the first inserted complement index
-    where they differ, together with the row product of the extended
-    matrix at that index — the exact factor by which the two sides differ.
+    directly, as one sum of their triples.  On mismatch, reports the first
+    inserted complement index where they differ, together with the row
+    product of the extended matrix at that index — the exact factor by which
+    the two sides differ.
     """
+    sign = 1 if degree % 2 else -1  # (-1)^{degree+1}
     for I in all_wedges(spec, degree):
         for mono in monomials_up_to(spec, bound):
-            lhs, rhs = D_apply(spec, (I, mono)), Delta_apply(spec, (I, mono))
-            if degree % 2 == 0:
-                rhs = -rhs
-            if lhs != rhs:
+            dual = ((key, c, -sign * k) for key, c, k in _insertion(spec, (I, mono), True))
+            difference = cells_of(spec.model, chain(_insertion(spec, (I, mono), False), dual))
+            if difference:
                 # Wedges I + {j} sort as j does, so the first one that differs is the least.
-                wedge = min(J for J, _ in (lhs - rhs).terms)
+                wedge = min(J for J, _ in difference)
                 bad = next(j for j in wedge if j not in I)
                 return DualityCheckResult(False, degree, I, bad, row_product(spec, bad))
     return DualityCheckResult(True, degree)
@@ -182,9 +187,14 @@ def duality_identity_check(spec: AlgebraSpec, degree: int, bound: int) -> Dualit
 # ---------------------------------------------------------------------------
 
 
-def _zero_coboundaries(spec: AlgebraSpec, bound: int) -> dict[Monomial, Iterable[Term]]:
-    """The terms of D of the 0-cochain mono, for each monomial of degree <= bound."""
-    return {mono: D_apply(spec, ((), mono)).terms.items() for mono in monomials_up_to(spec, bound)}
+def _zero_coboundaries(spec: AlgebraSpec, bound: int) -> dict[Monomial, list[Triple]]:
+    """The triples of D of the 0-cochain mono, for each monomial of degree <= bound."""
+    return {mono: list(_insertion(spec, ((), mono), False)) for mono in monomials_up_to(spec, bound)}
+
+
+def _window_matrix(spec: AlgebraSpec, basis: list, image, rows=None) -> tuple[SparseMatrix, list]:
+    """``matrix_of`` on cochain triples, each row key a checked basis cochain."""
+    return matrix_of(spec.model, basis, image, partial(check_basis, spec), rows)
 
 
 def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
@@ -196,7 +206,7 @@ def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
     being its commutators with the generators.
     """
     basis = list(monomials_up_to(spec, bound))
-    commutators = matrix_of(basis, _zero_coboundaries(spec, bound).__getitem__)
+    commutators, _ = _window_matrix(spec, basis, _zero_coboundaries(spec, bound).__getitem__)
     _, reps = complex_homology({0: commutators}, spec.one(), representatives=[0])
     return [PbwElement(spec, {basis[j]: c for j, c in vec.items()}) for vec in reps[0]]
 
@@ -209,7 +219,7 @@ class Hh1Window:
 
 
 def _hh1_complex(
-    spec: AlgebraSpec, bound: int, images: dict[Monomial, Iterable[Term]]
+    spec: AlgebraSpec, bound: int, images: dict[Monomial, list[Triple]]
 ) -> tuple[list[Basis], dict[int, SparseMatrix]]:
     """The 1-cochain columns ((i,), mono) and a complex whose H_1 is the window.
 
@@ -222,22 +232,21 @@ def _hh1_complex(
     """
     m = spec.num_generators
     columns = [((i,), mono) for i in range(1, m + 1) for mono in monomials_up_to(spec, bound)]
-    cocycle_matrix = matrix_of(columns, lambda column: D_apply(spec, column).terms.items())
+    cocycle_matrix, _ = _window_matrix(spec, columns, lambda column: _insertion(spec, column, False))
 
     # D of X over monomials of degree <= bound + 1, split into the values
     # inside the window (low) and outside it (high); the windowed X are the
     # kernel of high.
     x_basis = list(monomials_up_to(spec, bound + 1))
-    low = matrix_of(
-        x_basis,
-        lambda mono: [(key, c) for key, c in images[mono] if sum(key[1]) <= bound],
-        columns,
+    low, _ = _window_matrix(
+        spec, x_basis, lambda mono: [t for t in images[mono] if sum(t[0][1]) <= bound], columns
     )
-    high = matrix_of(
-        x_basis, lambda mono: [(key, c) for key, c in images[mono] if sum(key[1]) > bound]
+    high, _ = _window_matrix(
+        spec, x_basis, lambda mono: [t for t in images[mono] if sum(t[0][1]) > bound]
     )
     _, windowed = rank_kernel(high, one=spec.one())
-    inclusion = matrix_of(windowed, dict.items, range(len(x_basis)))
+    entries = {(i, j): c for j, vec in enumerate(windowed) for i, c in vec.items()}
+    inclusion = SparseMatrix(len(x_basis), len(windowed), entries)
     return columns, {1: cocycle_matrix, 2: low.compose(inclusion)}
 
 
@@ -310,7 +319,7 @@ def cohomology_report(
         images = _zero_coboundaries(spec, bound + 1 if 1 in degrees else bound)
     for k in sorted(degrees):
         if k == 0:
-            commutators = matrix_of(list(monomials_up_to(spec, bound)), images.__getitem__)
+            commutators, _ = _window_matrix(spec, list(monomials_up_to(spec, bound)), images.__getitem__)
             dims, _ = complex_homology({0: commutators}, spec.one())
             entries.append(CohomologyEntry(0, dims[0], "center-kernel"))
         elif k == 1:

@@ -14,8 +14,7 @@ computing on K_C in the first place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import itemgetter, sub
+from operator import itemgetter
 
 from .errors import RhoInC
 from .koszul import (
@@ -24,9 +23,11 @@ from .koszul import (
     StrandBlock,
     StrandComplex,
     _strand_keys,
+    _symmetric,
     block_homology,
-    diff_symmetric,
+    check_generator,
     is_in_C,
+    splittings,
 )
 from .linalg import Vector, complex_homology, homology_picks, matrix_of
 from .scalar import AlgebraSpec
@@ -234,21 +235,16 @@ def quotient_strand_acyclicity(spec: AlgebraSpec, rho) -> AcyclicityResult:
     if is_in_C(spec, rho):
         raise RhoInC(f"rho={rho} lies in C; the quotient strand excludes it")
     m = spec.num_generators
-    support = [t for t in range(m) if rho[t]]
-    generators: dict[int, list[ChainGenerator]] = {}
-    for k in range(m + 1):
-        found = []
-        for cols in combinations(support, k):
-            wedge = tuple(int(t in cols) for t in range(m))
-            found.append(ChainGenerator(tuple(map(sub, rho, wedge)), wedge))
-        generators[k] = sorted(found, key=lambda g: (g.mono, g.wedge))
+    generators = {k: sorted(splittings(rho, k)) for k in range(m + 1)}
     matrices = {
-        k: matrix_of(generators[k], lambda g: diff_symmetric(spec, g).terms.items(), generators[k - 1])
+        k: matrix_of(
+            spec.model, generators[k], lambda g: _symmetric(spec, *g), check_generator, generators[k - 1]
+        )[0]
         for k in range(1, m + 1)
     }
     dims, reps = complex_homology(matrices, spec.one(), representatives=range(m + 1))
     for k in range(m + 1):
         if dims[k]:
-            witness = {generators[k][j]: c for j, c in reps[k][0].items()}
+            witness = {ChainGenerator(*generators[k][j]): c for j, c in reps[k][0].items()}
             return AcyclicityResult(rho, False, k, ChainElement(spec, witness))
     return AcyclicityResult(rho, True)

@@ -14,11 +14,16 @@ Four differentials live here:
 * ``diff_weyl`` — the classical Weyl-algebra Koszul differential, the target
   of the semi-classical comparison maps f and g.
 
-The module also provides the membership test for C, weight-strand
-enumeration, and the comparison scalar R with the maps ``weyl_f_map`` and
-``weyl_g_map``.  Every coefficient and column product is a lambda~-character:
-entries of the spec's table summed (``AlgebraSpec.character`` or
-``add_character``), or a row of the lowering table below.
+Each is a kernel on raw (mono, wedge) keys (``_full``, ``_small`` over
+``_lowering``, ``_symmetric``, ``_weyl``) that yields ((mono, wedge),
+lambda~-character, int) triples; ``linalg.matrix_of`` builds every matrix
+from them with no scalar per term, and ``diff_*`` sum them into a
+``ChainElement``.  The module also provides the membership test for C,
+weight-strand enumeration, and the comparison scalar R with the maps
+``weyl_f_map`` and ``weyl_g_map``.  Every coefficient and column product is
+a lambda~-character: entries of the spec's table summed
+(``AlgebraSpec.character`` or ``add_character``), or a row of the lowering
+table below.
 
 A weight strand of K_C is a direct sum of fine blocks.  The small
 differential lowers rho_{x_i} and rho_{y_i} together and never changes
@@ -37,12 +42,8 @@ lattice (period 0) is one class, decided key by key.  Strands are built
 key first: for each key with a generator in C and each of its points rho of
 total degree w + 2k, the degree-k generators are rho minus a wedge on a
 k-subset of the support of rho.  No generator outside C is built, and a
-block's basis is a list of (mono, wedge) tuples.  Strand matrices come from
-the lowering formula written once as a kernel on those tuples
-(``_lowering``), which gives each coefficient as a lambda-character and an
-int, so block matrices are integer rows with no scalar per entry;
-``diff_small`` and that closed form wrap the same kernel for chain
-generators.  The kernel reads one table per spec
+block's basis is a list of (mono, wedge) tuples, its matrices built from
+the lowering kernel (``_lowering``).  The kernel reads one table per spec
 (``AlgebraSpec.lowering_table``), a row per lowering term: the wedge
 position it removes (its prefix sets the sign), the exponent it lowers, and
 its lambda~ factors that are not 1.  A term's character is a sparse dot
@@ -107,23 +108,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb, gcd
-from operator import sub
+from operator import add, sub
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .algebra import (
-    Combination,
-    generator_monomial,
-    generator_name,
-    monomial_str,
-    normal_mul_monomials,
-)
+from .algebra import Combination, commutator_with_generator, generator_name, monomial_str
 from .errors import (
-    ComplexBroken,
     IndexOutOfRange,
     NotInSmallComplex,
     NotSemiClassical,
 )
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, matrix_of
 from .scalar import AlgebraSpec, Scalar
 
 Exponents = tuple[int, ...]
@@ -142,10 +136,7 @@ class ChainGenerator:
     wedge: Exponents
 
     def __post_init__(self):
-        if any(e < 0 for e in self.mono) or any(e not in (0, 1) for e in self.wedge):
-            raise IndexOutOfRange(f"bad chain generator ({self.mono}, {self.wedge})")
-        if len(self.mono) != len(self.wedge):
-            raise IndexOutOfRange("mono and wedge lengths differ")
+        check_generator((self.mono, self.wedge))
 
     @property
     def degree(self) -> int:
@@ -164,6 +155,13 @@ class ChainGenerator:
     def rho(self) -> Exponents:
         """Total multidegree (alpha + gamma, beta + delta)."""
         return tuple(a + g for a, g in zip(self.mono, self.wedge))
+
+
+def check_generator(key: tuple[Exponents, Exponents]) -> None:
+    """Raise IndexOutOfRange unless (mono, wedge) has equal lengths, mono >= 0 and wedge in {0, 1}."""
+    mono, wedge = key
+    if len(mono) != len(wedge) or min(mono, default=0) < 0 or not {*wedge} <= {0, 1}:
+        raise IndexOutOfRange(f"bad chain generator {key}")
 
 
 def chain_generator_str(spec: AlgebraSpec, g: ChainGenerator) -> str:
@@ -188,6 +186,11 @@ class ChainElement(Combination):
 
 def _without(vec: Exponents, index0: int) -> Exponents:
     return vec[:index0] + (0,) + vec[index0 + 1 :]
+
+
+def _chain(spec: AlgebraSpec, triples) -> ChainElement:
+    """The chain element summing ((mono, wedge), character, int) triples."""
+    return ChainElement.from_triples(spec, ((ChainGenerator(*key), char, k) for key, char, k in triples))
 
 
 # ---------------------------------------------------------------------------
@@ -264,49 +267,46 @@ def bad_columns(spec: AlgebraSpec, key: Exponents) -> tuple[int, ...]:
 
 
 def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
-    """The full differential, by the generic coefficient formula.
+    """The full differential, by the generic coefficient formula (``_full``)."""
+    return _chain(spec, _full(spec, g.mono, g.wedge))
+
+
+def _full(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
+    """The ((mono, wedge), character, int) triples of the full differential.
 
     d(v^A (x) v^G) = sum_i Omega(G;i) (v^A . v_i) (x) v^{G-[i]}
                    + sum_i Theta(G;i) (v_i . v^A) (x) v^{G-[i]}
 
     with the braided coefficients Omega, Theta over the extended parameter
     matrix, each a character and a sign, and both products evaluated through
-    PBW multiplication: a term's value is that of its summed characters.
+    PBW multiplication.  The two signs are opposite, so each i is one braided
+    commutator of v^A with v_i (``commutator_with_generator``), with Theta's
+    character on the left and Omega's on the right.
     """
-    G, poly = g.wedge, g.mono
     add, model = spec.add_character, spec.model
-    k_total = sum(G)
-    wedge = [k for k, e in enumerate(G, 1) if e]
-    terms = []
-    for i in wedge:
-        v_i = generator_monomial(spec, i)
-        new_wedge = _without(G, i - 1)
+    positions = [k for k, e in enumerate(wedge, 1) if e]
+    for i in positions:
         omega, theta = [0] * model.rank, [0] * model.rank
-        for k in wedge:
+        for k in positions:
             if k < i:
                 add(omega, k, i)
             elif k > i:
                 add(theta, i, k)
-        sign_omega = (-1) ** sum(G[: i - 1])
-        sign_theta = (-1) ** (k_total + sum(G[i:]))
-        for char, sign, pair in ((omega, sign_omega, (poly, v_i)), (theta, sign_theta, (v_i, poly))):
-            char = model.reduce(char)
-            terms += [
-                (ChainGenerator(mono, new_wedge), model.value(model.add(char, entry)) * (sign * k))
-                for mono, entry, k in normal_mul_monomials(spec, *pair)
-            ]
-    return ChainElement.from_terms(spec, terms)
+        # Theta's sign (-1)^(|G| + |G after i|) is -(-1)^(|G before i|), Omega's negated.
+        sign = 1 if sum(wedge[: i - 1]) % 2 else -1
+        new_wedge = _without(wedge, i - 1)
+        left, right = model.reduce(theta), model.reduce(omega)
+        for prod, char, k in commutator_with_generator(spec, i, mono, left, right, sign):
+            yield (prod, new_wedge), char, k
 
 
 def _lowering(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
     """The exponent-lowering (Weyl contraction) terms of the differential.
 
     Yields ((mono, wedge), character, int) triples by the closed coefficient
-    formulas, the coefficient being the model's value of the reduced
-    lambda~-character times the int, one per row of
-    ``AlgebraSpec.lowering_table``: the x_i terms for i <= r, then the y_j
-    terms.  They make up the small-complex differential, and with
-    ``diff_symmetric`` the full one.
+    formulas, one per row of ``AlgebraSpec.lowering_table``: the x_i terms
+    for i <= r, then the y_j terms.  They make up the small-complex
+    differential, and with ``_symmetric`` the full one.
     """
     model = spec.model
     rank, torsion = model.rank, model.torsion
@@ -328,35 +328,34 @@ def _lowering(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
             )
 
 
-def _lowering_terms(spec: AlgebraSpec, g: ChainGenerator):
-    """``_lowering`` on a chain generator, as (generator, scalar) pairs."""
-    for (mono, wedge), char, c in _lowering(spec, g.mono, g.wedge):
-        yield ChainGenerator(mono, wedge), spec.model.value(char) * c
-
-
 def diff_small(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
-    """The small-complex differential: only the exponent-lowering terms.
+    """The small-complex differential: only the exponent-lowering terms (``_small``)."""
+    return _chain(spec, _small(spec, g.mono, g.wedge))
 
-    Defined on generators with rho in C; the output stays in the small
-    complex and has the same weight and purely-quantum multidegree.
-    """
-    if not is_in_C(spec, g.rho):
-        raise NotInSmallComplex(f"rho={g.rho} is not in C")
-    return ChainElement.from_terms(spec, _lowering_terms(spec, g))
+
+def _small(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
+    """``_lowering`` on a generator with rho in C, else NotInSmallComplex; its image stays in C."""
+    rho = tuple(map(add, mono, wedge))
+    if not is_in_C(spec, rho):
+        raise NotInSmallComplex(f"rho={rho} is not in C")
+    return _lowering(spec, mono, wedge)
 
 
 def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
-    """The quantum symmetric algebra differential; preserves rho exactly.
+    """The quantum symmetric algebra differential (``_symmetric``); preserves rho exactly."""
+    return _chain(spec, _symmetric(spec, g.mono, g.wedge))
 
-    Removing wedge i raises A_i by +-base (1 - bracket), for two lambda~-characters.
+
+def _symmetric(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
+    """The triples of the quantum symmetric algebra differential.
+
+    Removing wedge i raises mono_i by +-base (1 - bracket) for two characters:
+    a triple on base with the sign and one on base + bracket with the other.
     """
-    A, G = g.mono, g.wedge
     add, model = spec.add_character, spec.model
-    one, value = spec.one(), model.value
-    support = [(k, a, e) for k, (a, e) in enumerate(zip(A, G), 1) if a or e]
-    terms = []
+    support = [(k, a, e) for k, (a, e) in enumerate(zip(mono, wedge), 1) if a or e]
     for i in range(1, spec.num_generators + 1):
-        if not G[i - 1]:
+        if not wedge[i - 1]:
             continue
         base, bracket = [0] * model.rank, [0] * model.rank
         for k, a, e in support:
@@ -366,27 +365,31 @@ def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
                 add(base, k, i, f)
         if model.is_trivial(bracket):
             continue
-        coeff = value(model.reduce(base)) * (one - value(model.reduce(bracket)))
-        gen = ChainGenerator(A[: i - 1] + (A[i - 1] + 1,) + A[i:], _without(G, i - 1))
-        terms.append((gen, -coeff if sum(G[: i - 1]) % 2 else coeff))
-    return ChainElement.from_terms(spec, terms)
+        key = (mono[: i - 1] + (mono[i - 1] + 1,) + mono[i:], _without(wedge, i - 1))
+        sign = -1 if sum(wedge[: i - 1]) % 2 else 1
+        base = model.reduce(base)
+        yield key, base, sign
+        yield key, model.add(base, model.reduce(bracket)), -sign
 
 
 def diff_weyl(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
-    """The classical Weyl-algebra Koszul differential (all parameters 1).
+    """The classical Weyl-algebra Koszul differential (``_weyl``)."""
+    return _chain(spec, _weyl(spec, g.mono, g.wedge))
+
+
+def _weyl(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
+    """The triples of the classical Weyl-algebra Koszul differential (all parameters 1).
 
     Removing wedge x_i lowers beta_i (coefficient -eps beta_i), removing y_j
     lowers alpha_j (eps alpha_j); eps is (-1)^(wedge factors before it).
     """
     if spec.r != spec.n:
         raise NotSemiClassical("the Weyl complex needs r = n")
-    r, A, G = spec.r, g.mono, g.wedge
-    terms = []
+    r, trivial = spec.r, (0,) * spec.model.rank
     for w, e, sign in [(i, r + i, -1) for i in range(r)] + [(r + j, j, 1) for j in range(r)]:
-        if G[w] and A[e]:
-            gen = ChainGenerator(A[:e] + (A[e] - 1,) + A[e + 1 :], _without(G, w))
-            terms.append((gen, spec.scalar(sign * (-1) ** sum(G[:w]) * A[e])))
-    return ChainElement.from_terms(spec, terms)
+        if wedge[w] and mono[e]:
+            key = (mono[:e] + (mono[e] - 1,) + mono[e + 1 :], _without(wedge, w))
+            yield key, trivial, sign * (-1) ** sum(wedge[:w]) * mono[e]
 
 
 # ---------------------------------------------------------------------------
@@ -621,24 +624,11 @@ class StrandComplex:
         }
 
 
-def _lowering_matrix(spec: AlgebraSpec, columns: Basis, rows: Basis) -> SparseMatrix:
-    """The lowering terms of ``columns`` over ``rows``, as integer rows, no scalar per entry.
-
-    The images of one column are distinct, and one outside ``rows`` raises
-    ComplexBroken.
-    """
-    row_of = {g: i for i, g in enumerate(rows)}
-    field, value = spec.model.field, spec.model.value
-    cells = {}
-    for j, (mono, wedge) in enumerate(columns):
-        for image, char, c in _lowering(spec, mono, wedge):
-            i = row_of.get(image)
-            if i is None:
-                raise ComplexBroken(f"the image of {(mono, wedge)} leaves its block at {image}")
-            v = value(char)
-            nums = c * v.nums[0] if field.degree == 1 else [c * x for x in v.nums]
-            cells[(i, j)] = nums, v.den
-    return SparseMatrix.from_cells(len(rows), len(columns), field, cells)
+def splittings(rho: Exponents, k: int) -> Basis:
+    """The degree-k generators (rho - wedge, wedge), one per k-subset of the support of rho."""
+    support = [c for c, e in enumerate(rho) if e]
+    wedges = (tuple(int(c in cols) for c in range(len(rho))) for cols in combinations(support, k))
+    return [(tuple(map(sub, rho, wedge)), wedge) for wedge in wedges]
 
 
 def strand_block(spec: AlgebraSpec, w: int, key: Exponents, base: Exponents, pairs) -> StrandBlock:
@@ -658,13 +648,12 @@ def strand_block(spec: AlgebraSpec, w: int, key: Exponents, base: Exponents, pai
             for i, t in zip(pairs, ts):
                 rho[i] += t
                 rho[r + i] += t
-            for cols in combinations([c for c in range(m) if rho[c]], k):
-                wedge = [0] * m
-                for c in cols:
-                    wedge[c] = 1
-                found.append((tuple(map(sub, rho, wedge)), tuple(wedge)))
+            found += splittings(rho, k)
         found.sort()
-    matrices = {k: _lowering_matrix(spec, basis[k], basis[k - 1]) for k in range(1, m + 1)}
+    matrices = {
+        k: matrix_of(spec.model, basis[k], lambda g: _lowering(spec, *g), check_generator, basis[k - 1])[0]
+        for k in range(1, m + 1)
+    }
     return StrandBlock(key, basis, matrices)
 
 

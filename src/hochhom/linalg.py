@@ -2,9 +2,11 @@
 
 All matrices and vectors hold exact scalars of one field Q(zeta_m), the
 rationals being Q(zeta_1).  A matrix stores integer rows: each row is a set
-of integer coordinate vectors over one denominator, so products and modular
-ranks run on integers, and scalars are built only where elimination needs
-them.  Rank, kernel and subquotient computations are ordinary Gaussian
+of integer coordinate vectors over one denominator.  ``matrix_of`` builds
+every matrix from (key, lambda~-character, int) triples, summing the ints
+per character and reading each character's cached value, so building,
+products and modular ranks run on integers, and scalars are built only
+where elimination needs them.  Rank, kernel and subquotient computations are ordinary Gaussian
 elimination with a fill-minimizing pivot heuristic.  Exactness makes the
 pivot order a pure performance choice, except that it fixes which coset
 representatives are reported.
@@ -34,7 +36,7 @@ from operator import mul
 from typing import Callable, Collection, Hashable, Iterable, Optional, Sequence
 
 from .errors import ComplexBroken, NotASubspace
-from .scalar import QQ, CyclotomicField, Scalar
+from .scalar import QQ, CyclotomicField, Scalar, ScalarModel
 
 Vector = dict[int, Scalar]
 
@@ -160,29 +162,55 @@ def _rows(matrix: SparseMatrix) -> dict[int, Vector]:
     return rows
 
 
-def matrix_of(
-    basis: Sequence,
-    image: Callable[[object], Iterable[tuple[Hashable, Scalar]]],
-    rows: Optional[Sequence[Hashable]] = None,
-) -> SparseMatrix:
-    """Matrix whose column j is image(basis[j]), given as (row key, coefficient) pairs.
+def cells_of(model: ScalarModel, triples: Iterable[tuple[Hashable, tuple[int, ...], int]]) -> dict:
+    """The nonzero sums of (key, lambda~-character, int) triples, as key -> (c, den) in key order.
 
-    ``rows`` lists the row keys in order, and an image outside them raises
-    ComplexBroken; without it, keys are numbered as they first appear.  Entries
-    are stored column by column in image order, which fixes the pivot order of
-    later eliminations and so the representatives.
+    The ints are summed per character, and the sum of int times the cached
+    ``model.value(character)`` is one integer vector c (an int when phi(m) = 1) over den.
+    """
+    sums: dict = {}
+    for key, char, k in triples:
+        per = sums.setdefault(key, {})
+        per[char] = per.get(char, 0) + k
+    value, degree = model.value, model.field.degree
+    cells = {}
+    for key, per in sums.items():
+        c, den = [0] * degree, 1
+        for char, k in per.items():
+            if k:
+                v = value(char)
+                if den % v.den:
+                    scale = v.den // gcd(den, v.den)
+                    c, den = [x * scale for x in c], den * scale
+                k *= den // v.den
+                c = [x + k * y for x, y in zip(c, v.nums)]
+        if any(c):
+            cells[key] = c[0] if degree == 1 else c, den
+    return cells
+
+
+def matrix_of(
+    model: ScalarModel, basis: Sequence, image: Callable, check: Callable, rows: Optional[Sequence] = None
+) -> tuple[SparseMatrix, list]:
+    """The matrix whose column j sums the triples image(basis[j]) (``cells_of``), and its row keys.
+
+    ``rows`` lists the row keys in order, and a nonzero cell outside them
+    raises ComplexBroken; without it, the keys of nonzero cells are numbered
+    as they first appear, each validated once by ``check``.  Cells are stored
+    column by column in image order, which fixes the pivot order of later
+    eliminations and so the representatives.
     """
     row_of = {key: i for i, key in enumerate(rows or ())}
-    entries: dict[tuple[int, int], Scalar] = {}
+    cells = {}
     for j, b in enumerate(basis):
-        for key, coeff in image(b):
-            if rows is None:
-                row_of.setdefault(key, len(row_of))
-            elif key not in row_of:
-                raise ComplexBroken(f"the image of {b} leaves the given rows at {key}")
-            at = (row_of[key], j)
-            entries[at] = entries[at] + coeff if at in entries else coeff
-    return SparseMatrix(len(row_of), len(basis), entries)
+        for key, cell in cells_of(model, image(b)).items():
+            if key not in row_of:
+                if rows is not None:
+                    raise ComplexBroken(f"the image of {b} leaves the given rows at {key}")
+                check(key)
+                row_of[key] = len(row_of)
+            cells[(row_of[key], j)] = cell
+    return SparseMatrix.from_cells(len(row_of), len(basis), model.field, cells), list(row_of)
 
 
 def _subtract_multiple(row: Vector, factor: Scalar, pivot_row: Vector) -> Vector:

@@ -819,6 +819,12 @@ class AlgebraSpec:
         )
 
     @cached_property
+    def generator_monomials(self) -> tuple[tuple[int, ...], ...]:
+        """[i - 1]: the exponent vector of the generator v_i."""
+        m = self.num_generators
+        return tuple(tuple(int(k == i) for k in range(m)) for i in range(m))
+
+    @cached_property
     def product_table(self) -> dict:
         """Per-spec table of PBW monomial products (``algebra.normal_mul_monomials``)."""
         return {}

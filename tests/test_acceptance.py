@@ -51,8 +51,9 @@ def diff_full_closed(spec, g):
     A second path, which must agree with ``diff_full`` on every generator.  It
     reads ``diff_symmetric`` from ``koszul`` when called, so a patched one is seen.
     """
+    lowering = koszul._chain(spec, koszul._lowering(spec, g.mono, g.wedge))
     return ChainElement.from_terms(
-        spec, chain(koszul.diff_symmetric(spec, g).terms.items(), koszul._lowering_terms(spec, g))
+        spec, chain(koszul.diff_symmetric(spec, g).terms.items(), lowering.terms.items())
     )
 
 

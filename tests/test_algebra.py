@@ -249,8 +249,8 @@ def test_commutator_with_generator():
     one = spec.character([])
 
     def commutator(index, mono):
-        terms = commutator_with_generator(spec, index, mono, one, one, 1)
-        return PbwElement.from_terms(spec, terms)
+        triples = commutator_with_generator(spec, index, mono, one, one, 1)
+        return PbwElement.from_triples(spec, triples)
 
     assert commutator(1, (0, 1)) == PbwElement.one(spec)
     assert commutator(2, (0, 1)).is_zero()
@@ -273,9 +273,9 @@ def test_braided_commutator_matches_element_arithmetic(make_spec):
             v = PbwElement.generator(spec, i)
             want = (v * elem).scale(scale[0]) - (elem * v).scale(scale[1])
             got = commutator_with_generator(spec, i, mono, left, right, sign)
-            assert list(PbwElement.from_terms(spec, got).terms.items()) == list(want.terms.items())
+            assert list(PbwElement.from_triples(spec, got).terms.items()) == list(want.terms.items())
             plain = commutator_with_generator(spec, i, mono, one, one, 1)
-            assert list(PbwElement.from_terms(spec, plain).terms.items()) == list(
+            assert list(PbwElement.from_triples(spec, plain).terms.items()) == list(
                 (v * elem - elem * v).terms.items()
             )
 

@@ -469,11 +469,11 @@ def test_verify_complex_matches_the_generator_loop(config, bound):
     assert checked and not failures
 
 
-def _broken(diff):
-    """``diff`` with the image of every generator whose first exponent is odd doubled."""
-    def broken(spec, g):
-        image = diff(spec, g)
-        return image.scale(2) if g.mono[0] % 2 else image
+def _broken(kernel):
+    """``kernel`` with the triples of every generator whose first exponent is odd doubled."""
+    def broken(spec, mono, wedge):
+        for key, char, k in kernel(spec, mono, wedge):
+            yield key, char, 2 * k if mono[0] % 2 else k
 
     return broken
 
@@ -481,10 +481,13 @@ def _broken(diff):
 @pytest.mark.parametrize("name", ["diff_symmetric", "diff_full"])
 @pytest.mark.parametrize("config", ["semiclassical(2,4,1)", "mixed-minimal(3)"])
 def test_verify_complex_reports_a_broken_differential_as_the_loop_does(monkeypatch, name, config):
+    # The kernel is broken where both verify_complex and the differential's
+    # wrapper, which the reference loop calls, read it.
     spec = load_config(config)
-    broken = _broken(getattr(koszul, name))
-    monkeypatch.setattr(koszul, name, broken)
-    monkeypatch.setattr(cli, name, broken)
+    kernel = {"diff_symmetric": "_symmetric", "diff_full": "_full"}[name]
+    broken = _broken(getattr(koszul, kernel))
+    monkeypatch.setattr(koszul, kernel, broken)
+    monkeypatch.setattr(cli, kernel, broken)
     checked, failures = cli.verify_complex(spec, 2)
     assert (checked, failures) == reference_verify_complex(spec, 2)
     assert any("squared nonzero" in f for f in failures)

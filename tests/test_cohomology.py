@@ -33,8 +33,8 @@ from hochhom.koszul import (
     diff_full,
     monomials_up_to,
 )
-from hochhom.linalg import matrix_of
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
+from test_linalg import scalar_matrix
 from test_acceptance import (
     column_product,
     omega_coefficients,
@@ -436,7 +436,7 @@ def test_report_computes_one_kernel_and_picks_no_representative(monkeypatch, con
         monkeypatch.setattr(module, "rank_kernel", counted(kernels, module.rank_kernel))
     monkeypatch.setattr(linalg, "_pick_cosets", counted(picks, linalg._pick_cosets))
     report = cohomology_report(spec, range(spec.num_generators + 1), bound)
-    high = matrix_of(
+    high = scalar_matrix(
         list(monomials_up_to(spec, bound + 1)),
         lambda mono: [
             (key, c)

@@ -226,7 +226,7 @@ def test_quotient_acyclicity_reports_failing_degree_and_witness(monkeypatch):
     spec = mixed_root_spec(2)
     rho = (1, 0, 1)
     assert not is_in_C(spec, rho)
-    monkeypatch.setattr(homology, "diff_symmetric", lambda spec, g: ChainElement.zero(spec))
+    monkeypatch.setattr(homology, "_symmetric", lambda spec, mono, wedge: iter(()))
     result = quotient_strand_acyclicity(spec, rho)
     assert not result.passed
     assert result.failing_degree == 0
@@ -303,7 +303,8 @@ def test_dimensions_build_no_block(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a block was built or eliminated")
 
-    monkeypatch.setattr(koszul, "_lowering_matrix", refuse)
+    for module in (koszul, cli):
+        monkeypatch.setattr(module, "strand_block", refuse)
     assert run(["cohh", "--config", "semiclassical(2,4,1)", "--trunc", "3"]) == 0
     for module in (linalg, homology, cli):
         monkeypatch.setattr(module, "homology_picks", refuse)

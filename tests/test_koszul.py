@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import ALL_PRESETS, diff_full_closed, random_specs
+from test_linalg import scalar_matrix
 from test_algebra import (
     _letter_lambda,
     _monomial_to_word,
@@ -21,8 +22,8 @@ from test_algebra import (
     naive_normal_form,
 )
 
-from hochhom import koszul
-from hochhom.algebra import normal_mul_monomials, normal_mul_uncached
+from hochhom import cli, cohomology, koszul
+from hochhom.algebra import Combination, normal_mul_monomials, normal_mul_uncached
 from hochhom.braiding import braiding_f_prime
 from hochhom.cohomology import (
     Cochain,
@@ -30,6 +31,8 @@ from hochhom.cohomology import (
     Delta_apply,
     _zero_coboundaries,
     all_wedges,
+    check_basis,
+    cohomology_report,
     duality_identity_check,
 )
 from hochhom.cli import load_config, run
@@ -42,6 +45,7 @@ from hochhom.errors import (
 from hochhom.koszul import (
     ChainElement,
     ChainGenerator,
+    check_generator,
     _base_point,
     _compositions,
     _strand_keys,
@@ -59,7 +63,6 @@ from hochhom.koszul import (
     monomials_up_to,
     weyl_f_map,
     weyl_g_map,
-    _lowering_terms,
 )
 from hochhom.linalg import matrix_of
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, CyclotomicScalar, RationalModel
@@ -241,7 +244,7 @@ def test_top_wedge_with_no_paired_degrees_dies():
     spec = mixed_root_spec(2)
     g = ChainGenerator((0, 0, 2), (1, 1, 1))
     assert not is_in_C(spec, g.rho)
-    assert list(_lowering_terms(spec, g)) == []
+    assert list(koszul._lowering(spec, g.mono, g.wedge)) == []
 
 
 def test_full_differential_top_wedge_example():
@@ -313,7 +316,7 @@ def strand_matrices(strand):
                 columns.setdefault(block.basis[k][j], []).append((row, v))
     gens = strand.generators
     return {
-        k: matrix_of(gens[k], lambda g: columns.get((g.mono, g.wedge), ()), gens[k - 1])
+        k: scalar_matrix(gens[k], lambda g: columns.get((g.mono, g.wedge), ()), gens[k - 1])
         for k in range(1, len(gens))
     }
 
@@ -362,7 +365,9 @@ def _candidate_strand(spec, w):
 
 def _small_matrices(spec, generators):
     return {
-        k: matrix_of(generators[k], lambda g: diff_small(spec, g).terms.items(), generators[k - 1])
+        k: scalar_matrix(
+            generators[k], lambda g: diff_small(spec, g).terms.items(), generators[k - 1]
+        )
         for k in range(1, spec.num_generators + 1)
     }
 
@@ -528,6 +533,129 @@ def test_generic_differentials_sum_characters_and_build_one_scalar_per_term(monk
             normal_mul_uncached(spec, left, right)
     _zero_coboundaries(spec, 4)
     assert calls["character"] == calls["power"] == 0
+    # Every matrix sums its triples' ints per character and reads each
+    # character's value from the model's cache: verify --suite complex, which
+    # eliminates nothing, and the cohh windows up to their elimination build
+    # no more scalars than the model values characters.
+    built, counting = [], [True]
+    init = CyclotomicScalar.__init__
+
+    def counted_init(self, *args, **kwargs):
+        if counting[0]:
+            built.append(1)
+        init(self, *args, **kwargs)
+
+    def paused(fn):
+        def wrapper(*args, **kwargs):
+            counting[0] = False
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counting[0] = True
+
+        return wrapper
+
+    spec, windows = load_config("semiclassical(2,4,1)"), load_config("mixed-minimal(3)")
+    monkeypatch.setattr(CyclotomicScalar, "__init__", counted_init)
+    checked, failures = cli.verify_complex(spec, 2)
+    assert checked and not failures
+    assert len(built) <= len(spec.model._products)
+    built.clear()
+    for name in ("complex_homology", "rank_kernel"):
+        monkeypatch.setattr(cohomology, name, paused(getattr(cohomology, name)))
+    report = cohomology_report(windows, range(windows.num_generators + 1), 3)
+    assert len(report.entries) == windows.num_generators + 1
+    assert windows.model._products and len(built) <= len(windows.model._products)
+
+
+@pytest.mark.parametrize(
+    "mono,wedge", [((0, -1), (1, 0)), ((1, 0), (2, 0)), ((1, 0, 0), (1, 0))],
+    ids=["negative-exponent", "wedge-entry-2", "lengths-differ"],
+)
+def test_chain_generator_rejects_a_bad_key(mono, wedge):
+    with pytest.raises(IndexOutOfRange):
+        ChainGenerator(mono, wedge)
+    with pytest.raises(IndexOutOfRange):
+        check_generator((mono, wedge))
+
+
+def test_matrix_of_checks_the_keys_a_kernel_yields(monkeypatch):
+    # A chain kernel and the cochain kernel each yield one more triple, on a
+    # key with a negative exponent, and the matrix built from them refuses it.
+    spec = load_config("weyl(1)")
+    lowering, insertion = koszul._lowering, cohomology._insertion
+
+    def leaky_lowering(spec, mono, wedge):
+        yield from lowering(spec, mono, wedge)
+        yield (mono[:-1] + (-1,), wedge), (0,) * spec.model.rank, 1
+
+    def leaky_insertion(spec, basis, dual):
+        yield from insertion(spec, basis, dual)
+        yield (basis[0], basis[1][:-1] + (-1,)), (0,) * spec.model.rank, 1
+
+    monkeypatch.setattr(koszul, "_lowering", leaky_lowering)
+    with pytest.raises(IndexOutOfRange):
+        cli.verify_complex(spec, 1)
+    monkeypatch.setattr(cohomology, "_insertion", leaky_insertion)
+    with pytest.raises(IndexOutOfRange):
+        cohomology.center_truncated(spec, 1)
+
+
+def scalar_image(spec, triples):
+    """The reference sum of (key, character, int) triples: one scalar per term, summed."""
+    value = spec.model.value
+    return Combination.from_terms(spec, ((key, value(char) * k) for key, char, k in triples))
+
+
+def assert_triple_matrices_match_scalar_images(spec, bound):
+    """For the four chain differentials, D and Delta, on the basis up to ``bound``:
+    the wrapper's images are the per-term scalar sums of the kernel's triples, and
+    ``matrix_of`` on the triples is the matrix of those images, with the same row
+    keys in the same order and the same cells in the same storage order."""
+    generators = list(generators_up_to(spec, bound))
+    in_C = [g for g in generators if is_in_C(spec, g.rho)]
+    cases = [(diff_full, "_full", generators), (diff_symmetric, "_symmetric", generators),
+             (diff_small, "_small", in_C)] + ([(diff_weyl, "_weyl", generators)] * (spec.r == spec.n))
+    cochains = [
+        (I, mono)
+        for size in range(spec.num_generators + 1)
+        for I in all_wedges(spec, size)
+        for mono in monomials_up_to(spec, bound)
+    ]
+    checks = {}
+    for wrapper, name, basis in cases:
+        kernel = getattr(koszul, name)
+        keys = [(g.mono, g.wedge) for g in basis]
+        checks[name] = (keys, lambda key, kernel=kernel: kernel(spec, *key), check_generator)
+        for g, key in zip(basis, keys):
+            want = scalar_image(spec, kernel(spec, *key)).terms.items()
+            got = wrapper(spec, g).terms.items()
+            assert [((h.mono, h.wedge), c) for h, c in got] == list(want), (name, key)
+    for wrapper, dual in ((D_apply, False), (Delta_apply, True)):
+        kernel = partial(cohomology._insertion, spec, dual=dual)
+        checks[wrapper.__name__] = (cochains, kernel, partial(check_basis, spec))
+        for basis in cochains:
+            want = scalar_image(spec, kernel(basis)).terms.items()
+            assert list(wrapper(spec, basis).terms.items()) == list(want), basis
+    for name, (basis, kernel, check) in checks.items():
+        got, rows = matrix_of(spec.model, basis, kernel, check)
+        images = [list(scalar_image(spec, kernel(b)).terms.items()) for b in basis]
+        want = scalar_matrix(range(len(basis)), images.__getitem__)
+        assert rows == list(dict.fromkeys(key for image in images for key, _ in image)), name
+        assert (got.rows, got.cols, list(got.ints.items()), got.dens) == (
+            want.rows, want.cols, list(want.ints.items()), want.dens
+        ), name
+
+
+@pytest.mark.parametrize("name,spec", ALL_PRESETS, ids=[n for n, _ in ALL_PRESETS])
+def test_triple_matrices_match_scalar_images_on_presets(name, spec):
+    assert_triple_matrices_match_scalar_images(spec, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.one_of(signed_rational_specs(), cyclotomic_specs()))
+def test_triple_matrices_match_scalar_images_on_random_parameters(spec):
+    assert_triple_matrices_match_scalar_images(spec, 2)
 
 
 def reference_strand_keys(spec, w):

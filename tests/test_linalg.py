@@ -33,6 +33,23 @@ from hochhom.scalar import QQ, CyclotomicField
 P = QQ.residue_map[0]
 
 
+def scalar_matrix(basis, image, rows=None):
+    """The reference builder: column j sums the (row key, scalar) pairs of image(basis[j]).
+
+    Row keys are numbered as they first appear unless ``rows`` lists them, and
+    entries are stored column by column in image order.
+    """
+    row_of = {key: i for i, key in enumerate(rows or ())}
+    entries = {}
+    for j, b in enumerate(basis):
+        for key, coeff in image(b):
+            if rows is None:
+                row_of.setdefault(key, len(row_of))
+            at = (row_of[key], j)
+            entries[at] = entries[at] + coeff if at in entries else coeff
+    return SparseMatrix(len(row_of), len(basis), entries)
+
+
 def _sparse_from_lists(rows):
     entries = {}
     for i, row in enumerate(rows):
