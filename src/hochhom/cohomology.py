@@ -30,10 +30,9 @@ bases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .algebra import Combination, Monomial, PbwElement, commutator_with_generator, monomial_str
 from .errors import IndexOutOfRange, UnsupportedDegree
@@ -151,8 +150,7 @@ def row_product(spec: AlgebraSpec, row: int) -> Scalar:
     return spec.model.value(spec.model.reduce(acc))
 
 
-@dataclass(frozen=True)
-class DualityCheckResult:
+class DualityCheckResult(NamedTuple):
     passed: bool
     degree: int
     wedge: Optional[WedgeIndex] = None
@@ -211,8 +209,7 @@ def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
     return [PbwElement(spec, {basis[j]: c for j, c in vec.items()}) for vec in reps[0]]
 
 
-@dataclass(frozen=True)
-class Hh1Window:
+class Hh1Window(NamedTuple):
     bound: int
     dimension: int
     representatives: list[Cochain]
@@ -267,16 +264,14 @@ def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohomologyEntry:
+class CohomologyEntry(NamedTuple):
     degree: int
     dimension: int
     method: str
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     spec: AlgebraSpec
     bound: int
     entries: list[CohomologyEntry]

@@ -13,8 +13,8 @@ computing on K_C in the first place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import RhoInC
 from .koszul import (
@@ -33,15 +33,13 @@ from .linalg import Vector, complex_homology, homology_picks, matrix_of
 from .scalar import AlgebraSpec
 
 
-@dataclass(frozen=True)
-class StrandHomology:
+class StrandHomology(NamedTuple):
     weight: int
     dimensions: dict[int, int]
     representatives: dict[int, list[ChainElement]]
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     spec: AlgebraSpec
     w_min: int
     w_max: int
@@ -214,8 +212,7 @@ def expected_hh_oracle(spec: AlgebraSpec, w: int) -> dict[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AcyclicityResult:
+class AcyclicityResult(NamedTuple):
     rho: tuple[int, ...]
     passed: bool
     failing_degree: int | None = None

@@ -18,7 +18,11 @@ Each is a kernel on raw (mono, wedge) keys (``_full``, ``_small`` over
 ``_lowering``, ``_symmetric``, ``_weyl``) that yields ((mono, wedge),
 lambda~-character, int) triples; ``linalg.matrix_of`` builds every matrix
 from them with no scalar per term, and ``diff_*`` sum them into a
-``ChainElement``.  The module also provides the membership test for C,
+``ChainElement`` keyed by ``ChainGenerator``.  That class is written by hand
+(slots, read-only, equal and hashed as its key), not as a ``NamedTuple``: a
+tuple would equal its raw (mono, wedge) key, so a key and a generator would
+merge as one dict entry and a raw key could pass for a generator unnoticed.
+The module also provides the membership test for C,
 weight-strand enumeration, and the comparison scalar R with the maps
 ``weyl_f_map`` and ``weyl_g_map``.  Every coefficient and column product is
 a lambda~-character: entries of the spec's table summed
@@ -104,12 +108,11 @@ t_i > 0 adds two columns to the support when delta_i = 0 and one otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb, gcd
 from operator import add, sub
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .algebra import Combination, commutator_with_generator, generator_name, monomial_str
 from .errors import (
@@ -124,19 +127,40 @@ Exponents = tuple[int, ...]
 Basis = list[tuple[Exponents, Exponents]]
 
 
-@dataclass(frozen=True)
 class ChainGenerator:
     """Basis element x^alpha y^beta (x) x^gamma y^delta of a Koszul complex.
 
     ``mono`` stores (alpha, beta) and ``wedge`` stores (gamma, delta), both as
-    tuples of length n + r; wedge entries are 0/1.
+    tuples of length n + r; wedge entries are 0/1.  It hashes as the raw key
+    (mono, wedge) but never equals it (see the module docstring).
     """
 
-    mono: Exponents
-    wedge: Exponents
+    __slots__ = ("mono", "wedge")
 
-    def __post_init__(self):
-        check_generator((self.mono, self.wedge))
+    def __init__(self, mono: Exponents, wedge: Exponents):
+        check_generator((mono, wedge))
+        object.__setattr__(self, "mono", mono)
+        object.__setattr__(self, "wedge", wedge)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ChainGenerator, (self.mono, self.wedge)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mono == other.mono and self.wedge == other.wedge
+
+    def __hash__(self):
+        return hash((self.mono, self.wedge))
+
+    def __repr__(self):
+        return f"ChainGenerator(mono={self.mono!r}, wedge={self.wedge!r})"
 
     @property
     def degree(self) -> int:
@@ -593,8 +617,7 @@ def block_chain_dimensions(
     return dims
 
 
-@dataclass(frozen=True)
-class StrandBlock:
+class StrandBlock(NamedTuple):
     """One fine block of a weight strand: the generators with one block key.
 
     basis[k] lists the block's degree-k generators as (mono, wedge) tuples in
@@ -607,13 +630,33 @@ class StrandBlock:
     matrices: dict[int, SparseMatrix]
 
 
-@dataclass(frozen=True)
 class StrandComplex:
-    """The weight-w strand of the small complex, as the direct sum of its blocks."""
+    """The weight-w strand of the small complex, as the direct sum of its blocks.
 
-    weight: int
-    chain_dimensions: dict[int, int]
-    blocks: list[StrandBlock]
+    A read-only value with a ``__dict__`` for its ``generators`` cache.
+    """
+
+    def __init__(self, weight: int, chain_dimensions: dict[int, int], blocks: list[StrandBlock]):
+        vars(self).update(weight=weight, chain_dimensions=chain_dimensions, blocks=blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weight, self.chain_dimensions, self.blocks) == (
+            other.weight, other.chain_dimensions, other.blocks
+        )
+
+    def __repr__(self):
+        return (
+            f"StrandComplex(weight={self.weight!r}, chain_dimensions={self.chain_dimensions!r}, "
+            f"blocks={self.blocks!r})"
+        )
 
     @cached_property
     def generators(self) -> dict[int, list[ChainGenerator]]:
@@ -682,8 +725,8 @@ def monomials_up_to(spec: AlgebraSpec, bound: int) -> Iterator[Exponents]:
         yield from _compositions(p, spec.num_generators)
 
 
-def generators_up_to(spec: AlgebraSpec, bound: int) -> Iterator[ChainGenerator]:
-    """Every chain generator whose polynomial part has degree <= bound."""
+def keys_up_to(spec: AlgebraSpec, bound: int) -> Iterator[tuple[Exponents, Exponents]]:
+    """The (mono, wedge) key of every chain generator whose polynomial part has degree <= bound."""
     m = spec.num_generators
     # Wedges by size, each size in lexicographic order: the reverse of the
     # order in which combinations lists the positions of its ones.
@@ -694,7 +737,13 @@ def generators_up_to(spec: AlgebraSpec, bound: int) -> Iterator[ChainGenerator]:
     ]
     for mono in monomials_up_to(spec, bound):
         for wedge in wedges:
-            yield ChainGenerator(mono, wedge)
+            yield mono, wedge
+
+
+def generators_up_to(spec: AlgebraSpec, bound: int) -> Iterator[ChainGenerator]:
+    """Every chain generator whose polynomial part has degree <= bound, in ``keys_up_to`` order."""
+    for key in keys_up_to(spec, bound):
+        yield ChainGenerator(*key)
 
 
 def apply_diff(spec: AlgebraSpec, diff: Callable[[AlgebraSpec, Hashable], Combination], elem):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -689,7 +688,6 @@ def _valuation(value: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
     """One algebra: n q-commuting generators, r of them completed to Weyl pairs.
 
@@ -704,15 +702,29 @@ class AlgebraSpec:
     the table of entry characters that ``character`` sums.
     """
 
-    n: int
-    r: int
-    model: ScalarModel
-
-    def __post_init__(self):
-        if not (1 <= self.n and 0 <= self.r <= self.n):
+    def __init__(self, n: int, r: int, model: ScalarModel):
+        if not (1 <= n and 0 <= r <= n):
             raise ConfigError("need 1 <= n and 0 <= r <= n")
-        if self.model.n != self.n:
+        if model.n != n:
             raise ConfigError("parameter matrix size must equal n")
+        vars(self).update(n=n, r=r, model=model)  # a __dict__ holds the cached tables too
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.r, self.model) == (other.n, other.r, other.model)
+
+    def __hash__(self):
+        return hash((self.n, self.r, self.model))
+
+    def __repr__(self):
+        return f"AlgebraSpec(n={self.n!r}, r={self.r!r}, model={self.model!r})"
 
     @property
     def num_generators(self) -> int:

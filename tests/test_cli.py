@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -26,7 +28,11 @@ from hochhom.cli import (
     preset_config,
     run,
 )
-from hochhom.errors import ConfigError
+from hochhom.cohomology import CohomologyEntry, DualityCheckResult, Hh1Window
+from hochhom.errors import ConfigError, IndexOutOfRange
+from hochhom.homology import AcyclicityResult
+from hochhom.koszul import ChainGenerator, StrandBlock, StrandComplex
+from hochhom.scalar import AlgebraSpec
 from test_acceptance import diff_full_closed
 from test_scalar import is_all_one
 
@@ -545,3 +551,152 @@ def test_traced_benchmark_worker_runs_on_the_package(tmp_path, capsys):
     assert layers["homology.strand_unique_ratio"] == 1
     assert layers["algebra.normal_mul_monomials.calls"] > 0
     assert results["micro"]["algebra.pbw_mul_us"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Start-up: what importing the CLI loads.
+# ---------------------------------------------------------------------------
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+LAYERS = ("scalar", "algebra", "linalg", "koszul", "homology", "cohomology", "cli")
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with ``src`` first on the path and no bytecode cache."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{code}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_importing_the_cli_loads_no_dataclasses_and_no_braiding():
+    # Only the modules the import adds are read, so what the interpreter's
+    # own start-up loads does not count.
+    proc = _fresh(
+        "import json\n"
+        "before = set(sys.modules)\n"
+        "import hochhom.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert not added & {"dataclasses", "inspect", "hochhom.braiding"}
+    # The traced layers are bound at import: the tracer finds them in sys.modules.
+    assert {f"hochhom.{layer}" for layer in LAYERS} <= added
+
+
+def test_verify_braiding_in_a_fresh_process_imports_it_when_run():
+    proc = _fresh(
+        "from hochhom.cli import run\n"
+        "code = run(['verify', '--config', 'weyl(2)', '--suite', 'braiding', '--bound', '2',"
+        " '--format', 'json'])\n"
+        "print('hochhom.braiding' in sys.modules)\n"
+        "sys.exit(code)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, _, loaded = proc.stdout.rpartition("}")
+    assert json.loads(report + "}")["results"] == [
+        {"suite": "braiding", "status": "pass", "checked": 16, "failures": []}
+    ]
+    assert loaded.strip() == "True"
+
+
+# ---------------------------------------------------------------------------
+# Value semantics of the records and of the hand-written value classes.
+# ---------------------------------------------------------------------------
+
+
+def _strand() -> StrandComplex:
+    return koszul.enumerate_strand(load_config("weyl(1)"), 0)
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [(lambda: load_config("weyl(2)"), "n"),
+     (lambda: ChainGenerator((1, 0), (0, 1)), "mono"),
+     (_strand, "weight"),
+     (lambda: _strand().blocks[0], "key"),
+     (lambda: CohomologyEntry(0, 1, "center-kernel"), "note"),
+     (lambda: AcyclicityResult((1, 0), True), "passed")],
+    ids=["AlgebraSpec", "ChainGenerator", "StrandComplex", "StrandBlock", "CohomologyEntry",
+         "AcyclicityResult"],
+)
+def test_fields_are_read_only(make, field):
+    obj = make()
+    with pytest.raises(AttributeError):
+        setattr(obj, field, 1)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+
+
+def test_specs_are_equal_and_hash_as_their_fields():
+    a, b = load_config("weyl(2)"), load_config("weyl(2)")
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.n, a.r, a.model))
+    assert a != load_config("weyl(1)") and a != (a.n, a.r, a.model)
+    # The cached tables live next to the fields and leave equality alone.
+    assert a.lowering_table is a.lowering_table and a == b
+
+
+def test_chain_generator_hashes_as_its_key_but_is_not_equal_to_it():
+    mono, wedge = (1, 0), (0, 1)
+    g = ChainGenerator(mono, wedge)
+    assert g == ChainGenerator(mono=mono, wedge=wedge) and g != ChainGenerator(wedge, mono)
+    assert g != (mono, wedge) and hash(g) == hash((mono, wedge))
+    assert {g: 1, (mono, wedge): 2} == {g: 1, (mono, wedge): 2} and len({g, (mono, wedge)}) == 2
+    assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
+
+
+def test_strand_complex_equality_and_generators_cache():
+    a, b = _strand(), _strand()
+    assert a == b and a != a.blocks
+    assert a.generators is a.generators
+    keys = sorted(key for block in a.blocks for key in block.basis[1])
+    assert len(keys) == a.chain_dimensions[1]
+    assert a.generators[1] == [ChainGenerator(*k) for k in keys]
+
+
+def test_reprs_are_unchanged():
+    assert repr(ChainGenerator((1, 0), (0, 1))) == "ChainGenerator(mono=(1, 0), wedge=(0, 1))"
+    assert repr(load_config("weyl(1)")).startswith(
+        "AlgebraSpec(n=1, r=1, model=<hochhom.scalar.RationalModel object at "
+    )
+    assert repr(StrandComplex(-1, {0: 0}, [])) == (
+        "StrandComplex(weight=-1, chain_dimensions={0: 0}, blocks=[])"
+    )
+    assert repr(StrandBlock((0,), {0: []}, {})) == (
+        "StrandBlock(key=(0,), basis={0: []}, matrices={})"
+    )
+    assert repr(CohomologyEntry(0, 1, "center-kernel")) == (
+        "CohomologyEntry(degree=0, dimension=1, method='center-kernel', note='')"
+    )
+    assert repr(DualityCheckResult(True, 1)) == (
+        "DualityCheckResult(passed=True, degree=1, wedge=None, inserted=None, discrepancy=None)"
+    )
+    assert repr(Hh1Window(2, 0, [])) == "Hh1Window(bound=2, dimension=0, representatives=[])"
+    assert repr(AcyclicityResult((1, 0), True)) == (
+        "AcyclicityResult(rho=(1, 0), passed=True, failing_degree=None, witness=None)"
+    )
+
+
+def test_record_defaults_hold():
+    assert CohomologyEntry(0, 1, "center-kernel").note == ""
+    result = AcyclicityResult((1, 0), True)
+    assert result.failing_degree is None and result.witness is None
+    assert DualityCheckResult(True, 1).discrepancy is None
+
+
+@pytest.mark.parametrize("mono,wedge", [((1,), (0, 1)), ((-1, 0), (0, 0)), ((0, 0), (2, 0))])
+def test_bad_chain_generator_is_refused(mono, wedge):
+    with pytest.raises(IndexOutOfRange):
+        ChainGenerator(mono, wedge)
+
+
+@pytest.mark.parametrize("n,r", [(0, 0), (2, 3), (2, -1), (1, 0)])
+def test_bad_spec_is_refused(n, r):
+    model = load_config("weyl(2)").model  # a 2 x 2 parameter matrix
+    with pytest.raises(ConfigError):
+        AlgebraSpec(n, r, model)
