@@ -27,7 +27,6 @@ from .homology import (
 )
 from .koszul import (
     ChainElement,
-    ChainGenerator,
     diff_full,
     diff_small,
     diff_symmetric,
@@ -38,7 +37,6 @@ from .scalar import AlgebraSpec, CyclotomicModel, RationalModel
 __all__ = [
     "AlgebraSpec",
     "ChainElement",
-    "ChainGenerator",
     "Cochain",
     "CohomologyReport",
     "CyclotomicModel",

@@ -4,7 +4,7 @@ Hom(wedge^* V, U) and U (x) (wedge^* V)' are the same vector space, so one
 type, ``Cochain``, carries both models of the Hochschild cochain complex, and
 the evaluation map Phi_3 between them is the identity on it.  A cochain is a
 ``Combination`` of basis cochains (I, mono), the map v_I -> mono for a sorted
-wedge index I and a PBW monomial, as a chain is one of chain generators.
+wedge index I and a PBW monomial, as a chain is one of (mono, wedge) keys.
 Both differentials are given on one basis cochain, like ``diff_full`` on one
 generator, and ``koszul.apply_diff`` extends either linearly.  They are one
 insertion routine (``_insertion``), a kernel that yields ((wedge, monomial),

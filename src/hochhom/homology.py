@@ -5,8 +5,9 @@ weight-homogeneous, so each weight strand is an independent finite complex.
 A strand is in turn the direct sum of its fine blocks (see ``koszul``), and
 its homology is the sum of theirs: the block lemma of ``koszul`` gives each
 block's classes in closed form, read off the keys with delta = 0 with no
-block built.  Elimination of every block (``homology_of_strand``) checks it
-in the tests and in ``verify --suite blocks``.  The module also carries the
+block built.  The tests check it against elimination of every block of a
+built strand (``homology_of_strand``), and ``verify --suite blocks`` runs
+its own elimination block by block.  The module also carries the
 theorem-based expected-dimension oracles for the regimes with known closed
 answers, and the acyclicity witness for the quotient strands that justifies
 computing on K_C in the first place.
@@ -19,7 +20,6 @@ from typing import NamedTuple
 from .errors import RhoInC
 from .koszul import (
     ChainElement,
-    ChainGenerator,
     StrandBlock,
     StrandComplex,
     _strand_keys,
@@ -71,7 +71,7 @@ def strand_homology(
         for k, found in block_homology(spec, w, key, base, pairs).items():
             classes[k] += found
     reps = {
-        k: [ChainElement.single(spec, ChainGenerator(*g)) for g in sorted(found)]
+        k: [ChainElement.single(spec, g) for g in sorted(found)]
         if representatives else []
         for k, found in classes.items()
     }
@@ -106,16 +106,15 @@ def _block_picks(spec: AlgebraSpec, block: StrandBlock, degrees):
 
 
 def _representatives(spec: AlgebraSpec, picks) -> dict[int, list[ChainElement]]:
-    """The picks of a strand's blocks as chain elements, in whole-strand order.
+    """The picks of a strand's blocks as chain elements on (mono, wedge) keys, in strand order.
 
     Pivoting never mixes blocks, so each block picks the representatives one
     elimination of the whole strand would pick; sorting the picks by the
     generator of their kernel vector's free column restores that order.
-    Chain generators are built only for the representatives.
     """
     return {
         k: [
-            ChainElement(spec, {ChainGenerator(*basis[j]): c for j, c in v.items()})
+            ChainElement(spec, {basis[j]: c for j, c in v.items()})
             for _, v, basis in sorted(found, key=itemgetter(0))
         ]
         for k, found in picks.items()
@@ -242,6 +241,6 @@ def quotient_strand_acyclicity(spec: AlgebraSpec, rho) -> AcyclicityResult:
     dims, reps = complex_homology(matrices, spec.one(), representatives=range(m + 1))
     for k in range(m + 1):
         if dims[k]:
-            witness = {ChainGenerator(*generators[k][j]): c for j, c in reps[k][0].items()}
+            witness = {generators[k][j]: c for j, c in reps[k][0].items()}
             return AcyclicityResult(rho, False, k, ChainElement(spec, witness))
     return AcyclicityResult(rho, True)

@@ -18,10 +18,10 @@ Each is a kernel on raw (mono, wedge) keys (``_full``, ``_small`` over
 ``_lowering``, ``_symmetric``, ``_weyl``) that yields ((mono, wedge),
 lambda~-character, int) triples; ``linalg.matrix_of`` builds every matrix
 from them with no scalar per term, and ``diff_*`` sum them into a
-``ChainElement`` keyed by ``ChainGenerator``.  That class is written by hand
-(slots, read-only, equal and hashed as its key), not as a ``NamedTuple``: a
-tuple would equal its raw (mono, wedge) key, so a key and a generator would
-merge as one dict entry and a raw key could pass for a generator unnoticed.
+``ChainElement``, a ``Combination`` keyed by the same (mono, wedge) tuples,
+as cochains are keyed by (I, mono).  ``check_generator`` checks a key where
+it arrives from a caller (each ``diff_*``, each Weyl map and
+``ChainElement.single``) and every key a kernel yields to a ``diff_*``.
 The module also provides the membership test for C,
 weight-strand enumeration, and the comparison scalar R with the maps
 ``weyl_f_map`` and ``weyl_g_map``.  Every coefficient and column product is
@@ -108,7 +108,6 @@ t_i > 0 adds two columns to the support when delta_i = 0 and one otherwise.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, combinations
 from math import comb, gcd
 from operator import add, sub
@@ -124,97 +123,54 @@ from .linalg import SparseMatrix, matrix_of
 from .scalar import AlgebraSpec, Scalar
 
 Exponents = tuple[int, ...]
-Basis = list[tuple[Exponents, Exponents]]
+Key = tuple[Exponents, Exponents]  # (mono, wedge)
+Basis = list[Key]
 
 
-class ChainGenerator:
-    """Basis element x^alpha y^beta (x) x^gamma y^delta of a Koszul complex.
-
-    ``mono`` stores (alpha, beta) and ``wedge`` stores (gamma, delta), both as
-    tuples of length n + r; wedge entries are 0/1.  It hashes as the raw key
-    (mono, wedge) but never equals it (see the module docstring).
-    """
-
-    __slots__ = ("mono", "wedge")
-
-    def __init__(self, mono: Exponents, wedge: Exponents):
-        check_generator((mono, wedge))
-        object.__setattr__(self, "mono", mono)
-        object.__setattr__(self, "wedge", wedge)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return ChainGenerator, (self.mono, self.wedge)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.mono == other.mono and self.wedge == other.wedge
-
-    def __hash__(self):
-        return hash((self.mono, self.wedge))
-
-    def __repr__(self):
-        return f"ChainGenerator(mono={self.mono!r}, wedge={self.wedge!r})"
-
-    @property
-    def degree(self) -> int:
-        """Homological degree: the number of wedge factors."""
-        return sum(self.wedge)
-
-    @property
-    def poly_degree(self) -> int:
-        return sum(self.mono)
-
-    @property
-    def weight(self) -> int:
-        return self.poly_degree - self.degree
-
-    @property
-    def rho(self) -> Exponents:
-        """Total multidegree (alpha + gamma, beta + delta)."""
-        return tuple(a + g for a, g in zip(self.mono, self.wedge))
-
-
-def check_generator(key: tuple[Exponents, Exponents]) -> None:
+def check_generator(key: Key) -> None:
     """Raise IndexOutOfRange unless (mono, wedge) has equal lengths, mono >= 0 and wedge in {0, 1}."""
     mono, wedge = key
     if len(mono) != len(wedge) or min(mono, default=0) < 0 or not {*wedge} <= {0, 1}:
         raise IndexOutOfRange(f"bad chain generator {key}")
 
 
-def chain_generator_str(spec: AlgebraSpec, g: ChainGenerator) -> str:
-    wedge_names = [generator_name(spec, i + 1) for i, b in enumerate(g.wedge) if b]
-    wedge = "^".join(wedge_names) if wedge_names else "1"
-    return f"{monomial_str(spec, g.mono)} (x) {wedge}"
+def rho_of(key: Key) -> Exponents:
+    """The total multidegree mono + wedge of a (mono, wedge) key."""
+    return tuple(map(add, *key))
+
+
+def chain_generator_str(spec: AlgebraSpec, key: Key) -> str:
+    mono, wedge = key
+    wedge_names = [generator_name(spec, i + 1) for i, b in enumerate(wedge) if b]
+    return f"{monomial_str(spec, mono)} (x) {'^'.join(wedge_names) or '1'}"
 
 
 class ChainElement(Combination):
-    """A finite scalar combination of chain generators."""
+    """A finite scalar combination of chain generators, keyed by (mono, wedge) tuples."""
 
     __slots__ = ()
 
     @classmethod
-    def single(cls, spec: AlgebraSpec, g: ChainGenerator, coeff=None) -> "ChainElement":
-        return cls(spec, {g: spec.one() if coeff is None else coeff})
+    def single(cls, spec: AlgebraSpec, key: Key, coeff=None) -> "ChainElement":
+        check_generator(key)
+        return cls(spec, {key: spec.one() if coeff is None else coeff})
 
     def __str__(self):
-        gens = sorted(self.terms, key=lambda t: (t.mono, t.wedge))
-        return " + ".join(f"{self.terms[g]}*{chain_generator_str(self.spec, g)}" for g in gens) or "0"
+        keys = sorted(self.terms)
+        return " + ".join(f"{self.terms[k]}*{chain_generator_str(self.spec, k)}" for k in keys) or "0"
 
 
 def _without(vec: Exponents, index0: int) -> Exponents:
     return vec[:index0] + (0,) + vec[index0 + 1 :]
 
 
-def _chain(spec: AlgebraSpec, triples) -> ChainElement:
-    """The chain element summing ((mono, wedge), character, int) triples."""
-    return ChainElement.from_triples(spec, ((ChainGenerator(*key), char, k) for key, char, k in triples))
+def _chain(spec: AlgebraSpec, kernel, key: Key) -> ChainElement:
+    """The chain element summing the triples ``kernel`` yields on a key, every key checked."""
+    check_generator(key)
+    triples = list(kernel(spec, *key))
+    for image, _, _ in triples:
+        check_generator(image)
+    return ChainElement.from_triples(spec, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +246,9 @@ def bad_columns(spec: AlgebraSpec, key: Exponents) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def diff_full(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
+def diff_full(spec: AlgebraSpec, key: Key) -> ChainElement:
     """The full differential, by the generic coefficient formula (``_full``)."""
-    return _chain(spec, _full(spec, g.mono, g.wedge))
+    return _chain(spec, _full, key)
 
 
 def _full(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
@@ -352,22 +308,22 @@ def _lowering(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
             )
 
 
-def diff_small(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
+def diff_small(spec: AlgebraSpec, key: Key) -> ChainElement:
     """The small-complex differential: only the exponent-lowering terms (``_small``)."""
-    return _chain(spec, _small(spec, g.mono, g.wedge))
+    return _chain(spec, _small, key)
 
 
 def _small(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
     """``_lowering`` on a generator with rho in C, else NotInSmallComplex; its image stays in C."""
-    rho = tuple(map(add, mono, wedge))
+    rho = rho_of((mono, wedge))
     if not is_in_C(spec, rho):
         raise NotInSmallComplex(f"rho={rho} is not in C")
     return _lowering(spec, mono, wedge)
 
 
-def diff_symmetric(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
+def diff_symmetric(spec: AlgebraSpec, key: Key) -> ChainElement:
     """The quantum symmetric algebra differential (``_symmetric``); preserves rho exactly."""
-    return _chain(spec, _symmetric(spec, g.mono, g.wedge))
+    return _chain(spec, _symmetric, key)
 
 
 def _symmetric(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
@@ -396,9 +352,9 @@ def _symmetric(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
         yield key, model.add(base, model.reduce(bracket)), -sign
 
 
-def diff_weyl(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
+def diff_weyl(spec: AlgebraSpec, key: Key) -> ChainElement:
     """The classical Weyl-algebra Koszul differential (``_weyl``)."""
-    return _chain(spec, _weyl(spec, g.mono, g.wedge))
+    return _chain(spec, _weyl, key)
 
 
 def _weyl(spec: AlgebraSpec, mono: Exponents, wedge: Exponents):
@@ -630,41 +586,17 @@ class StrandBlock(NamedTuple):
     matrices: dict[int, SparseMatrix]
 
 
-class StrandComplex:
-    """The weight-w strand of the small complex, as the direct sum of its blocks.
+class StrandComplex(NamedTuple):
+    """The weight-w strand of the small complex, as the direct sum of its blocks."""
 
-    A read-only value with a ``__dict__`` for its ``generators`` cache.
-    """
+    weight: int
+    chain_dimensions: dict[int, int]
+    blocks: list[StrandBlock]
 
-    def __init__(self, weight: int, chain_dimensions: dict[int, int], blocks: list[StrandBlock]):
-        vars(self).update(weight=weight, chain_dimensions=chain_dimensions, blocks=blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.weight, self.chain_dimensions, self.blocks) == (
-            other.weight, other.chain_dimensions, other.blocks
-        )
-
-    def __repr__(self):
-        return (
-            f"StrandComplex(weight={self.weight!r}, chain_dimensions={self.chain_dimensions!r}, "
-            f"blocks={self.blocks!r})"
-        )
-
-    @cached_property
-    def generators(self) -> dict[int, list[ChainGenerator]]:
-        """The degree-k generators in (mono, wedge) order, built when first read."""
-        return {
-            k: [ChainGenerator(*g) for g in sorted(t for b in self.blocks for t in b.basis[k])]
-            for k in self.chain_dimensions
-        }
+    @property
+    def generators(self) -> dict[int, Basis]:
+        """The degree-k generators as (mono, wedge) tuples, sorted."""
+        return {k: sorted(t for b in self.blocks for t in b.basis[k]) for k in self.chain_dimensions}
 
 
 def splittings(rho: Exponents, k: int) -> Basis:
@@ -725,7 +657,7 @@ def monomials_up_to(spec: AlgebraSpec, bound: int) -> Iterator[Exponents]:
         yield from _compositions(p, spec.num_generators)
 
 
-def keys_up_to(spec: AlgebraSpec, bound: int) -> Iterator[tuple[Exponents, Exponents]]:
+def keys_up_to(spec: AlgebraSpec, bound: int) -> Iterator[Key]:
     """The (mono, wedge) key of every chain generator whose polynomial part has degree <= bound."""
     m = spec.num_generators
     # Wedges by size, each size in lexicographic order: the reverse of the
@@ -740,12 +672,6 @@ def keys_up_to(spec: AlgebraSpec, bound: int) -> Iterator[tuple[Exponents, Expon
             yield mono, wedge
 
 
-def generators_up_to(spec: AlgebraSpec, bound: int) -> Iterator[ChainGenerator]:
-    """Every chain generator whose polynomial part has degree <= bound, in ``keys_up_to`` order."""
-    for key in keys_up_to(spec, bound):
-        yield ChainGenerator(*key)
-
-
 def apply_diff(spec: AlgebraSpec, diff: Callable[[AlgebraSpec, Hashable], Combination], elem):
     """Extend a differential given on basis elements linearly to a chain or a cochain."""
     return type(elem).from_terms(
@@ -758,7 +684,7 @@ def apply_diff(spec: AlgebraSpec, diff: Callable[[AlgebraSpec, Hashable], Combin
 # ---------------------------------------------------------------------------
 
 
-def weyl_compare_R(spec: AlgebraSpec, g: ChainGenerator) -> Scalar:
+def weyl_compare_R(spec: AlgebraSpec, key: Key) -> Scalar:
     """The comparison scalar R(alpha, beta, gamma, delta).
 
     R = prod_{u<v} lambda_{u,v}^{gamma_u beta_v + alpha_u delta_v}.  This is
@@ -772,11 +698,12 @@ def weyl_compare_R(spec: AlgebraSpec, g: ChainGenerator) -> Scalar:
     exactly, which is the statement that f (multiplication by R) intertwines
     the two differentials.  With r = n, lambda_{u,v} is lambda~_{u,v}.
     """
+    check_generator(key)
     if spec.r != spec.n:
         raise NotSemiClassical("comparison maps need r = n")
-    n = spec.n
-    alpha, beta = g.mono[:n], g.mono[n:]
-    gamma, delta = g.wedge[:n], g.wedge[n:]
+    n, (mono, wedge) = spec.n, key
+    alpha, beta = mono[:n], mono[n:]
+    gamma, delta = wedge[:n], wedge[n:]
     factors = []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
@@ -786,21 +713,23 @@ def weyl_compare_R(spec: AlgebraSpec, g: ChainGenerator) -> Scalar:
     return spec.lambda_tilde_power_product(factors)
 
 
-def weyl_f_map(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
+def weyl_f_map(spec: AlgebraSpec, key: Key) -> ChainElement:
     """The map f: K_C -> Weyl complex, R times the same exponent data.
 
     f and ``weyl_g_map`` are mutually inverse on K_C; f is only defined there.
     """
-    R = weyl_compare_R(spec, g)
-    if not is_in_C(spec, g.rho):
-        raise NotInSmallComplex(f"f is only defined on K_C; rho={g.rho} not in C")
-    return ChainElement.single(spec, g, R)
+    R = weyl_compare_R(spec, key)  # checks the key first
+    rho = rho_of(key)
+    if not is_in_C(spec, rho):
+        raise NotInSmallComplex(f"f is only defined on K_C; rho={rho} not in C")
+    return ChainElement.single(spec, key, R)
 
 
-def weyl_g_map(spec: AlgebraSpec, g: ChainGenerator) -> ChainElement:
+def weyl_g_map(spec: AlgebraSpec, key: Key) -> ChainElement:
     """The section g: Weyl complex -> K_C (zero off the small complex)."""
+    check_generator(key)
     if spec.r != spec.n:
         raise NotSemiClassical("comparison maps need r = n")
-    if not is_in_C(spec, g.rho):
+    if not is_in_C(spec, rho_of(key)):
         return ChainElement.zero(spec)
-    return ChainElement.single(spec, g, weyl_compare_R(spec, g).inv())
+    return ChainElement.single(spec, key, weyl_compare_R(spec, key).inv())

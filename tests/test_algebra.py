@@ -24,7 +24,7 @@ from hochhom.algebra import (
 from hochhom.cli import load_config, verify_complex
 from hochhom.cohomology import Cochain, cohomology_report
 from hochhom.errors import ModelMismatch
-from hochhom.koszul import ChainElement, ChainGenerator
+from hochhom.koszul import ChainElement
 from hochhom.scalar import AlgebraSpec, CyclotomicModel, RationalModel
 
 
@@ -286,8 +286,7 @@ COMBINATION_KEYS = [
     (PbwElement, [(2, 0), (0, 1), (1, 1), (0, 2)]),
     (
         ChainElement,
-        [ChainGenerator((2, 0), (0, 1)), ChainGenerator((0, 1), (1, 0)),
-         ChainGenerator((1, 1), (0, 0)), ChainGenerator((0, 2), (1, 1))],
+        [((2, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 0)), ((0, 2), (1, 1))],
     ),
     (Cochain, [((2,), (2, 0)), ((1,), (0, 1)), ((1, 2), (1, 1)), ((), (0, 2))]),
 ]

@@ -27,7 +27,6 @@ from hochhom.errors import IndexOutOfRange, UnsupportedDegree
 from hochhom.homology import hh_report
 from hochhom.koszul import (
     ChainElement,
-    ChainGenerator,
     _compositions,
     apply_diff,
     diff_full,
@@ -123,9 +122,9 @@ def test_bad_basis_cochain_raises_at_the_entry_of_D_and_Delta(basis):
 def phi2(spec, chain):
     """Dualize a chain: a (x) v_J becomes the cochain v_I -> Theta(I) a, for I = complement(J)."""
     terms = []
-    for g, coeff in chain.terms.items():
-        I = complement(spec, tuple(t + 1 for t, b in enumerate(g.wedge) if b))
-        terms.append(((I, g.mono), coeff * theta_coefficient(spec, I)))
+    for (mono, wedge), coeff in chain.terms.items():
+        I = complement(spec, tuple(t + 1 for t, b in enumerate(wedge) if b))
+        terms.append(((I, mono), coeff * theta_coefficient(spec, I)))
     return Cochain.from_terms(spec, terms)
 
 
@@ -134,7 +133,7 @@ def phi2_inv(spec, c):
     for (I, mono), coeff in c.terms.items():
         J = complement(spec, I)
         bits = tuple(int(t in J) for t in range(1, spec.num_generators + 1))
-        terms[ChainGenerator(mono, bits)] = coeff * theta_coefficient(spec, I).inv()
+        terms[mono, bits] = coeff * theta_coefficient(spec, I).inv()
     return ChainElement(spec, terms)
 
 

@@ -22,7 +22,6 @@ from hochhom.homology import (
 )
 from hochhom.koszul import (
     ChainElement,
-    ChainGenerator,
     _compositions,
     enumerate_strand,
     is_in_C,
@@ -230,7 +229,7 @@ def test_quotient_acyclicity_reports_failing_degree_and_witness(monkeypatch):
     result = quotient_strand_acyclicity(spec, rho)
     assert not result.passed
     assert result.failing_degree == 0
-    assert result.witness == ChainElement.single(spec, ChainGenerator(rho, (0, 0, 0)))
+    assert result.witness == ChainElement.single(spec, (rho, (0, 0, 0)))
 
 
 def test_strand_builds_no_scalar_per_matrix_entry(monkeypatch):

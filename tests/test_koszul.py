@@ -44,7 +44,6 @@ from hochhom.errors import (
 )
 from hochhom.koszul import (
     ChainElement,
-    ChainGenerator,
     check_generator,
     _base_point,
     _compositions,
@@ -58,9 +57,10 @@ from hochhom.koszul import (
     diff_symmetric,
     diff_weyl,
     enumerate_strand,
-    generators_up_to,
     is_in_C,
+    keys_up_to,
     monomials_up_to,
+    rho_of,
     weyl_f_map,
     weyl_g_map,
 )
@@ -95,6 +95,12 @@ def quantum_plane_spec():
 
 
 ALL_SPECS = [weyl_spec, mixed_rational_spec, mixed_root_spec, semiclassical_spec, quantum_plane_spec]
+
+
+def weight(key):
+    """Polynomial degree minus homological degree of a (mono, wedge) key."""
+    mono, wedge = key
+    return sum(mono) - sum(wedge)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def test_block_rule_matches_membership_on_random_parameters(spec):
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_full_differential_squares_to_zero(make_spec):
     spec = make_spec()
-    for g in generators_up_to(spec, 3):
+    for g in keys_up_to(spec, 3):
         assert apply_diff(spec, diff_full, diff_full(spec, g)).is_zero(), (
             chain_generator_str(spec, g)
         )
@@ -153,7 +159,7 @@ def test_full_differential_squares_to_zero(make_spec):
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_closed_form_agrees_with_generic(make_spec):
     spec = make_spec()
-    for g in generators_up_to(spec, 3):
+    for g in keys_up_to(spec, 3):
         assert diff_full_closed(spec, g) == diff_full(spec, g), chain_generator_str(spec, g)
 
 
@@ -171,46 +177,46 @@ N3_SPECS = [
 
 @pytest.mark.parametrize("name,spec", N3_SPECS, ids=[name for name, _ in N3_SPECS])
 def test_closed_form_agrees_with_generic_on_n3(name, spec):
-    for g in generators_up_to(spec, 2):
+    for g in keys_up_to(spec, 2):
         assert diff_full_closed(spec, g) == diff_full(spec, g), chain_generator_str(spec, g)
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_small_differential_squares_and_stays_in_C(make_spec):
     spec = make_spec()
-    for g in generators_up_to(spec, 3):
-        if not is_in_C(spec, g.rho):
+    for g in keys_up_to(spec, 3):
+        if not is_in_C(spec, rho_of(g)):
             continue
         image = diff_small(spec, g)
         for h in image.terms:
-            assert is_in_C(spec, h.rho)
-            assert h.weight == g.weight
+            assert is_in_C(spec, rho_of(h))
+            assert weight(h) == weight(g)
             # The purely-quantum part of rho (beta_j + delta_j for j > r) is kept.
-            assert h.rho[2 * spec.r:] == g.rho[2 * spec.r:]
+            assert rho_of(h)[2 * spec.r:] == rho_of(g)[2 * spec.r:]
         assert apply_diff(spec, diff_small, image).is_zero()
 
 
 @pytest.mark.parametrize("make_spec", ALL_SPECS)
 def test_symmetric_differential_squares_and_preserves_rho(make_spec):
     spec = make_spec()
-    for g in generators_up_to(spec, 3):
+    for g in keys_up_to(spec, 3):
         image = diff_symmetric(spec, g)
         for h in image.terms:
-            assert h.rho == g.rho
+            assert rho_of(h) == rho_of(g)
         assert apply_diff(spec, diff_symmetric, image).is_zero()
 
 
 def test_weyl_differential_squares_to_zero():
     for make_spec in (weyl_spec, semiclassical_spec):
         spec = make_spec()
-        for g in generators_up_to(spec, 3):
+        for g in keys_up_to(spec, 3):
             assert apply_diff(spec, diff_weyl, diff_weyl(spec, g)).is_zero()
 
 
 def test_small_diff_rejects_outside_C():
     spec = mixed_root_spec(2)
-    g = ChainGenerator((1, 0, 1), (0, 0, 0))
-    assert not is_in_C(spec, g.rho)
+    g = ((1, 0, 1), (0, 0, 0))
+    assert not is_in_C(spec, rho_of(g))
     with pytest.raises(NotInSmallComplex):
         diff_small(spec, g)
 
@@ -218,7 +224,7 @@ def test_small_diff_rejects_outside_C():
 def test_weyl_diff_needs_semiclassical():
     spec = mixed_rational_spec()
     with pytest.raises(NotSemiClassical):
-        diff_weyl(spec, ChainGenerator((0, 0, 0), (0, 0, 0)))
+        diff_weyl(spec, ((0, 0, 0), (0, 0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +234,26 @@ def test_weyl_diff_needs_semiclassical():
 
 def test_weyl_differential_basic_values():
     spec = weyl_spec()
-    y_wedge_x = ChainGenerator((0, 1), (1, 0))
+    y_wedge_x = ((0, 1), (1, 0))
     image = diff_weyl(spec, y_wedge_x)
-    assert image == ChainElement.single(
-        spec, ChainGenerator((0, 0), (0, 0)), spec.scalar(-1)
-    )
-    x_wedge_y = ChainGenerator((1, 0), (0, 1))
-    assert diff_weyl(spec, x_wedge_y) == ChainElement.single(
-        spec, ChainGenerator((0, 0), (0, 0)), spec.one()
-    )
+    assert image == ChainElement.single(spec, ((0, 0), (0, 0)), spec.scalar(-1))
+    x_wedge_y = ((1, 0), (0, 1))
+    assert diff_weyl(spec, x_wedge_y) == ChainElement.single(spec, ((0, 0), (0, 0)), spec.one())
 
 
 def test_top_wedge_with_no_paired_degrees_dies():
     """The lowering-only image of z^2 (x) x^y^z vanishes identically."""
     spec = mixed_root_spec(2)
-    g = ChainGenerator((0, 0, 2), (1, 1, 1))
-    assert not is_in_C(spec, g.rho)
-    assert list(koszul._lowering(spec, g.mono, g.wedge)) == []
+    g = ((0, 0, 2), (1, 1, 1))
+    assert not is_in_C(spec, rho_of(g))
+    assert list(koszul._lowering(spec, *g)) == []
 
 
 def test_full_differential_top_wedge_example():
     spec = weyl_spec()
     # only the Weyl-pair lowering survives: d(y (x) x^y) = -1 (x) y
-    g = ChainGenerator((0, 1), (1, 1))
-    assert diff_full(spec, g) == ChainElement.single(
-        spec, ChainGenerator((0, 0), (0, 1)), spec.scalar(-1)
-    )
+    g = ((0, 1), (1, 1))
+    assert diff_full(spec, g) == ChainElement.single(spec, ((0, 0), (0, 1)), spec.scalar(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +297,13 @@ def test_generators_up_to_match_recursive_wedge_order(n, r):
     spec = AlgebraSpec(n, r, CyclotomicModel(1, [[0] * n for _ in range(n)]))
     m = spec.num_generators
     expected = [
-        ChainGenerator(mono, wedge)
+        (mono, wedge)
         for p in range(3)
         for mono in _recursive_compositions(p, m)
         for size in range(m + 1)
         for wedge in _recursive_bit_vectors(size, m)
     ]
-    assert list(generators_up_to(spec, 2)) == expected
+    assert list(keys_up_to(spec, 2)) == expected
 
 
 def strand_matrices(strand):
@@ -312,18 +312,13 @@ def strand_matrices(strand):
     for block in strand.blocks:
         for k, matrix in block.matrices.items():
             for (i, j), v in matrix.entries.items():
-                row = ChainGenerator(*block.basis[k - 1][i])
+                row = block.basis[k - 1][i]
                 columns.setdefault(block.basis[k][j], []).append((row, v))
     gens = strand.generators
     return {
-        k: scalar_matrix(gens[k], lambda g: columns.get((g.mono, g.wedge), ()), gens[k - 1])
+        k: scalar_matrix(gens[k], lambda g: columns.get(g, ()), gens[k - 1])
         for k in range(1, len(gens))
     }
-
-
-def block_generators(block):
-    """A block's basis per degree as chain generators."""
-    return {k: [ChainGenerator(*g) for g in basis] for k, basis in block.basis.items()}
 
 
 def test_strand_weight_and_composition():
@@ -331,8 +326,8 @@ def test_strand_weight_and_composition():
     strand = enumerate_strand(spec, -2)
     for k, gens in strand.generators.items():
         for g in gens:
-            assert g.weight == -2
-            assert is_in_C(spec, g.rho)
+            assert weight(g) == -2
+            assert is_in_C(spec, rho_of(g))
     matrices = strand_matrices(strand)
     for k, matrix in matrices.items():
         lower = matrices.get(k - 1)
@@ -357,9 +352,9 @@ def _candidate_strand(spec, w):
             for mono in _compositions(w + k, m)
             if is_in_C(spec, tuple(a + b for a, b in zip(mono, wedge)))
         )
-        generators[k] = [ChainGenerator(mono, wedge) for mono, wedge in found]
+        generators[k] = found
         for g in generators[k]:
-            blocks.setdefault(block_key(spec, g.rho), {d: [] for d in range(m + 1)})[k].append(g)
+            blocks.setdefault(block_key(spec, rho_of(g)), {d: [] for d in range(m + 1)})[k].append(g)
     return generators, blocks
 
 
@@ -378,9 +373,8 @@ def assert_strand_matches_candidates(spec, w):
     assert strand.generators == generators, w
     assert [block.key for block in strand.blocks] == list(blocks), w
     for block in strand.blocks:
-        gens = block_generators(block)
-        assert gens == blocks[block.key], (w, block.key)
-        assert block.matrices == _small_matrices(spec, gens), (w, block.key)
+        assert block.basis == blocks[block.key], (w, block.key)
+        assert block.matrices == _small_matrices(spec, block.basis), (w, block.key)
     return strand, generators
 
 
@@ -432,7 +426,7 @@ def test_enumeration_matches_candidate_filter_on_random_parameters(spec, data):
 def test_closed_form_agrees_with_generic_on_random_parameters(spec):
     # diff_full multiplies in the PBW basis and never reads the lowering
     # table, so this checks every row of the table over random Lambda.
-    for g in generators_up_to(spec, 2):
+    for g in keys_up_to(spec, 2):
         assert diff_full_closed(spec, g) == diff_full(spec, g), chain_generator_str(spec, g)
 
 
@@ -514,7 +508,7 @@ def test_generic_differentials_sum_characters_and_build_one_scalar_per_term(monk
     monkeypatch.setattr(AlgebraSpec, "character", counted("character", character))
     monkeypatch.setattr(AlgebraSpec, "lambda_tilde_power_product", counted("power", power_product))
     monkeypatch.setattr(CyclotomicScalar, "__mul__", counted("mul", mul))
-    generators = list(generators_up_to(spec, 3))
+    generators = list(keys_up_to(spec, 3))
     terms = sum(len(diff_full(spec, g).terms) for g in generators)
     monomials = list(monomials_up_to(spec, 3))
     for size in range(3):
@@ -574,9 +568,43 @@ def test_generic_differentials_sum_characters_and_build_one_scalar_per_term(monk
 )
 def test_chain_generator_rejects_a_bad_key(mono, wedge):
     with pytest.raises(IndexOutOfRange):
-        ChainGenerator(mono, wedge)
-    with pytest.raises(IndexOutOfRange):
         check_generator((mono, wedge))
+
+
+KEY_ENTRIES = {
+    "diff_full": diff_full, "diff_small": diff_small, "diff_symmetric": diff_symmetric,
+    "diff_weyl": diff_weyl, "weyl_f_map": weyl_f_map, "weyl_g_map": weyl_g_map,
+    "single": ChainElement.single,
+}
+# Over semiclassical_spec; the wedge-entry-2 key has rho = (2, 1, 0, 0), outside C.
+BAD_KEYS = {
+    "negative-exponent": ((0, -1, 0, 0), (1, 0, 0, 0)),
+    "wedge-entry-2": ((0, 1, 0, 0), (2, 0, 0, 0)),
+    "lengths-differ": ((1, 0, 0, 0, 0), (1, 0, 0, 0)),
+}
+KEY_CASES = [(entry, bad) for entry in KEY_ENTRIES for bad in BAD_KEYS] + [
+    (f"diff_{name}", "kernel-yields-negative-exponent")
+    for name in ("full", "small", "symmetric", "weyl")
+]
+
+
+@pytest.mark.parametrize("entry,bad", KEY_CASES, ids=[f"{e}-{b}" for e, b in KEY_CASES])
+def test_a_bad_chain_key_is_refused(monkeypatch, entry, bad):
+    # A key is checked where it arrives from a caller, and each diff_* checks
+    # every key its kernel yields: here one more triple on a negative exponent.
+    spec, key = semiclassical_spec(), BAD_KEYS.get(bad)
+    if key is None:
+        name = "_" + entry.removeprefix("diff_")
+        kernel = getattr(koszul, name)
+
+        def leaky(spec, mono, wedge):
+            yield from kernel(spec, mono, wedge)
+            yield (mono[:-1] + (-1,), wedge), (0,) * spec.model.rank, 1
+
+        monkeypatch.setattr(koszul, name, leaky)
+        key = ((1, 0, 0, 0), (0, 0, 1, 0))  # x1 (x) y1, in C
+    with pytest.raises(IndexOutOfRange):
+        KEY_ENTRIES[entry](spec, key)
 
 
 def test_matrix_of_checks_the_keys_a_kernel_yields(monkeypatch):
@@ -612,8 +640,8 @@ def assert_triple_matrices_match_scalar_images(spec, bound):
     the wrapper's images are the per-term scalar sums of the kernel's triples, and
     ``matrix_of`` on the triples is the matrix of those images, with the same row
     keys in the same order and the same cells in the same storage order."""
-    generators = list(generators_up_to(spec, bound))
-    in_C = [g for g in generators if is_in_C(spec, g.rho)]
+    generators = list(keys_up_to(spec, bound))
+    in_C = [g for g in generators if is_in_C(spec, rho_of(g))]
     cases = [(diff_full, "_full", generators), (diff_symmetric, "_symmetric", generators),
              (diff_small, "_small", in_C)] + ([(diff_weyl, "_weyl", generators)] * (spec.r == spec.n))
     cochains = [
@@ -625,12 +653,11 @@ def assert_triple_matrices_match_scalar_images(spec, bound):
     checks = {}
     for wrapper, name, basis in cases:
         kernel = getattr(koszul, name)
-        keys = [(g.mono, g.wedge) for g in basis]
-        checks[name] = (keys, lambda key, kernel=kernel: kernel(spec, *key), check_generator)
-        for g, key in zip(basis, keys):
+        checks[name] = (basis, lambda key, kernel=kernel: kernel(spec, *key), check_generator)
+        for key in basis:
             want = scalar_image(spec, kernel(spec, *key)).terms.items()
-            got = wrapper(spec, g).terms.items()
-            assert [((h.mono, h.wedge), c) for h, c in got] == list(want), (name, key)
+            got = wrapper(spec, key).terms.items()
+            assert list(got) == list(want), (name, key)
     for wrapper, dual in ((D_apply, False), (Delta_apply, True)):
         kernel = partial(cohomology._insertion, spec, dual=dual)
         checks[wrapper.__name__] = (cochains, kernel, partial(check_basis, spec))
@@ -843,8 +870,8 @@ def test_blocks_partition_the_whole_strand(config, w_min, w_max):
     for w in range(w_min, w_max + 1):
         strand, generators = assert_strand_matches_candidates(spec, w)
         for block in strand.blocks:
-            for k, gens in block_generators(block).items():
-                assert all(block_key(spec, g.rho) == block.key for g in gens)
+            for k, gens in block.basis.items():
+                assert all(block_key(spec, rho_of(g)) == block.key for g in gens)
         assert strand_matrices(strand) == _small_matrices(spec, generators), w
 
 
@@ -876,8 +903,8 @@ def test_comparison_maps_intertwine_and_retract(make_spec):
             out = out + weyl_g_map(spec, g).scale(c)
         return out
 
-    for g in generators_up_to(spec, 3):
-        if not is_in_C(spec, g.rho):
+    for g in keys_up_to(spec, 3):
+        if not is_in_C(spec, rho_of(g)):
             continue
         one = ChainElement.single(spec, g)
         # f: small -> Weyl intertwines; g: Weyl -> small intertwines on K_C
@@ -888,14 +915,14 @@ def test_comparison_maps_intertwine_and_retract(make_spec):
 
 def test_g_map_kills_complement_of_C():
     spec = semiclassical_spec()
-    g = ChainGenerator((1, 1, 0, 0), (0, 0, 0, 0))
-    assert not is_in_C(spec, g.rho)
+    g = ((1, 1, 0, 0), (0, 0, 0, 0))
+    assert not is_in_C(spec, rho_of(g))
     assert weyl_g_map(spec, g).is_zero()
 
 
 def test_comparison_maps_reject_outside_C():
     spec = semiclassical_spec()
-    g = ChainGenerator((1, 1, 0, 0), (0, 0, 0, 0))
+    g = ((1, 1, 0, 0), (0, 0, 0, 0))
     with pytest.raises(NotInSmallComplex):
         weyl_f_map(spec, g)
 
