@@ -22,17 +22,31 @@ Configs are JSON documents (``{"n": .., "r": .., "scalar": {..}}``) or one of
 the built-in presets ``weyl(n)``, ``semiclassical(n,order,e)``, ``free(n,r)``,
 ``mixed-minimal(order)``.  Reports are emitted as JSON (schema-tagged,
 byte-reproducible) or as a human table derived from the same data.
+
+The front end costs an op little beyond its own math.  ``COMMANDS`` declares
+each subcommand's options once; ``build_parser`` builds argparse from it, and
+``_parse_fast`` reads argv of the exact form ``SUB --opt value ...`` from it
+into the namespace argparse would return.  Any other argv (help, an
+abbreviation, ``--opt=value``, a repeated option, every usage error) goes to
+argparse, which is imported only then, so its usage text and exit 2 are its
+own.  ``run`` keeps one spec per preset name or config file text it has run
+(the file is read on every call), so later ops on a config reuse the tables
+its spec caches; ``load_config`` builds a new spec on every call.  A JSON
+report is laid out as ``json.dumps(report, indent=2)`` would, by a writer
+that encodes each leaf as json's C encoder does and leaves any document with
+another value type to ``json.dumps``.  A one-shot process gains only the
+parsing and printing part.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from .cohomology import cohomology_report, duality_identity_check
 from .errors import ConfigError, HochhomError
@@ -67,6 +81,9 @@ from .koszul import (
 )
 from .linalg import homology_picks, matrix_of
 from .scalar import AlgebraSpec, CyclotomicModel, RationalModel, as_integer
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA = "hochhom-report/1"
 MAX_GENERATORS = 6
@@ -192,18 +209,51 @@ def preset_config(name: str) -> dict:
 
 
 def load_config(source: str) -> AlgebraSpec:
-    """Load a config from a JSON file path or a preset name."""
+    """Load a config from a JSON file path or a preset name, as a new spec on every call."""
+    return parse_config(_config_doc(source, _config_text(source)))
+
+
+def _config_text(source: str) -> Optional[str]:
+    """The text of the config file ``source``, or None when ``source`` is a preset name."""
     if _PRESET.fullmatch(source.strip()):
-        doc = preset_config(source)
-    else:
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-            raise ConfigError(f"config {source!r} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+        return None
+    try:
+        with open(source) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
+    except ValueError as exc:  # bytes the file's encoding cannot decode
+        raise _not_json(source, exc) from exc
+
+
+def _config_doc(source: str, text: Optional[str]) -> dict:
+    """The config document of a preset name (``text`` None) or of a config file's text."""
+    if text is None:
+        return preset_config(source)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise _not_json(source, exc) from exc
+
+
+def _not_json(source: str, exc: ValueError) -> ConfigError:
+    return ConfigError(f"config {source!r} is not valid JSON: {exc}")
+
+
+# The spec of every config ``run`` has loaded, keyed by its preset name or by
+# its file's text (no preset name is valid JSON), so that the tables a spec
+# caches are built once per process however many ops use it.
+_SPECS: dict[str, AlgebraSpec] = {}
+
+
+def _run_spec(source: str) -> AlgebraSpec:
+    """The spec of ``source``, parsed on its first use only; a config that fails is not kept."""
+    text = _config_text(source)
+    key = source if text is None else text
+    spec = _SPECS.get(key)
+    if spec is None:
+        spec = _SPECS[key] = parse_config(_config_doc(source, text))
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +263,12 @@ def load_config(source: str) -> AlgebraSpec:
 
 def emit_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=False)
+        out = []
+        try:
+            _write_json(report, "\n", out)
+        except _Unwritten:
+            return json.dumps(report, indent=2, sort_keys=False)
+        return "".join(out)
     lines = [f"command: {report['command']}"]
     config = report["config"]
     lines.append(f"algebra: n={config['n']} r={config['r']} scalar={json.dumps(config['scalar'])}")
@@ -226,6 +281,56 @@ def emit_report(report: dict, fmt: str) -> str:
         else:
             lines.append(f"{key}: {json.dumps(value)}")
     return "\n".join(lines)
+
+
+class _Unwritten(Exception):
+    """A value ``_write_json`` leaves to ``json.dumps``."""
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # json's C string encoder
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append the chunks of ``json.dumps(value, indent=2)`` to ``out``; ``indent`` opens a line.
+
+    Knows dicts with str keys, lists, str, int, bool and None, and encodes
+    each leaf as json does: a string with its C encoder, an int with
+    ``int.__repr__``.  Anything else (a float, a tuple, a non-str key, a
+    subclass) raises ``_Unwritten``.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = indent + "  ", "{"
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _Unwritten
+            out.append(f"{sep}{inner}{_encode_str(key)}: ")
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(indent + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    else:
+        raise _Unwritten
 
 
 # ---------------------------------------------------------------------------
@@ -462,50 +567,112 @@ def _cmd_verify(spec: AlgebraSpec, args) -> tuple[int, dict]:
     return (1 if failed else 0), doc
 
 
+# Each subcommand's help and options, flag -> (kind, default, help).  A kind is
+# int, str, a tuple of choices, or bool for a flag; --config, the one option
+# with no default, is required.  build_parser and _parse_fast both read it.
+_COMMON = {
+    "--config": (str, None, "JSON config path or preset name"),
+    "--format": (("table", "json"), "table", None),
+}
+_WINDOW = {"--wmin": (int, -6, None), "--wmax": (int, 6, None)}
+COMMANDS = {
+    "hh": (
+        "homology dimensions per weight strand",
+        {**_COMMON, **_WINDOW, "--representatives": (bool, False, None)},
+    ),
+    "cohh": (
+        "windowed cohomology degrees",
+        {
+            **_COMMON,
+            "--trunc": (
+                int,
+                6,
+                "window N: the polynomial degree bound for degrees 0 and 1, and the weight "
+                "range -(n+r)..N for degrees >= 2",
+            ),
+        },
+    ),
+    "oracle": ("compare homology against the closed answers", {**_COMMON, **_WINDOW}),
+    "verify": (
+        "run machine checks",
+        {**_COMMON, "--suite": ((*SUITES, "all"), "all", None), "--bound": (int, 4, None)},
+    ),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once: each parse_args returns a fresh namespace."""
+    """The argparse parser of ``COMMANDS``, built once: each parse_args returns a fresh namespace."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hochhom",
         description="Exact Hochschild (co)homology of mixed Weyl/q-commuting algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="JSON config path or preset name")
-        p.add_argument("--format", choices=["table", "json"], default="table")
-
-    p_hh = sub.add_parser("hh", help="homology dimensions per weight strand")
-    common(p_hh)
-    p_hh.add_argument("--wmin", type=int, default=-6)
-    p_hh.add_argument("--wmax", type=int, default=6)
-    p_hh.add_argument("--representatives", action="store_true")
-
-    p_cohh = sub.add_parser("cohh", help="windowed cohomology degrees")
-    common(p_cohh)
-    p_cohh.add_argument(
-        "--trunc",
-        type=int,
-        default=6,
-        help="window N: the polynomial degree bound for degrees 0 and 1, and the weight "
-        "range -(n+r)..N for degrees >= 2",
-    )
-
-    p_oracle = sub.add_parser("oracle", help="compare homology against the closed answers")
-    common(p_oracle)
-    p_oracle.add_argument("--wmin", type=int, default=-6)
-    p_oracle.add_argument("--wmax", type=int, default=6)
-
-    p_verify = sub.add_parser("verify", help="run machine checks")
-    common(p_verify)
-    p_verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    p_verify.add_argument("--bound", type=int, default=4)
+    for command, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, (kind, default, text) in options.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+            elif default is None:
+                p.add_argument(flag, required=True, help=text)
+            elif kind is int:
+                p.add_argument(flag, type=int, default=default, help=text)
+            else:
+                p.add_argument(flag, choices=kind, default=default, help=text)
     return parser
 
 
+_NEGATIVE = re.compile(r"-[0-9]+")
+
+
+def _parse_fast(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse returns for ``SUB --opt value ... [--flag]``, or None.
+
+    Each option of ``COMMANDS[SUB]`` may appear once, --config must, and each
+    value must be one argparse takes as it stands.  Any other argv, such as
+    help, an abbreviation, ``--opt=value``, a repeated option, a missing or
+    refused value, or a value starting with "-" other than a negative integer
+    for an int option, is declined and left to argparse.
+    """
+    if not argv or not all(isinstance(token, str) for token in argv) or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in options or flag in given:
+            return None
+        kind = options[flag][0]
+        if kind is bool:
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and not (kind is int and _NEGATIVE.fullmatch(value)):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        given[flag] = value
+    if "--config" not in given:
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, (_, default, _) in options.items():
+        setattr(args, flag[2:], given.get(flag, default))
+    return args
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_fast(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     # A negative window holds no monomials, so every answer from it would be vacuous.
     for option in ("trunc", "bound"):
         value = getattr(args, option, 0)
@@ -516,7 +683,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         print(f"argument error: --wmin {args.wmin} exceeds --wmax {args.wmax}", file=sys.stderr)
         return 2
     try:
-        spec = load_config(args.config)
+        spec = _run_spec(args.config)
         handler = {
             "hh": _cmd_hh,
             "cohh": _cmd_cohh,

@@ -19,9 +19,10 @@ Each is a kernel on raw (mono, wedge) keys (``_full``, ``_small`` over
 lambda~-character, int) triples; ``linalg.matrix_of`` builds every matrix
 from them with no scalar per term, and ``diff_*`` sum them into a
 ``ChainElement``, a ``Combination`` keyed by the same (mono, wedge) tuples,
-as cochains are keyed by (I, mono).  ``check_generator`` checks a key where
-it arrives from a caller (each ``diff_*``, each Weyl map and
-``ChainElement.single``) and every key a kernel yields to a ``diff_*``.
+as cochains are keyed by (I, mono).  ``check_generator`` checks a key, its
+length n + r included, where it arrives from a caller (each ``diff_*``, each
+Weyl map and ``ChainElement.single``) and every key a kernel yields to a
+``diff_*``.
 The module also provides the membership test for C,
 weight-strand enumeration, and the comparison scalar R with the maps
 ``weyl_f_map`` and ``weyl_g_map``.  Every coefficient and column product is
@@ -127,10 +128,16 @@ Key = tuple[Exponents, Exponents]  # (mono, wedge)
 Basis = list[Key]
 
 
-def check_generator(key: Key) -> None:
-    """Raise IndexOutOfRange unless (mono, wedge) has equal lengths, mono >= 0 and wedge in {0, 1}."""
+def check_generator(key: Key, length: int | None = None) -> None:
+    """Raise IndexOutOfRange unless (mono, wedge) has equal lengths, ``length`` when given,
+    mono >= 0 and wedge in {0, 1}."""
     mono, wedge = key
-    if len(mono) != len(wedge) or min(mono, default=0) < 0 or not {*wedge} <= {0, 1}:
+    if (
+        len(mono) != len(wedge)
+        or length is not None and len(mono) != length
+        or min(mono, default=0) < 0
+        or not {*wedge} <= {0, 1}
+    ):
         raise IndexOutOfRange(f"bad chain generator {key}")
 
 
@@ -152,7 +159,7 @@ class ChainElement(Combination):
 
     @classmethod
     def single(cls, spec: AlgebraSpec, key: Key, coeff=None) -> "ChainElement":
-        check_generator(key)
+        check_generator(key, spec.num_generators)
         return cls(spec, {key: spec.one() if coeff is None else coeff})
 
     def __str__(self):
@@ -166,10 +173,11 @@ def _without(vec: Exponents, index0: int) -> Exponents:
 
 def _chain(spec: AlgebraSpec, kernel, key: Key) -> ChainElement:
     """The chain element summing the triples ``kernel`` yields on a key, every key checked."""
-    check_generator(key)
+    m = spec.num_generators
+    check_generator(key, m)
     triples = list(kernel(spec, *key))
     for image, _, _ in triples:
-        check_generator(image)
+        check_generator(image, m)
     return ChainElement.from_triples(spec, triples)
 
 
@@ -698,7 +706,7 @@ def weyl_compare_R(spec: AlgebraSpec, key: Key) -> Scalar:
     exactly, which is the statement that f (multiplication by R) intertwines
     the two differentials.  With r = n, lambda_{u,v} is lambda~_{u,v}.
     """
-    check_generator(key)
+    check_generator(key, spec.num_generators)
     if spec.r != spec.n:
         raise NotSemiClassical("comparison maps need r = n")
     n, (mono, wedge) = spec.n, key
@@ -727,7 +735,7 @@ def weyl_f_map(spec: AlgebraSpec, key: Key) -> ChainElement:
 
 def weyl_g_map(spec: AlgebraSpec, key: Key) -> ChainElement:
     """The section g: Weyl complex -> K_C (zero off the small complex)."""
-    check_generator(key)
+    check_generator(key, spec.num_generators)
     if spec.r != spec.n:
         raise NotSemiClassical("comparison maps need r = n")
     if not is_in_C(spec, rho_of(key)):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochhom import cli, koszul
 from hochhom.cli import (
@@ -21,6 +25,7 @@ from hochhom.cli import (
     MAX_PARAMETER_DIGITS,
     build_parser,
     emit_config,
+    emit_report,
     load_config,
     parse_config,
     preset_config,
@@ -499,6 +504,216 @@ def test_verify_complex_reports_a_broken_differential_as_the_loop_does(monkeypat
 
 
 # ---------------------------------------------------------------------------
+# The front end: the fast argv path, the spec table and the indent writer.
+# ---------------------------------------------------------------------------
+
+
+def _argparse_vars(argv: list[str]):
+    """vars() of argparse's namespace for argv, or its exit code when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+VALUES = {int: ["-3", "0", "2", "17"], str: ["weyl(1)", "cfg.json", ""]}
+# Values argparse refuses, reads otherwise than they look, or that start with "-".
+ODD_VALUES = [
+    "1e3", "nope", "-x", "", " 5", "+4", "1_0", "0x10", "5\n", "-3\n", "-1.5", "\u0663",
+    "--wmin", "-h", "--help", "--", "-", "json ", "all",
+]
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed argv drawn from ``COMMANDS``, then mutated a few times."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = cli.COMMANDS[command][1]
+    pairs = []
+    for flag in draw(st.permutations(sorted(options))):
+        if flag != "--config" and draw(st.booleans()):
+            continue
+        kind = options[flag][0]
+        if kind is bool:
+            pairs.append([flag])
+        else:
+            pairs.append([flag, draw(st.sampled_from(VALUES.get(kind, kind)))])
+    argv = [command] + [token for pair in pairs for token in pair]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        j = draw(st.integers(0, max(len(argv) - 1, 0)))
+        mutation = draw(st.sampled_from(
+            ["drop", "duplicate", "swap", "truncate", "join", "abbreviate", "bad-value", "insert"]
+        ))
+        if not argv:
+            argv = [draw(st.sampled_from(["hh", "-h", "nope"]))]
+        elif mutation == "drop":
+            del argv[j]
+        elif mutation == "duplicate":
+            argv[j:j] = argv[j : j + 2]
+        elif mutation == "swap":
+            argv[i - 1], argv[j] = argv[j], argv[i - 1]
+        elif mutation == "truncate":
+            argv = argv[:i]
+        elif mutation == "join" and j + 1 < len(argv):
+            argv[j : j + 2] = [f"{argv[j]}={argv[j + 1]}"]
+        elif mutation == "abbreviate":
+            argv[j] = argv[j][: draw(st.integers(1, max(len(argv[j]) - 1, 1)))]
+        elif mutation == "bad-value":
+            argv[j] = draw(st.sampled_from(ODD_VALUES))
+        else:
+            argv.insert(i, draw(st.sampled_from(["--help", "-h", "--representatives", "hh"])))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=argvs())
+def test_fast_path_declines_or_agrees_with_argparse(argv):
+    fast = cli._parse_fast(argv)
+    if fast is not None:
+        assert vars(fast) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--config", "weyl(1)", "--wmin", "-3", "--wmax", "-2", "--format", "json"],
+    ["hh", "--representatives", "--wmax", "0", "--config", "cfg.json"],
+    ["verify", "--config", "weyl(1)", "--suite", "duality", "--bound", "0"],
+    ["cohh", "--format", "table", "--config", "", "--trunc", "-1"],
+    ["oracle", "--config", "free(2,1)"],
+])
+def test_well_formed_argv_takes_the_fast_path(argv):
+    fast = cli._parse_fast(argv)
+    assert fast is not None and vars(fast) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["hh", "--help"], ["hh"], ["hh", "--config"], ["hh", "--conf", "weyl(1)"],
+    ["hh", "--config=weyl(1)"], ["hh", "--config", "weyl(1)", "--wmin", "1", "--wmin", "2"],
+    ["hh", "--config", "-x"], ["hh", "--config", "weyl(1)", "--wmin", "-1.5"],
+    ["cohh", "--config", "weyl(1)", "--trunc", "1e3"], ["verify", "--config", "a", "--suite", "x"],
+    ["hh", "--config", "weyl(1)", "--trunc", "2"], ["homology", "--config", "weyl(1)"],
+    ["hh", "--config", "weyl(1)", "--representatives", "--representatives"],
+    ["hh", "--config", 1],
+])
+def test_off_grammar_argv_is_left_to_argparse(argv):
+    assert cli._parse_fast(argv) is None
+
+
+def test_run_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hochhom", "hh", "--config", "weyl(1)", "--wmin", "-2",
+                                      "--wmax", "-2", "--format", "json"])
+    assert run() == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == [{"w": -2, "k": 2, "dim": 1}]
+
+
+def test_one_spec_per_preset(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_SPECS", {})
+    calls = []
+    monkeypatch.setattr(cli, "parse_config", lambda doc: calls.append(doc) or parse_config(doc))
+    argv = ["hh", "--config", "weyl(1)", "--wmin", "-2", "--wmax", "-2", "--format", "json"]
+    outputs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(calls) == 1
+    assert json.loads(outputs[0])["entries"] == [{"w": -2, "k": 2, "dim": 1}]
+    # load_config still builds a new spec on every call.
+    assert load_config("weyl(1)") is not load_config("weyl(1)")
+
+
+def test_a_rewritten_config_file_gives_the_new_answer(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "_SPECS", {})
+    path = tmp_path / "config.json"
+    argv = ["hh", "--config", str(path), "--wmin", "-2", "--wmax", "-2", "--format", "json"]
+    for preset in ("weyl(1)", "free(2,1)", "weyl(1)"):
+        path.write_text(json.dumps(preset_config(preset)))
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == preset_config(preset)
+    assert len(cli._SPECS) == 2
+
+
+@pytest.mark.parametrize("text", ["{", '{"n": 9, "r": 9, "scalar": {"type": "rational"}}', None])
+def test_a_failing_config_is_not_kept(monkeypatch, capsys, tmp_path, text):
+    monkeypatch.setattr(cli, "_SPECS", {})
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    for config in (str(path), "weyl(9)"):
+        assert run(["hh", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+    assert cli._SPECS == {}
+    path.write_text(json.dumps(preset_config("weyl(1)")))
+    assert run(["hh", "--config", str(path), "--wmin", "-2", "--wmax", "-2"]) == 0
+    assert len(cli._SPECS) == 1
+
+
+def test_an_undecodable_config_file_is_not_valid_json(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"n": "\xff"}')
+    assert run(["hh", "--config", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text()
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+# Each of these makes the writer give the whole document to json.dumps.
+ODD_DOCS = st.recursive(
+    JSON_LEAVES | st.floats(allow_nan=True),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text() | st.integers() | st.floats() | st.booleans() | st.none(),
+                          inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+def _writer(doc) -> str:
+    out = []
+    cli._write_json(doc, "\n", out)
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON_DOCS)
+def test_indent_writer_equals_json_dumps(doc):
+    assert _writer(doc) == emit_report(doc, "json") == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=ODD_DOCS)
+def test_indent_writer_falls_back_to_json_dumps(doc):
+    assert emit_report(doc, "json") == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 1.5}, [()], {1: "x"}, {"a": [{"b": None, 2: 0}]}, {"a": True, None: 1}, Fraction(1, 2),
+])
+def test_indent_writer_leaves_odd_values_to_json_dumps(doc):
+    with pytest.raises(cli._Unwritten):
+        _writer(doc)
+    if isinstance(doc, Fraction):
+        with pytest.raises(TypeError):
+            emit_report(doc, "json")
+    else:
+        assert emit_report(doc, "json") == json.dumps(doc, indent=2)
+
+
+def test_indent_writer_on_the_golden_reports():
+    golden = sorted((Path(__file__).parent / "golden").glob("*.out"))
+    assert len(golden) >= 15
+    for path in golden:
+        text = path.read_text()
+        assert _writer(json.loads(text)) + "\n" == text, path.name
+
+
+# ---------------------------------------------------------------------------
 # The benchmark's tracer and micro job against the package.
 # ---------------------------------------------------------------------------
 
@@ -581,9 +796,23 @@ def test_importing_the_cli_loads_no_dataclasses_and_no_braiding():
     )
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout))
-    assert not added & {"dataclasses", "inspect", "hochhom.braiding"}
+    assert not added & {"dataclasses", "inspect", "argparse", "hochhom.braiding"}
     # The traced layers are bound at import: the tracer finds them in sys.modules.
     assert {f"hochhom.{layer}" for layer in LAYERS} <= added
+
+
+def test_a_well_formed_op_loads_no_argparse_and_help_still_does():
+    proc = _fresh(
+        "from hochhom.cli import run\n"
+        "code = run(['hh', '--config', 'weyl(1)', '--wmin', '-2', '--wmax', '-2',"
+        " '--format', 'json'])\n"
+        "print('argparse' in sys.modules)\n"
+        "run(['hh', '--help'])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, _, rest = proc.stdout.partition("}\nFalse\n")
+    assert json.loads(report + "}")["entries"] == [{"w": -2, "k": 2, "dim": 1}]
+    assert rest.startswith("usage: hochhom hh [-h] --config CONFIG")
 
 
 def test_verify_braiding_in_a_fresh_process_imports_it_when_run():

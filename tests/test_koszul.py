@@ -576,11 +576,14 @@ KEY_ENTRIES = {
     "diff_weyl": diff_weyl, "weyl_f_map": weyl_f_map, "weyl_g_map": weyl_g_map,
     "single": ChainElement.single,
 }
-# Over semiclassical_spec; the wedge-entry-2 key has rho = (2, 1, 0, 0), outside C.
+# Over semiclassical_spec (n + r = 4); the wedge-entry-2 key has rho = (2, 1, 0, 0),
+# outside C.  The short and long keys are well formed but have 3 and 5 exponents.
 BAD_KEYS = {
     "negative-exponent": ((0, -1, 0, 0), (1, 0, 0, 0)),
     "wedge-entry-2": ((0, 1, 0, 0), (2, 0, 0, 0)),
     "lengths-differ": ((1, 0, 0, 0, 0), (1, 0, 0, 0)),
+    "too-short": ((0, 0, 1), (0, 0, 1)),
+    "too-long": ((1, 0, 0, 0, 0), (0, 0, 1, 0, 0)),
 }
 KEY_CASES = [(entry, bad) for entry in KEY_ENTRIES for bad in BAD_KEYS] + [
     (f"diff_{name}", "kernel-yields-negative-exponent")

@@ -4,6 +4,8 @@
 output; the benchmark reports a run whose ops fail that check as incorrect.
 This runs the ops of every workload, defect ops included, at two seeds
 through ``hochhom.cli.run``, so a change that would fail it fails here first.
+Each report must also be laid out as ``json.dumps(report, indent=2)`` lays it
+out, which checks the CLI's own JSON writer on every workload report.
 """
 
 from __future__ import annotations
@@ -51,7 +53,10 @@ def test_workload_ops_pass_the_benchmark_check(name, seed, tmp_path):
         Path(path).write_text(json.dumps(doc))
     references = workloads.load_references()
     for op in load.ops:
-        reason = workloads.check_op(op, *call(list(op.argv)), references)
+        code, out = call(list(op.argv))
+        reason = workloads.check_op(op, code, out, references)
         assert reason is None, f"{op.key}: {reason}"
+        # The report writer lays out each report as json.dumps(indent=2) does.
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", op.key
     for op in load.defect_ops:
         assert workloads.defect_status(*call(list(op.argv))) != "wrong", op.key
