@@ -24,9 +24,9 @@ factor is reported by ``duality_identity_check``.
 
 Degree-0 and degree-1 cohomology (center and outer derivations) are computed
 directly from (L, D) under a polynomial degree window; every matrix there is
-built from D's triples by ``linalg.matrix_of``.  ``cohomology_report`` reads
-only their dimensions; ``center_truncated`` and ``hh1_window`` also return
-bases.
+built from D's triples by ``linalg.matrix_of``, and one routine (``_window``)
+computes either degree.  ``cohomology_report`` reads only their dimensions;
+``center_truncated`` and ``hh1_window`` also return bases.
 """
 from __future__ import annotations
 
@@ -203,10 +203,8 @@ def center_truncated(spec: AlgebraSpec, bound: int) -> list[PbwElement]:
     center is H_0 of the complex monomials -> D(monomials), D of a 0-cochain
     being its commutators with the generators.
     """
-    basis = list(monomials_up_to(spec, bound))
-    commutators, _ = _window_matrix(spec, basis, _zero_coboundaries(spec, bound).__getitem__)
-    _, reps = complex_homology({0: commutators}, spec.one(), representatives=[0])
-    return [PbwElement(spec, {basis[j]: c for j, c in vec.items()}) for vec in reps[0]]
+    basis, _, reps = _window(spec, 0, bound, representatives=True)
+    return [PbwElement(spec, {basis[j]: c for j, c in vec.items()}) for vec in reps]
 
 
 class Hh1Window(NamedTuple):
@@ -249,14 +247,26 @@ def _hh1_complex(
 
 def hh1_window(spec: AlgebraSpec, bound: int) -> Hh1Window:
     """Windowed first cohomology of (L, D), as H_1 of ``_hh1_complex``."""
-    columns, d = _hh1_complex(spec, bound, _zero_coboundaries(spec, bound + 1))
-    dims, reps = complex_homology(d, spec.one(), representatives=[1])
-    rep_cochains = [
-        Cochain.from_terms(spec, ((columns[j], c) for j, c in vec.items())) for vec in reps[1]
-    ]
-    return Hh1Window(bound, dims[1], rep_cochains)
+    columns, dimension, reps = _window(spec, 1, bound, representatives=True)
+    cochains = (((columns[j], c) for j, c in vec.items()) for vec in reps)
+    return Hh1Window(bound, dimension, [Cochain.from_terms(spec, terms) for terms in cochains])
 
 
+def _window(spec: AlgebraSpec, degree: int, bound: int, images=None, representatives=False):
+    """(columns, dimension, representative vectors) of windowed H^degree of (L, D), degree 0 or 1.
+
+    Degree 0 is H_0 of the monomials of degree <= bound -> D(monomials), and
+    degree 1 is H_1 of ``_hh1_complex``.  ``images`` holds
+    ``_zero_coboundaries`` up to bound + degree, built when not given.
+    """
+    images = images or _zero_coboundaries(spec, bound + degree)
+    if degree == 0:
+        columns = list(monomials_up_to(spec, bound))
+        d = {0: _window_matrix(spec, columns, images.__getitem__)[0]}
+    else:
+        columns, d = _hh1_complex(spec, bound, images)
+    dims, reps = complex_homology(d, spec.one(), [degree] if representatives else ())
+    return columns, dims[degree], reps.get(degree, [])
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +323,9 @@ def cohomology_report(
     if 0 in degrees or 1 in degrees:
         images = _zero_coboundaries(spec, bound + 1 if 1 in degrees else bound)
     for k in sorted(degrees):
-        if k == 0:
-            commutators, _ = _window_matrix(spec, list(monomials_up_to(spec, bound)), images.__getitem__)
-            dims, _ = complex_homology({0: commutators}, spec.one())
-            entries.append(CohomologyEntry(0, dims[0], "center-kernel"))
-        elif k == 1:
-            dims, _ = complex_homology(_hh1_complex(spec, bound, images)[1], spec.one())
-            entries.append(CohomologyEntry(1, dims[1], "cocycle-window"))
+        if k < 2:
+            method = ("center-kernel", "cocycle-window")[k]
+            entries.append(CohomologyEntry(k, _window(spec, k, bound, images)[1], method))
         elif spec.r == spec.n:
             # Row k of lambda~ is row k of Lambda next to its inverse, so every
             # row product is 1 and HH^k = HH_{2n-k} by duality.

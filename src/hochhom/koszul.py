@@ -692,13 +692,30 @@ def apply_diff(spec: AlgebraSpec, diff: Callable[[AlgebraSpec, Hashable], Combin
 # ---------------------------------------------------------------------------
 
 
+def _compare_character(spec: AlgebraSpec, key: Key, sign: int) -> tuple[int, ...]:
+    """The reduced character of R(key)^sign, sign = +-1; checks the key and r = n first."""
+    check_generator(key, spec.num_generators)
+    if spec.r != spec.n:
+        raise NotSemiClassical("comparison maps need r = n")
+    n, (mono, wedge) = spec.n, key
+    alpha, beta = mono[:n], mono[n:]
+    gamma, delta = wedge[:n], wedge[n:]
+    acc = [0] * spec.model.rank
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            e = gamma[u - 1] * beta[v - 1] + alpha[u - 1] * delta[v - 1]
+            if e:
+                spec.add_character(acc, u, v, sign * e)
+    return spec.model.reduce(acc)
+
+
 def weyl_compare_R(spec: AlgebraSpec, key: Key) -> Scalar:
     """The comparison scalar R(alpha, beta, gamma, delta).
 
-    R = prod_{u<v} lambda_{u,v}^{gamma_u beta_v + alpha_u delta_v}.  This is
-    the unique natural rescaling making the identity map a chain isomorphism
-    between the small complex of a semi-classical algebra and the classical
-    Weyl-algebra Koszul complex: it satisfies
+    R = prod_{u<v} lambda_{u,v}^{gamma_u beta_v + alpha_u delta_v}, the value
+    of the exponents' sum of characters.  This is the unique natural rescaling
+    making the identity map a chain isomorphism between the small complex of a
+    semi-classical algebra and the classical Weyl-algebra Koszul complex: it satisfies
 
         Omega'_1(g) R(d_1 g) = -eps_1(i) beta_i R(g)
         Omega'_2(g) R(d_2 g) =  eps_2(j) alpha_j R(g)
@@ -706,19 +723,7 @@ def weyl_compare_R(spec: AlgebraSpec, key: Key) -> Scalar:
     exactly, which is the statement that f (multiplication by R) intertwines
     the two differentials.  With r = n, lambda_{u,v} is lambda~_{u,v}.
     """
-    check_generator(key, spec.num_generators)
-    if spec.r != spec.n:
-        raise NotSemiClassical("comparison maps need r = n")
-    n, (mono, wedge) = spec.n, key
-    alpha, beta = mono[:n], mono[n:]
-    gamma, delta = wedge[:n], wedge[n:]
-    factors = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            e = gamma[u - 1] * beta[v - 1] + alpha[u - 1] * delta[v - 1]
-            if e:
-                factors.append((u, v, e))
-    return spec.lambda_tilde_power_product(factors)
+    return spec.model.value(_compare_character(spec, key, 1))
 
 
 def weyl_f_map(spec: AlgebraSpec, key: Key) -> ChainElement:
@@ -734,10 +739,8 @@ def weyl_f_map(spec: AlgebraSpec, key: Key) -> ChainElement:
 
 
 def weyl_g_map(spec: AlgebraSpec, key: Key) -> ChainElement:
-    """The section g: Weyl complex -> K_C (zero off the small complex)."""
-    check_generator(key, spec.num_generators)
-    if spec.r != spec.n:
-        raise NotSemiClassical("comparison maps need r = n")
+    """The section g: Weyl complex -> K_C, R^-1 as the negated character's value (zero off K_C)."""
+    char = _compare_character(spec, key, -1)  # checks the key first
     if not is_in_C(spec, rho_of(key)):
         return ChainElement.zero(spec)
-    return ChainElement.single(spec, key, weyl_compare_R(spec, key).inv())
+    return ChainElement.single(spec, key, spec.model.value(char))

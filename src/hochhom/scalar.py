@@ -6,7 +6,8 @@ Q(zeta_m) is one integer vector of its phi(m) coordinates in the basis 1,
 zeta, ..., zeta^(phi-1) over one positive common denominator that shares no
 factor with all of them; products are reduced modulo the m-th cyclotomic
 polynomial, which is monic, with an integer table.  The representation is
-canonical, so equality, is_zero and is_one are exact decisions.
+canonical, so equality, is_zero and is_one are exact decisions.  There is one
+product and one inverse (extended Euclid, or directly for c zeta^t, t < phi).
 
 The module also owns the parameter bookkeeping: a ScalarModel stores the
 multiplicatively antisymmetric matrix of quantisation parameters, given
@@ -144,13 +145,12 @@ class CyclotomicField:
         self._extend_powers(2 * phi - 2)
         self._table = self._powers[phi : 2 * phi - 1]
         self._zetas: dict[int, CyclotomicScalar] = {}
-        self._units: dict[tuple, int] | None = None
         self.zero = CyclotomicScalar(self, (0,) * phi)
         self.one = self.zeta_power(0)
 
     @cached_property
     def residue_map(self) -> tuple[int, tuple[int, ...]]:
-        """The first prime p = 1 (mod m) above 2^30, and the images of zeta^0..zeta^(phi-1).
+        """The first prime p = 1 (mod m) above 2^30, and the images of zeta^0, ..., zeta^(phi-1).
 
         zeta maps to g = a^((p-1)/m) for the first a >= 2 giving g of order m, so
         Phi_m(g) = 0 mod p and ``residue`` is a ring map where it is defined.
@@ -242,19 +242,8 @@ class CyclotomicField:
             nums = [0] * self.degree
             for j, d in self._zeta_terms(t):
                 nums[j] = d
-            z = self._zetas[t] = CyclotomicScalar(self, tuple(nums), 1, t)
+            z = self._zetas[t] = CyclotomicScalar(self, tuple(nums))
         return z
-
-    def _unit_exponent(self, key: tuple) -> int | None:
-        """The t with zeta^t in sparse form equal to key, or None.
-
-        The index from sparse vector to exponent covers every t >= phi(m)
-        (the smaller powers are the monomials) and is built on first use.
-        """
-        if self._units is None:
-            phi = self.degree
-            self._units = {self._zeta_terms(t): t for t in range(phi, self.order)}
-        return self._units.get(key)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
@@ -271,17 +260,15 @@ class CyclotomicScalar:
 
     nums holds phi(m) integers and den is a positive integer sharing no factor
     with all of them, so (nums, den) is canonical and equality is a tuple
-    comparison.  zeta is t for an element built as zeta^t and None otherwise;
-    it only selects the fast paths and is not part of the value.
+    comparison.
     """
 
-    __slots__ = ("field", "nums", "den", "zeta")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field: CyclotomicField, nums: tuple[int, ...], den: int = 1, zeta=None):
+    def __init__(self, field: CyclotomicField, nums: tuple[int, ...], den: int = 1):
         self.field = field
         self.nums = nums
         self.den = den
-        self.zeta = zeta
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -333,19 +320,8 @@ class CyclotomicScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        field = self.field
-        s, t = self.zeta, o.zeta
-        if s is not None and t is not None:
-            return field.zeta_power(s + t)
-        if s is not None or t is not None:
-            # Multiplying by a unit of Z[zeta] keeps the content of the
-            # integer vector, so (nums, den) stays canonical.
-            x = o if t is None else self
-            nums = field._mul_nums(x.nums, field._zeta_terms(s if t is None else t))
-            return CyclotomicScalar(field, tuple(nums), x.den)
-        a, b = self.nums, o.nums
-        terms = [(j, d) for j, d in enumerate(b) if d]
-        return field._make(field._mul_nums(a, terms), self.den * o.den)
+        terms = [(j, d) for j, d in enumerate(o.nums) if d]
+        return self.field._make(self.field._mul_nums(self.nums, terms), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -359,28 +335,17 @@ class CyclotomicScalar:
         return CyclotomicScalar(self.field, tuple(-c for c in self.nums), self.den)
 
     def inv(self) -> "CyclotomicScalar":
-        """The inverse; a rational multiple of +-zeta^t is inverted directly."""
+        """The inverse; a rational multiple of one basis power zeta^t is inverted directly."""
         field = self.field
-        if self.zeta is not None:
-            return field.zeta_power(-self.zeta)
         terms = [(j, c) for j, c in enumerate(self.nums) if c]
         if not terms:
             raise DivisionByZero("inverse of zero")
         if len(terms) == 1:
-            (t, c), sign = terms[0], 1
-        else:
-            c = gcd(*self.nums)
-            key = tuple((j, d // c) for j, d in terms)
-            t, sign = field._unit_exponent(key), 1
-            if t is None:
-                t, sign = field._unit_exponent(tuple((j, -d) for j, d in key)), -1
-        if t is not None:
-            # self = (sign c / den) zeta^t with gcd(c, den) = 1.
-            if c < 0:
-                c, sign = -c, -sign
-            scale = sign * self.den
-            nums = tuple(scale * d for d in field.zeta_power(-t).nums)
-            return CyclotomicScalar(field, nums, c)
+            # self = (c / den) zeta^t with gcd(c, den) = 1.
+            ((t, c),) = terms
+            sign = -1 if c < 0 else 1
+            nums = tuple(sign * self.den * d for d in field.zeta_power(-t).nums)
+            return CyclotomicScalar(field, nums, sign * c)
         # Extended Euclid modulo Phi_m over the integers, by pseudo-division;
         # invariant: s * self.nums == r (mod Phi_m).
         r0, r1 = field.modulus, _poly_trim(self.nums)
@@ -400,8 +365,6 @@ class CyclotomicScalar:
         return field._make(nums, sign * c)
 
     def __pow__(self, e: int):
-        if self.zeta is not None:
-            return self.field.zeta_power(self.zeta * e)
         if e < 0:
             return self.inv() ** (-e)
         out = self.field.one

@@ -3,8 +3,10 @@
 Usage: ``python tests/compare_outputs.py OTHER_CHECKOUT``
 
 Every op and defect op of the benchmark's workloads (``perfbench/workloads.py``
-of this checkout) at seeds 1 and 2, and the argv of ``OFF_GRAMMAR`` (help,
-usage errors and the other forms the parser handles), run through
+of this checkout) at seeds 1 and 2, the argv of ``UNTIMED`` (the suites and
+options no workload times, on a spread of presets) and those of
+``OFF_GRAMMAR`` (help, usage errors and the other forms the parser handles),
+run through
 ``hochhom.cli.run``, once with this checkout's ``src`` and once with
 ``OTHER_CHECKOUT/src``, each checkout in its own interpreter.  Every argv
 whose stdout, stderr or exit code differs is printed, and the exit code is 1
@@ -42,6 +44,27 @@ OFF_GRAMMAR = [
     ["homology", "--config", "weyl(1)"],
     [],
     ["hh", "--config", "weyl(1)", "--wmin", "-3", "--wmax", "-2", "--format", "json"],
+]
+# Well-formed argv of what no workload times: every verify suite, the braiding
+# suite at bound 4, representatives and a small cohh window.
+UNTIMED_PRESETS = (
+    "weyl(2)",
+    "semiclassical(2,4,1)",
+    "semiclassical(2,12,5)",
+    "mixed-minimal(3)",
+    "mixed-minimal(12)",
+    "free(2,1)",
+    "free(3,0)",
+)
+UNTIMED = [
+    [sub, "--config", preset, "--format", "json", *options]
+    for sub, *options in (
+        ("verify", "--suite", "all", "--bound", "3"),
+        ("verify", "--suite", "braiding", "--bound", "4"),
+        ("hh", "--representatives"),
+        ("cohh", "--trunc", "3"),
+    )
+    for preset in UNTIMED_PRESETS
 ]
 
 
@@ -99,12 +122,15 @@ def main(argv: list[str]) -> int:
                     Path(path).parent.mkdir(parents=True, exist_ok=True)
                     Path(path).write_text(json.dumps(doc))
                 ops += [list(op.argv) for op in load.ops + load.defect_ops]
-        ops += OFF_GRAMMAR
+        ops += UNTIMED + OFF_GRAMMAR
         here, there = outputs(ROOT / "src", ops), outputs(other, ops)
     differ = [argv for argv, a, b in zip(ops, here, there) if a != b]
     for argv in differ:
         print("differs:", " ".join(argv))
-    print(f"{len(ops)} argv ({len(OFF_GRAMMAR)} off the grammar), {len(differ)} differ")
+    print(
+        f"{len(ops)} argv ({len(UNTIMED)} untimed, {len(OFF_GRAMMAR)} off the grammar),"
+        f" {len(differ)} differ"
+    )
     return 1 if differ else 0
 
 

@@ -22,7 +22,7 @@ from test_algebra import (
     naive_normal_form,
 )
 
-from hochhom import cli, cohomology, koszul
+from hochhom import braiding, cli, cohomology, koszul
 from hochhom.algebra import Combination, normal_mul_monomials, normal_mul_uncached
 from hochhom.braiding import braiding_f_prime
 from hochhom.cohomology import (
@@ -943,6 +943,74 @@ def test_braiding_pairing_vanishes_on_short_words(make_spec):
         for word in product(range(1, m + 1), repeat=length):
             image = braiding_f_prime(spec, word)
             assert all(c.is_zero() for c in image.values()), word
+
+
+def _braid_at(spec, elem, pos):
+    """Reference: the braiding at (pos, pos+1), 1-based, on a dict of word -> scalar."""
+    out = {}
+    for word, c in elem.items():
+        a, b = word[pos - 1], word[pos]
+        if a != b:
+            c = c * spec.lambda_tilde(a, b)
+            word = word[: pos - 1] + (b, a) + word[pos + 1 :]
+        out[word] = out[word] + c if word in out else c
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+def _braid_positions(spec, elem, positions):
+    for pos in positions:
+        elem = _braid_at(spec, elem, pos)
+    return elem
+
+
+def reference_f_prime(spec, word, pair_form):
+    """f' composed from the braidings as maps of dicts of word -> scalar, one scalar product per factor."""
+    p, total = len(word), {}
+
+    def accumulate(elem, sign, drop_front):
+        for w, c in elem.items():
+            pair = pair_form(spec, *(w[:2] if drop_front else w[-2:]))
+            if pair:
+                rest, c = w[2:] if drop_front else w[:-2], c * (pair * sign)
+                total[rest] = total[rest] + c if rest in total else c
+
+    start = {word: spec.one()}
+    for i in range(1, p + 1):
+        for j in range(i + 1, p + 1):
+            sign = (-1) ** (i + j + 1)
+            shifted = {}
+            for w, c in _braid_positions(spec, start, range(i - 1, 0, -1)).items():
+                for ww, cc in _braid_positions(spec, {w[1:]: c}, range(j - 2, 0, -1)).items():
+                    nw = (w[0],) + ww
+                    shifted[nw] = shifted[nw] + cc if nw in shifted else cc
+            accumulate(shifted, sign, drop_front=True)
+            moved = {}
+            for w, c in _braid_positions(spec, start, range(j, p)).items():
+                for ww, cc in _braid_positions(spec, {w[: p - 1]: c}, range(i, p - 1)).items():
+                    nw = ww + (w[-1],)
+                    moved[nw] = moved[nw] + cc if nw in moved else cc
+            accumulate(moved, -sign, drop_front=False)
+    return {w: c for w, c in total.items() if not c.is_zero()}
+
+
+def test_braiding_f_prime_matches_scalar_reference_on_a_nonvanishing_form(monkeypatch):
+    # With the Weyl pairing f' vanishes on these specs, so no answer would
+    # tell a wrong f' from {}.  A form that does not vanish is swapped in: the
+    # character sums must agree with the braidings composed as scalar maps.
+    def form(spec, a, b):
+        return (7 * a + 3 * b) % 5 - 2
+
+    monkeypatch.setattr(braiding, "_pair_form", form)
+    words = nonzero = 0
+    for config in ("weyl(2)", "semiclassical(2,4,1)", "mixed-minimal(3)", "free(3,1)"):
+        spec = load_config(config)
+        m = spec.num_generators
+        for length in (2, 3, 4):
+            for word in product(range(1, m + 1), repeat=length):
+                got = braiding_f_prime(spec, word)
+                assert got == reference_f_prime(spec, word, form), (config, word)
+                words, nonzero = words + 1, nonzero + bool(got)
+    assert (words, nonzero) == (1125, 554)
 
 
 def test_braiding_word_bounds():
